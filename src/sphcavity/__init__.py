@@ -51,6 +51,7 @@ from .modes import (
     mode_spec,
     normalization_constant,
     spectrum,
+    spherical_bessel_zeros,
 )
 from .reporting import CheckReport
 from .rotations import (

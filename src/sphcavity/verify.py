@@ -362,7 +362,7 @@ def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2
     if two_nu % 2 == 0 or two_nu < 1 or abs(2 * nu - two_nu) > 1e-12:
         raise ValueError("nu must be half-integer (1/2, 3/2, ...)")
     count = max(alpha_idx, beta_idx)
-    zeros = md._scan_roots(lambda x: bessel_j_halfint(two_nu, x), count)
+    zeros = md.spherical_bessel_zeros((two_nu - 1) // 2, count)
     a, b = zeros[alpha_idx - 1], zeros[beta_idx - 1]
     x, w = radial_quadrature(256, 1.0)
     val = float(np.sum(w * x * bessel_j_halfint(two_nu, a * x) * bessel_j_halfint(two_nu, b * x)))

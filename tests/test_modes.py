@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
+import sphcavity
+import sphcavity.modes as md
 from sphcavity.modes import (
     CavityConfig,
     ModeIndex,
     ModeSpec,
+    RootFindingError,
     boundary_residual,
     electric_root_equation,
     fibonacci_directions,
@@ -19,6 +26,7 @@ from sphcavity.modes import (
     mode_spec,
     normalization_constant,
     spectrum,
+    spherical_bessel_zeros,
 )
 from sphcavity.verify import ELECTRIC_REFERENCE_TABLE, MAGNETIC_REFERENCE_TABLE
 
@@ -118,6 +126,66 @@ class TestFindRoots:
             find_roots("M", 1, 65)
         with pytest.raises(ValueError):
             find_roots("X", 1, 2)
+        with pytest.raises(ValueError):
+            find_roots("M", 60, 1)  # j_{j+1} would exceed the Bessel order limit
+        with pytest.raises(ValueError):
+            spherical_bessel_zeros(-1, 1)
+        with pytest.raises(ValueError):
+            spherical_bessel_zeros(60, 1)
+
+    @pytest.mark.parametrize("tau", ["M", "E"])
+    @pytest.mark.parametrize("j", [30, 45, 59])
+    def test_large_j_against_scipy(self, tau, j):
+        # the scan starts at x = j, where the root functions are far from
+        # underflow; every root is checked with scipy's spherical_jn
+        x = np.array(find_roots(tau, j, 64))
+        jj = special.spherical_jn(j, x)
+        if tau == "M":
+            f, slope = jj, special.spherical_jn(j, x, derivative=True)
+            oracle = scan_roots_bisection(lambda t: special.jv(j + 0.5, t), 64)
+        else:
+            # f = d/dx [x j_j], slope = (x j_j)'' = (j(j+1)/x^2 - 1) x j_j
+            f = (j + 1) * jj - x * special.spherical_jn(j + 1, x)
+            slope = (j * (j + 1) / x**2 - 1) * x * jj
+            oracle = scan_roots_bisection(
+                lambda t: j * special.jv(j + 1.5, t) - (j + 1) * special.jv(j - 0.5, t), 64)
+        assert np.abs(f / (x * slope)).max() <= 1e-12
+        assert_allclose(x, oracle, atol=1e-9)  # same ordinals, no root skipped
+
+
+class TestRootCache:
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = {}
+        monkeypatch.setattr(md, "_ROOT_CACHE", fresh)
+        return fresh
+
+    def test_prefix_served_and_longer_request_replaces(self, cache):
+        long = find_roots("M", 3, 12)
+        assert cache == {("M", 3): tuple(long)}
+        assert find_roots("M", 3, 5) == long[:5]
+        longer = find_roots("M", 3, 20)
+        assert len(cache[("M", 3)]) == 20
+        assert_allclose(longer[:12], long, rtol=1e-15)
+
+    def test_electric_guard_reads_cached_magnetic_roots(self, cache):
+        find_roots("E", 4, 6)
+        assert set(cache) == {("E", 4), ("M", 4)}
+        # a corrupted magnetic entry must trip the electric interlacing guard
+        cache.clear()
+        cache[("M", 2)] = tuple(x - 2.0 for x in find_roots("M", 2, 3))
+        with pytest.raises(RootFindingError, match="interlacing"):
+            find_roots("E", 2, 3)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(sphcavity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, sphcavity; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 class TestNormalization:
@@ -247,6 +315,17 @@ class TestSpectrum:
         s2 = spectrum(1, 1, CavityConfig(radius=2.0))[0]
         assert_allclose(s2.omega, s1.omega / 2.0, rtol=1e-14)
         assert_allclose(s2.x_root, s1.x_root, rtol=0)
+
+    def test_advertised_corner(self):
+        specs = spectrum(20, 32)
+        assert len(specs) == 2 * 20 * 32
+        corner = {s.index.tau: s.x_root for s in specs
+                  if s.index.j == 20 and s.index.n == 32}
+        mag = scan_roots_bisection(lambda x: special.jv(20.5, x), 32)[-1]
+        ele = scan_roots_bisection(
+            lambda x: 20 * special.jv(21.5, x) - 21 * special.jv(19.5, x), 32)[-1]
+        assert_allclose(corner["M"], mag, rtol=1e-12)
+        assert_allclose(corner["E"], ele, rtol=1e-12)
 
     def test_bounds(self):
         with pytest.raises(ValueError):

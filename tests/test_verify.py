@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sphcavity.angular import vsh
+from sphcavity.modes import spherical_bessel_zeros
 from sphcavity.reporting import CheckReport
 from sphcavity.specfun import scalar_harmonic
 from sphcavity.verify import (
@@ -93,6 +94,9 @@ class TestIndividualChecks:
         # nu = 1/2 reduces to sine orthogonality with zeros at n pi
         report = check_bessel_integral(0.5, 1, 2)
         assert report.max_residual < 1e-10
+        assert check_bessel_integral(nu=0.5, alpha_idx=3, beta_idx=3).passed
+        assert_allclose(spherical_bessel_zeros(0, 64), np.pi * np.arange(1, 65),
+                        rtol=1e-14, atol=0)
 
     def test_bessel_integral_validation(self):
         with pytest.raises(ValueError):
