@@ -18,6 +18,8 @@ dimensions and physical constants enter only through CavityConfig.
 Roots come from one vectorized solver: an array scan from x = j brackets
 the zeros of j_j (magnetic) or of (x j_j)' (electric), and a safeguarded
 Newton step with closed-form derivatives refines all brackets at once.
+Every root lies above x = j, so the root functions take j_j and j_{j+1}
+together from one upward Bessel recurrence (specfun._upward_pair).
 Results are cached per (tau, j) and served as prefixes.
 """
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .angular import unit_phi, unit_radial, unit_theta, vsh, vsh_coupled
 from .reporting import CheckReport
-from .specfun import MAX_BESSEL_ORDER, bessel_j_halfint, spherical_bessel_j
+from .specfun import MAX_BESSEL_ORDER, _upward_pair, bessel_j_halfint, spherical_bessel_j
 
 __all__ = [
     "TAU_ELECTRIC",
@@ -164,19 +166,19 @@ _MAX_COUNT = 64
 
 
 def _bessel_zero_fn(l: int):
-    """j_l(x) and its slope j_l' = (l/x) j_l - j_{l+1}, on arrays."""
+    """j_l(x) and its slope j_l' = (l/x) j_l - j_{l+1}, on arrays with x >= l."""
     def fn(x):
-        jl = spherical_bessel_j(l, x)
-        return jl, (l / x) * jl - spherical_bessel_j(l + 1, x)
+        jl, jl1 = _upward_pair(l, x)
+        return jl, (l / x) * jl - jl1
     return fn
 
 
 def _electric_fn(j: int):
-    """(x j_j)' = (j+1) j_j - x j_{j+1} and (x j_j)'' = (j(j+1)/x^2 - 1) x j_j."""
+    """(x j_j)' = (j+1) j_j - x j_{j+1} and (x j_j)'' = (j(j+1)/x^2 - 1) x j_j,
+    on arrays with x >= j."""
     def fn(x):
-        jj = spherical_bessel_j(j, x)
-        return ((j + 1) * jj - x * spherical_bessel_j(j + 1, x),
-                (j * (j + 1) / (x * x) - 1.0) * x * jj)
+        jj, jj1 = _upward_pair(j, x)
+        return (j + 1) * jj - x * jj1, (j * (j + 1) / (x * x) - 1.0) * x * jj
     return fn
 
 
@@ -260,7 +262,7 @@ def _roots(tau: str, j: int, count: int) -> tuple[float, ...]:
         # change sign exactly count - 1 times below the count-th root
         last = roots[-1]
         grid = np.append(np.arange(j, last, _SCAN_STEP), last)
-        below = len(_sign_changes(spherical_bessel_j(j + 1, grid)))
+        below = len(_sign_changes(_upward_pair(j, grid)[1]))
         if below != count - 1:
             raise RootFindingError(
                 f"interlacing violated for M j={j}: {below} companion zeros "

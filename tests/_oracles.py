@@ -36,6 +36,17 @@ def mp_spherical_jl(l: int, x: float):
         return float(mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(l + mp.mpf(1) / 2, mp.mpf(x)))
 
 
+def mp_spherical_jy(l: int, x: float) -> tuple[float, float]:
+    """High-precision (j_l(x), y_l(x)) via mpmath, for x > 0."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        scale = mp.sqrt(mp.pi / (2 * xm))
+        nu = l + mp.mpf(1) / 2
+        return float(scale * mp.besselj(nu, xm)), float(scale * mp.bessely(nu, xm))
+
+
 def bisect_root(f, a: float, b: float, tol: float = 1e-12) -> float:
     """Plain bisection; f(a) and f(b) must have opposite signs."""
     fa, fb = f(a), f(b)

@@ -166,7 +166,18 @@ class TestRootCache:
         assert find_roots("M", 3, 5) == long[:5]
         longer = find_roots("M", 3, 20)
         assert len(cache[("M", 3)]) == 20
-        assert_allclose(longer[:12], long, rtol=1e-15)
+        assert longer[:12] == long
+
+    @pytest.mark.parametrize("tau", ["M", "E"])
+    def test_fresh_solve_equals_cached_prefix_bitwise(self, cache, tau):
+        # every point of the root functions is evaluated independently of
+        # its batch, so a short solve reproduces the long one's prefix exactly
+        for j in (1, 2, 7, 20, 33, 46, 59):
+            cache.clear()
+            full = find_roots(tau, j, 64)
+            for n in (1, 2, 5, 13, 34, 63):
+                cache.clear()
+                assert find_roots(tau, j, n) == full[:n], (j, n)
 
     def test_electric_guard_reads_cached_magnetic_roots(self, cache):
         find_roots("E", 4, 6)
@@ -178,14 +189,24 @@ class TestRootCache:
             find_roots("E", 2, 3)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def _fresh_python(code: str) -> str:
     src = str(Path(sphcavity.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
     code = "import sys, sphcavity; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_import_with_cli_loads_no_scipy():
+    # importing any scipy module would dominate the start-up of a CLI command
+    code = ("import sys, sphcavity, sphcavity.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code).strip() == "[]"
 
 
 class TestNormalization:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from sphcavity.specfun import (
     HarmonicConvention,
+    _series_cutoff,
     bessel_j_halfint,
     legendre_plm,
     scalar_harmonic,
@@ -15,7 +16,12 @@ from sphcavity.specfun import (
     spherical_bessel_j,
 )
 
-from _oracles import mp_spherical_jl, scipy_scalar_harmonic, series_spherical_jl
+from _oracles import (
+    mp_spherical_jl,
+    mp_spherical_jy,
+    scipy_scalar_harmonic,
+    series_spherical_jl,
+)
 
 CS = HarmonicConvention.CONDON_SHORTLEY
 LL = HarmonicConvention.LANDAU_LIFSHITZ
@@ -62,7 +68,30 @@ class TestSphericalBessel:
         out = spherical_bessel_j(3, x)
         assert out.shape == x.shape
         for xi, oi in zip(x, out):
-            assert_allclose(oi, spherical_bessel_j(3, float(xi)), rtol=1e-13)
+            assert oi == spherical_bessel_j(3, float(xi))
+
+    @pytest.mark.parametrize("l", [3, 20, 60])
+    def test_value_independent_of_batch(self, l):
+        # a point's value must not depend on the other arguments in the call
+        xs = np.concatenate([np.linspace(0.05, 2 * l + 10, 41),
+                             [l - 1e-9, float(l), l + 1e-9]])
+        for x in xs:
+            alone = spherical_bessel_j(l, x)
+            assert spherical_bessel_j(l, np.array([x, 200.0]))[0] == alone, x
+            assert spherical_bessel_j(l, np.array([0.5, x]))[1] == alone, x
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 20, 40, 59, 60])
+    def test_accuracy_to_advertised_edge(self, l):
+        # the regime seams are the series cutoff and x = l (one ulp either side)
+        xs = np.concatenate([np.geomspace(1e-3, 200.0, 160),
+                             [_series_cutoff(l)],
+                             [np.nextafter(float(l), -1.0), float(l),
+                              np.nextafter(float(l), 400.0)] if l else []])
+        vals = spherical_bessel_j(l, xs)
+        for x, v in zip(xs, vals):
+            jl, yl = mp_spherical_jy(l, float(x))
+            scale = math.hypot(jl, yl) if x > l else abs(jl)
+            assert abs(v - jl) <= 1e-13 * scale, (l, x)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
