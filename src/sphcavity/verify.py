@@ -28,6 +28,7 @@ from .angular import (
 )
 from .reporting import CheckReport
 from .rotations import (
+    MAX_WIGNER_J,
     euler_to_rotation_matrix,
     rotate_cartesian,
     spherical_wave_helicity,
@@ -202,19 +203,10 @@ def _family_functions(family: str, l_max: int):
                 for m in range(-j, j + 1):
                     fns.append(((lam, j, m),
                                 lambda t, p, lam=lam, j=j, m=m:
-                                _sample_spherical_wave(j, m, lam, t, p)))
+                                spherical_wave_helicity(j, m, lam, t, p)))
     else:
         raise ValueError(f"unknown family {family!r}")
     return fns
-
-
-def _sample_spherical_wave(j, m, lam, theta_grid, phi_grid):
-    out = np.empty((3,) + theta_grid.shape, dtype=complex)
-    for it in range(theta_grid.shape[0]):
-        for ip in range(theta_grid.shape[1]):
-            out[:, it, ip] = spherical_wave_helicity(j, m, lam,
-                                                     theta_grid[it, ip], phi_grid[it, ip])
-    return out
 
 
 def check_orthonormality(family: str, l_max: int,
@@ -446,7 +438,7 @@ def check_vsh_fourier(j: int, kind: str, kr: float,
 # rotation checks
 
 
-def check_dmatrix_unitarity(j_max: int = 8, seed: int = 9,
+def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9,
                             tolerance: float | None = None) -> CheckReport:
     tol = _tol("dmatrix_unitarity", None) if tolerance is None else tolerance
     rng = np.random.default_rng(seed)

@@ -8,6 +8,8 @@ diagonalization, and hand-rolled bisection.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
@@ -45,6 +47,36 @@ def mp_spherical_jy(l: int, x: float) -> tuple[float, float]:
         scale = mp.sqrt(mp.pi / (2 * xm))
         nu = l + mp.mpf(1) / 2
         return float(scale * mp.besselj(nu, xm)), float(scale * mp.bessely(nu, xm))
+
+
+def mp_wigner_small_d(j: int, beta: float) -> np.ndarray:
+    """Passive reduced rotation matrix d^j(beta) by the factorial sum in 50-digit mpmath.
+
+    Rows and columns run m', m = j..-j.  The passive matrix is the
+    transpose of the active one, <j m'| exp(-i beta J_y) |j m>, which is
+    the sum over s of (-1)^(m' - m + s) sqrt((j+m')!(j-m')!(j+m)!(j-m)!)
+    c^(2j+m-m'-2s) sn^(m'-m+2s) / ((j+m-s)! s! (m'-m+s)! (j-m'-s)!), with
+    c = cos(beta/2) and sn = sin(beta/2).
+    """
+    import mpmath as mp
+
+    fact = [math.factorial(n) for n in range(2 * j + 1)]  # exact integers
+    with mp.workdps(50):
+        half = mp.mpf(beta) / 2
+        cpow = [mp.cos(half) ** n for n in range(2 * j + 1)]
+        spow = [mp.sin(half) ** n for n in range(2 * j + 1)]
+        mvals = range(j, -j - 1, -1)
+        out = np.empty((2 * j + 1, 2 * j + 1))
+        for col, mp_ in enumerate(mvals):  # active row m' is the passive column
+            for row, m in enumerate(mvals):
+                total = mp.mpf(0)
+                for s in range(max(0, m - mp_), min(j + m, j - mp_) + 1):
+                    den = fact[j + m - s] * fact[s] * fact[mp_ - m + s] * fact[j - mp_ - s]
+                    total += ((-1) ** (mp_ - m + s) * cpow[2 * j + m - mp_ - 2 * s]
+                              * spow[mp_ - m + 2 * s] / den)
+                scale = mp.sqrt(fact[j + mp_] * fact[j - mp_] * fact[j + m] * fact[j - m])
+                out[row, col] = float(scale * total)
+    return out
 
 
 def bisect_root(f, a: float, b: float, tol: float = 1e-12) -> float:

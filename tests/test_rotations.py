@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _oracles import mp_wigner_small_d
 from sphcavity.angular import helicity_apply, unit_radial
 from sphcavity.rotations import (
+    MAX_WIGNER_J,
     euler_to_rotation_matrix,
     helicity_polarization_vector,
     inverse_angles,
@@ -22,7 +24,7 @@ from sphcavity.rotations import (
     wigner_small_d,
 )
 from sphcavity.specfun import scalar_harmonic
-from sphcavity.verify import sphere_quadrature
+from sphcavity.verify import check_dmatrix_unitarity, sphere_quadrature
 
 GOLDEN_D1 = np.array([
     [0.5, 1 / math.sqrt(2), 0.5],
@@ -86,6 +88,68 @@ class TestWignerMatrix:
         for j in (1, 3):
             prod = wigner_d_matrix(j, a, b, g) @ wigner_d_matrix(j, *inverse_angles(a, b, g))
             assert np.abs(prod - np.eye(2 * j + 1)).max() < 1e-13
+
+
+class TestWignerAccuracy:
+    BETAS = (0.0, 0.05, 0.3, math.pi / 2, 1.1, math.pi - 0.05, math.pi, 2 * math.pi - 0.05)
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 8, MAX_WIGNER_J])
+    def test_small_d_against_mpmath(self, j):
+        for beta in self.BETAS:
+            err = np.abs(wigner_small_d(j, beta) - mp_wigner_small_d(j, beta)).max()
+            assert err <= 1e-13, (j, beta, err)
+
+    def test_unitarity_to_advertised_edge(self):
+        # the suite check covers every j <= MAX_WIGNER_J; keep its worst
+        # residual well inside the 1e-12 tolerance, near beta = 0 and 2 pi too
+        for seed in range(30):
+            assert check_dmatrix_unitarity(seed=seed).max_residual <= 5e-14, seed
+        for beta in (1e-3, 0.011, 0.05, math.pi - 0.05, math.pi + 0.011, 2 * math.pi - 0.05):
+            d = wigner_d_matrix(MAX_WIGNER_J, 0.4, beta, 1.3)
+            assert np.abs(d @ d.conj().T - np.eye(2 * MAX_WIGNER_J + 1)).max() <= 5e-14, beta
+
+
+class TestBatchIndependence:
+    # a point's value must not depend on the other angles in the call
+
+    @pytest.mark.parametrize("j", [0, 1, 4, MAX_WIGNER_J])
+    def test_small_d_equals_scalar_calls(self, j, rng):
+        betas = np.concatenate([rng.uniform(-7.0, 7.0, 13), [0.0, math.pi, 2 * math.pi]])
+        stacked = np.stack([wigner_small_d(j, b) for b in betas], axis=-1)
+        assert np.array_equal(wigner_small_d(j, betas), stacked)
+        grid = wigner_small_d(j, betas.reshape(4, 4))
+        assert np.array_equal(grid, stacked.reshape(stacked.shape[:2] + (4, 4)))
+
+    def test_spherical_wave_grid_equals_point_calls(self):
+        tg, pg = sphere_quadrature(14).grid
+        for j, m, lam in ((1, 0, +1), (2, -2, -1), (4, 3, +1)):
+            grid = spherical_wave_helicity(j, m, lam, tg, pg)
+            assert grid.shape == (3,) + tg.shape
+            for idx in np.ndindex(tg.shape):
+                point = spherical_wave_helicity(j, m, lam, tg[idx], pg[idx])
+                assert np.array_equal(grid[(slice(None),) + idx], point), (j, m, lam, idx)
+
+    def test_scalar_angle_shapes(self):
+        for j in (0, 1, 3):
+            assert wigner_small_d(j, 0.4).shape == (2 * j + 1, 2 * j + 1)
+            assert wigner_d_matrix(j, 0.1, 0.4, 0.2).shape == (2 * j + 1, 2 * j + 1)
+        assert helicity_polarization_vector(+1, 0.4, 0.2).shape == (3,)
+        assert spherical_wave_helicity(2, 1, -1, 0.4, 0.2).shape == (3,)
+        assert np.ndim(plane_to_spherical_coefficient(2, 1, -1, 0.4, 0.2)) == 0
+
+    def test_array_angle_shapes(self):
+        th, ph = np.linspace(0.1, 3.0, 5)[:, None], np.linspace(0.0, 6.0, 4)[None, :]
+        assert wigner_d_matrix(2, ph, th, 0.0).shape == (5, 5, 5, 4)
+        assert helicity_polarization_vector(0, th, ph).shape == (3, 5, 4)
+        assert plane_to_spherical_coefficient(3, -1, +1, th, ph).shape == (5, 4)
+
+    def test_polarization_helicity_on_arrays(self, rng):
+        th = rng.uniform(0.05, np.pi - 0.05, (6, 5))
+        ph = rng.uniform(0.0, 2 * np.pi, (6, 5))
+        for lam in (+1, -1):
+            e = helicity_polarization_vector(lam, th, ph)
+            assert np.abs(helicity_apply(th, ph, e) - lam * e).max() < 1e-13
+            assert np.abs((unit_radial(th, ph) * e).sum(axis=0)).max() < 1e-13
 
 
 class TestEulerMatrix:
