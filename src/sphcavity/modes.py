@@ -5,6 +5,9 @@ frequencies, the discrete spectrum, mode normalization constants fixing
 the single-photon energy, vector-potential / E / B field evaluation,
 boundary-condition residuals, and occupation-number energy bookkeeping.
 
+A mode's A and B = curl A are both sums of the terms j_l(kr) Y_{j,l,m}
+with l = j-1, j, j+1, so B is evaluated in closed form, not numerically.
+
 There are two distinct frequency conditions (x = omega R / c):
 
     magnetic (tau = "M"):  J_{j+1/2}(x) = 0
@@ -31,7 +34,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .angular import unit_phi, unit_radial, unit_theta, vsh, vsh_coupled
+from .angular import unit_phi, unit_radial, unit_theta, vsh_coupled
 from .reporting import CheckReport
 from .specfun import MAX_BESSEL_ORDER, _upward_pair, bessel_j_halfint, spherical_bessel_j
 
@@ -396,68 +399,59 @@ def spectrum(j_max: int, n_max: int,
     return out
 
 
-def _vector_potential(spec: ModeSpec, r, theta, phi,
-                      config: CavityConfig) -> np.ndarray:
-    """A(r, theta, phi) for one mode, shape (3, ...); valid for any r >= 0."""
+def _fields(spec: ModeSpec, r, theta, phi,
+            config: CavityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A and B = curl A for one mode, each shape (3, ...); valid for any r >= 0.
+
+    Both are sums of the terms T_l = j_l(kr) Y_{j,l,m}, l = j-1, j, j+1:
+
+        M:  A = N T_j
+            B = i k N [sqrt((j+1)/(2j+1)) T_{j-1} - sqrt(j/(2j+1)) T_{j+1}]
+        E:  A = N [sqrt(j) T_{j+1} - sqrt(j+1) T_{j-1}]
+            B = i k N sqrt(2j+1) T_j
+
+    r, theta and phi broadcast together and are not expanded first: with
+    r of shape (n_r, 1, 1) and angles of shape (1, n_theta, n_phi), each
+    Bessel function is evaluated at n_r points and each harmonic at
+    n_theta * n_phi points.
+    """
     tau, j, m, _ = spec.index
     k = spec.omega / config.wave_speed
-    rr, th, ph = np.broadcast_arrays(np.asarray(r, float),
-                                     np.asarray(theta, float),
-                                     np.asarray(phi, float))
-    x = k * rr
+    x = k * np.asarray(r, float)
+    th, ph = np.asarray(theta, float), np.asarray(phi, float)
+    ndim = max(x.ndim, th.ndim, ph.ndim)
+
+    def term(l: int, c: float) -> np.ndarray:
+        y = vsh_coupled(j, l, m, th, ph)
+        y = y.reshape((3,) + (1,) * (ndim + 1 - y.ndim) + y.shape[1:])
+        return (c * spherical_bessel_j(l, x)) * y
+
+    n = spec.norm_const
+    ikn = 1j * k * n
     if tau == TAU_MAGNETIC:
-        return spec.norm_const * spherical_bessel_j(j, x) * vsh("M", j, m, th, ph)
-    return spec.norm_const * (
-        math.sqrt(j) * spherical_bessel_j(j + 1, x) * vsh_coupled(j, j + 1, m, th, ph)
-        - math.sqrt(j + 1) * spherical_bessel_j(j - 1, x) * vsh_coupled(j, j - 1, m, th, ph)
-    )
-
-
-def _potential_at_cartesian(spec: ModeSpec, pos: np.ndarray,
-                            config: CavityConfig) -> np.ndarray:
-    rr = np.sqrt((pos * pos).sum(axis=0))
-    safe = np.maximum(rr, 1e-300)
-    th = np.arccos(np.clip(pos[2] / safe, -1.0, 1.0))
-    ph = np.mod(np.arctan2(pos[1], pos[0]), 2 * np.pi)
-    return _vector_potential(spec, rr, th, ph, config)
-
-
-def _curl_fd(spec: ModeSpec, pos: np.ndarray, config: CavityConfig,
-             h: float) -> np.ndarray:
-    """curl A by central differences with one Richardson step (h and h/2)."""
-    out = np.zeros(pos.shape, dtype=complex)
-    for hh, weight in ((h, -1.0 / 3.0), (h / 2.0, 4.0 / 3.0)):
-        partial = {}
-        for axis in range(3):
-            e = np.zeros((3,) + (1,) * (pos.ndim - 1))
-            e[axis] = hh
-            partial[axis] = (_potential_at_cartesian(spec, pos + e, config)
-                             - _potential_at_cartesian(spec, pos - e, config)) / (2 * hh)
-        curl = np.stack([
-            partial[1][2] - partial[2][1],
-            partial[2][0] - partial[0][2],
-            partial[0][1] - partial[1][0],
-        ])
-        out += weight * curl
-    return out
+        a = term(j, n)
+        b = ikn * (term(j - 1, math.sqrt((j + 1) / (2 * j + 1)))
+                   - term(j + 1, math.sqrt(j / (2 * j + 1))))
+    else:
+        a = n * (term(j + 1, math.sqrt(j)) - term(j - 1, math.sqrt(j + 1)))
+        b = term(j, ikn * math.sqrt(2 * j + 1))
+    return a, b
 
 
 def mode_field(spec: ModeSpec, r, theta, phi,
                config: CavityConfig = CavityConfig()) -> FieldSample:
     """Vector potential A, electric field E = i omega A, and B = curl A.
 
-    Positions broadcast together; 0 <= r <= R.  The curl is numerical
-    (central differences, base step 1e-4 R, one Richardson step), good
-    to ~1e-9 relative of the peak field.
+    Positions broadcast together; 0 <= r <= R.  B is the closed-form
+    curl of the multipole expansion of A (see _fields), exact up to
+    rounding at every r including the origin.
     """
     rr, th, ph = np.broadcast_arrays(np.asarray(r, float),
                                      np.asarray(theta, float),
                                      np.asarray(phi, float))
     if np.any(rr < 0) or np.any(rr > config.radius * (1 + 1e-12)):
         raise ValueError("positions must satisfy 0 <= r <= R")
-    a = _vector_potential(spec, rr, th, ph, config)
-    pos = rr * unit_radial(th, ph)
-    b = _curl_fd(spec, pos, config, h=1e-4 * config.radius)
+    a, b = _fields(spec, r, theta, phi, config)
     return FieldSample(r=rr, theta=th, phi=ph, A=a, E=1j * spec.omega * a, B=b)
 
 
@@ -474,13 +468,8 @@ def _peak_field_scales(spec: ModeSpec, config: CavityConfig) -> tuple[float, flo
     """Coarse-grid peak |E| and |B| used to normalize boundary residuals."""
     th, ph = fibonacci_directions(48)
     radii = np.linspace(0.04, 1.0, 25) * config.radius
-    rr = radii[:, None] + 0.0 * th[None, :]
-    tt = 0.0 * radii[:, None] + th[None, :]
-    pp = 0.0 * radii[:, None] + ph[None, :]
-    a = _vector_potential(spec, rr, tt, pp, config)
+    a, b = _fields(spec, radii[:, None], th, ph, config)
     peak_e = spec.omega * float(np.sqrt((np.abs(a) ** 2).sum(axis=0)).max())
-    pos = (rr * unit_radial(tt, pp)).reshape(3, -1)
-    b = _curl_fd(spec, pos, config, h=1e-4 * config.radius)
     peak_b = float(np.sqrt((np.abs(b) ** 2).sum(axis=0)).max())
     return peak_e, peak_b
 
@@ -494,13 +483,10 @@ def boundary_residual(spec: ModeSpec, config: CavityConfig = CavityConfig(),
     field |B.n|, each normalized by the mode's peak field magnitude.
     """
     th, ph = fibonacci_directions(n_dirs)
-    rr = np.full_like(th, config.radius)
-    a = _vector_potential(spec, rr, th, ph, config)
+    a, b = _fields(spec, config.radius, th, ph, config)
     e = 1j * spec.omega * a
     e_th = np.abs((e * unit_theta(th, ph)).sum(axis=0))
     e_ph = np.abs((e * unit_phi(th, ph)).sum(axis=0))
-    pos = config.radius * unit_radial(th, ph)
-    b = _curl_fd(spec, pos, config, h=1e-4 * config.radius)
     b_n = np.abs((b * unit_radial(th, ph)).sum(axis=0))
     peak_e, peak_b = _peak_field_scales(spec, config)
     resid = max(float(e_th.max() / peak_e), float(e_ph.max() / peak_e),

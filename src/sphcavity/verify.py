@@ -218,16 +218,12 @@ def check_orthonormality(family: str, l_max: int,
     quad = sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
     fns = _family_functions(family, l_max)
-    samples = [f(tg, pg) for _, f in fns]
-    resid = 0.0
-    for a, fa in enumerate(samples):
-        for b in range(a, len(samples)):
-            fb = samples[b]
-            integrand = (np.conj(fa) * fb)
-            if integrand.ndim == 3:  # vector family: dot the components
-                integrand = integrand.sum(axis=0)
-            g = quad.integrate(integrand)
-            resid = max(resid, abs(g - (1.0 if a == b else 0.0)))
+    samples = np.stack([f(tg, pg) for _, f in fns])
+    # one row per function; a vector family's components share the grid weights
+    w = np.broadcast_to(quad.weights, samples.shape[1:]).ravel()
+    s = samples.reshape(len(fns), -1)
+    gram = s.conj() @ (s * w).T
+    resid = np.abs(gram - np.eye(len(fns))).max()
     return CheckReport(f"orthonormality_{family}", float(resid), tol,
                        details=f"{len(fns)} functions, l_max={l_max}")
 
@@ -527,16 +523,17 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8,
 
 
 def _mode_energy_quadrature(spec: md.ModeSpec, config: md.CavityConfig,
-                            n_radial: int = 200) -> float:
-    """(1/2) w^2 eps0 int |A|^2 d3r by a full 3-d product quadrature."""
+                            radial: tuple[np.ndarray, np.ndarray]) -> float:
+    """(1/2) w^2 eps0 int |A|^2 d3r by a full 3-d product quadrature on the
+    radial rule (nodes, weights) over [0, R]."""
     j = spec.index.j
     quad = sphere_quadrature(2 * (j + 2) + 2)
     tg, pg = quad.grid
-    r, wr = radial_quadrature(n_radial, config.radius)
-    a = md._vector_potential(spec, r[:, None, None], tg[None, :, :], pg[None, :, :], config)
+    r, wr = radial
+    a, _ = md._fields(spec, r[:, None, None], tg, pg, config)
     density = (np.abs(a) ** 2).sum(axis=0)
-    radial = quad.integrate(density) * r * r  # angular integral at each radius
-    integral = float(np.sum(wr * radial.real))
+    shell = quad.integrate(density) * r * r  # angular integral at each radius
+    integral = float(np.sum(wr * shell.real))
     return 0.5 * spec.omega**2 * config.epsilon0 * integral
 
 
@@ -545,12 +542,13 @@ def check_mode_energy(j_max: int = 3, n_max: int = 3,
     """Quadrature energy of each normalized mode equals hbar omega."""
     tol = _tol("mode_energy", None) if tolerance is None else tolerance
     config = md.CavityConfig()
+    radial = radial_quadrature(200, config.radius)
     resid = 0.0
     for tau in ("E", "M"):
         for j in range(1, j_max + 1):
             for n in range(1, n_max + 1):
                 spec = md.mode_spec(tau, j, 0, n, config)
-                energy = _mode_energy_quadrature(spec, config)
+                energy = _mode_energy_quadrature(spec, config, radial)
                 resid = max(resid, abs(energy / (config.hbar * spec.omega) - 1.0))
     return CheckReport("mode_energy", float(resid), tol,
                        details=f"all modes with j <= {j_max}, n <= {n_max}")
@@ -559,10 +557,12 @@ def check_mode_energy(j_max: int = 3, n_max: int = 3,
 def check_mode_equipartition(j_max: int = 2, n_max: int = 2,
                              tolerance: float | None = None) -> CheckReport:
     """Electric-part and magnetic-part field energies agree (3-d quadrature,
-    numerical curl for B)."""
+    closed-form curl for B)."""
     tol = _tol("mode_equipartition", None) if tolerance is None else tolerance
     config = md.CavityConfig()
     mu0 = 1.0 / (config.epsilon0 * config.wave_speed**2)
+    r, wr = radial_quadrature(80, config.radius)
+    wr2 = (wr * r * r)[:, None, None]
     resid = 0.0
     for tau in ("E", "M"):
         for j in range(1, j_max + 1):
@@ -570,20 +570,14 @@ def check_mode_equipartition(j_max: int = 2, n_max: int = 2,
                 spec = md.mode_spec(tau, j, 0, n, config)
                 quad = sphere_quadrature(2 * (j + 2) + 4)
                 tg, pg = quad.grid
-                r, wr = radial_quadrature(80, config.radius)
-                rr = r[:, None, None] * np.ones_like(tg)[None, :, :]
-                tt = np.ones_like(r)[:, None, None] * tg[None, :, :]
-                pp = np.ones_like(r)[:, None, None] * pg[None, :, :]
-                a = md._vector_potential(spec, rr, tt, pp, config)
-                pos = (rr * unit_radial(tt, pp)).reshape(3, -1)
-                b = md._curl_fd(spec, pos, config, h=1e-4 * config.radius).reshape(a.shape)
-                w3 = (wr[:, None, None] * r[:, None, None] ** 2 * quad.weights[None, :, :])
+                a, b = md._fields(spec, r[:, None, None], tg, pg, config)
+                w3 = wr2 * quad.weights
                 e_elec = 0.25 * spec.omega**2 * config.epsilon0 * float(
                     (w3 * (np.abs(a) ** 2).sum(axis=0)).sum())
                 e_mag = 0.25 / mu0 * float((w3 * (np.abs(b) ** 2).sum(axis=0)).sum())
                 resid = max(resid, abs(e_mag / e_elec - 1.0))
     return CheckReport("mode_equipartition", float(resid), tol,
-                       details=f"modes with j <= {j_max}, n <= {n_max}, numerical curl")
+                       details=f"modes with j <= {j_max}, n <= {n_max}, closed-form curl")
 
 
 def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64,
@@ -591,16 +585,15 @@ def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64,
     tol = _tol("mode_boundary", None) if tolerance is None else tolerance
     config = md.CavityConfig()
     resid = 0.0
-    worst = ""
     for tau in ("E", "M"):
         for j in range(1, j_max + 1):
             for n in range(1, n_max + 1):
                 spec = md.mode_spec(tau, j, 0, n, config)
                 rep = md.boundary_residual(spec, config, n_dirs=n_dirs, tolerance=tol)
-                if rep.max_residual > resid:
-                    resid, worst = rep.max_residual, rep.name
+                resid = max(resid, rep.max_residual)
     return CheckReport("mode_boundary", float(resid), tol,
-                       details=f"worst mode: {worst} ({n_dirs} directions each)")
+                       details=f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
+                               f"({n_dirs} directions each)")
 
 
 # --------------------------------------------------------------------------

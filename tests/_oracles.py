@@ -3,7 +3,8 @@
 Everything here is deliberately written against a different code path
 than the library under test: plain ascending series, high-precision
 mpmath evaluations, scipy special functions, explicit operator-matrix
-diagonalization, and hand-rolled bisection.
+diagonalization, hand-rolled bisection, and a finite-difference curl.
+Nothing here imports sphcavity.
 """
 
 from __future__ import annotations
@@ -107,6 +108,24 @@ def scan_roots_bisection(f, count: int, step: float = 0.25, x0: float = 1e-8) ->
         a, fa = b, fb
         assert a < 1e4, "failed to find enough roots"
     return roots
+
+
+def fd_curl(a_fn, pos, h: float) -> np.ndarray:
+    """curl A by central differences with one Richardson step (h and h/2).
+
+    a_fn maps Cartesian positions, shape (3, ...), to A of the same shape;
+    the error is O(h^4) plus the rounding of a_fn amplified by 1/h.
+    """
+    pos = np.asarray(pos, dtype=float)
+    out = np.zeros(pos.shape, dtype=complex)
+    for hh, weight in ((h, -1.0 / 3.0), (h / 2.0, 4.0 / 3.0)):
+        d = []
+        for axis in range(3):
+            e = np.zeros((3,) + (1,) * (pos.ndim - 1))
+            e[axis] = hh
+            d.append((a_fn(pos + e) - a_fn(pos - e)) / (2 * hh))
+        out += weight * np.stack([d[1][2] - d[2][1], d[2][0] - d[0][2], d[0][1] - d[1][0]])
+    return out
 
 
 def _ladder_ops(two_j: int):

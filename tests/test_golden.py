@@ -6,10 +6,11 @@ reproduce it byte for byte.  Two outputs carry digits that move with a
 last-ulp change in a root and are compared by value instead:
 
 * ``field``: every printed value matches to 9 significant digits, except
-  entries below 1e-9 of their column's peak (finite-difference noise in
-  B), which must stay below that level.  The peak of a field component
-  column is taken over all six columns of that field (A, E or B), since
-  a component that vanishes identically prints noise only.
+  entries below 1e-9 of their column's peak (rounding noise of a
+  component that vanishes, such as B_z of the E1 m=0 mode), which must
+  stay below that level.  The peak of a field component column is taken
+  over all six columns of that field (A, E or B), since a component that
+  vanishes identically prints noise only.
 * ``verify --format json``: name, tolerance, pass and details match byte
   for byte; max_residual must stay within its tolerance.
 

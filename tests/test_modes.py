@@ -30,7 +30,7 @@ from sphcavity.modes import (
 )
 from sphcavity.verify import ELECTRIC_REFERENCE_TABLE, MAGNETIC_REFERENCE_TABLE
 
-from _oracles import energy_normalization_constant, scan_roots_bisection
+from _oracles import energy_normalization_constant, fd_curl, scan_roots_bisection
 
 
 class TestRootEquations:
@@ -202,6 +202,14 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert _fresh_python(code).strip() == "False"
 
 
+def test_oracles_load_no_sphcavity():
+    # the oracles must stay independent of the code paths they check
+    tests = str(Path(__file__).resolve().parent)
+    code = (f"import sys; sys.path.insert(0, {tests!r}); import _oracles; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sphcavity'))")
+    assert _fresh_python(code).strip() == "[]"
+
+
 def test_import_with_cli_loads_no_scipy():
     # importing any scipy module would dominate the start-up of a CLI command
     code = ("import sys, sphcavity, sphcavity.cli; "
@@ -288,6 +296,48 @@ class TestModeField:
             mode_field(spec, 1.5, 0.3, 0.4)
         with pytest.raises(ValueError):
             mode_field(spec, -0.1, 0.3, 0.4)
+
+
+def _to_spherical(pos):
+    r = np.sqrt((pos * pos).sum(axis=0))
+    th = np.arccos(np.clip(pos[2] / r, -1.0, 1.0))
+    ph = np.mod(np.arctan2(pos[1], pos[0]), 2 * np.pi)
+    return r, th, ph
+
+
+def _peak_b(spec):
+    th, ph = fibonacci_directions(96)
+    b = mode_field(spec, np.linspace(0.0, 1.0, 41)[:, None], th, ph).B
+    return float(np.sqrt((np.abs(b) ** 2).sum(axis=0)).max())
+
+
+class TestClosedFormCurl:
+    @pytest.mark.parametrize("tau", ["M", "E"])
+    @pytest.mark.parametrize("j", [1, 2, 5, 8])
+    def test_b_matches_finite_difference_curl(self, tau, j):
+        rng = np.random.default_rng(100 * j + (tau == "E"))
+        r = rng.uniform(0.01, 0.99, 60)
+        th = np.arccos(rng.uniform(-1.0, 1.0, 60))
+        ph = rng.uniform(0.0, 2 * np.pi, 60)
+        pos = r * np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+        for n in (1, 2, 4):
+            for m in sorted({-j, 0, 1, j}):
+                spec = mode_spec(tau, j, m, n)
+                b_fd = fd_curl(lambda p: mode_field(spec, *_to_spherical(p)).A, pos, 1e-4)
+                err = np.abs(mode_field(spec, r, th, ph).B - b_fd).max()
+                assert err <= 1e-10 * _peak_b(spec), (spec.index, err)
+
+    @pytest.mark.parametrize("tau,j,m", [("M", 1, 0), ("M", 3, -2), ("E", 1, 1), ("E", 4, 3)])
+    def test_separable_grid_equals_broadcast(self, tau, j, m):
+        spec, config = mode_spec(tau, j, m, 2), CavityConfig()
+        r = np.linspace(0.0, 1.0, 7)[:, None, None]
+        tg, pg = np.meshgrid(np.linspace(0.0, np.pi, 5),
+                             np.linspace(0.0, 2 * np.pi, 6, endpoint=False), indexing="ij")
+        sep = md._fields(spec, r, tg[None], pg[None], config)
+        full = md._fields(spec, *np.broadcast_arrays(r, tg[None], pg[None]), config)
+        for got, want in zip(sep, full):
+            assert got.shape == want.shape == (3, 7, 5, 6)
+            assert np.array_equal(got, want)
 
 
 class TestBoundary:
