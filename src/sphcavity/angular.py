@@ -25,7 +25,8 @@ test suite:
   and Y^(-1) = (Y^E - i(n x Y^E))/sqrt(2) = (Y^E + Y^M)/sqrt(2).
 
 Vector-valued results put the Cartesian component axis FIRST: shape
-(3,) for scalar angles, (3, ...) for broadcast angle arrays.
+(3,) for scalar angles, (3, ...) for broadcast angle arrays.  Code that
+needs many of these on one grid builds them from one harmonic table.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import HarmonicConvention, scalar_harmonic
+from .specfun import _Harmonics
 
 __all__ = [
     "Direction",
@@ -160,8 +161,14 @@ def cg_s1(l: int, j: int, mu: int, m: int) -> float:
     return math.sqrt((l + m) * (l + m + 1) / (2 * l * (2 * l + 1)))
 
 
-def _shape_of(theta, phi):
-    return np.broadcast(np.asarray(theta, float), np.asarray(phi, float)).shape
+def _coupled(Y: _Harmonics, j: int, l: int, m: int) -> np.ndarray:
+    # Y_jlm on the table's grid; the caller has validated (j, l)
+    out = np.zeros((3,) + Y.shape, dtype=complex)
+    for mu in (+1, 0, -1):
+        coef = cg_s1(l, j, mu, m)  # 0.0 when |m| > j or |m - mu| > l
+        if coef != 0.0:
+            out += coef * _E_SPH[mu].reshape((3,) + (1,) * len(Y.shape)) * Y(l, m - mu)
+    return out
 
 
 def vsh_coupled(j: int, l: int, m: int, theta, phi) -> np.ndarray:
@@ -174,27 +181,25 @@ def vsh_coupled(j: int, l: int, m: int, theta, phi) -> np.ndarray:
     if l < 0 or l not in (j - 1, j, j + 1) or (l == 0 and j == 0):
         raise ValueError(f"l must be one of j-1, j, j+1 with a valid spin-1 "
                          f"coupling, got j={j}, l={l}")
-    out = np.zeros((3,) + _shape_of(theta, phi), dtype=complex)
-    if abs(m) > j:
-        return out
-    for mu in (+1, 0, -1):
-        if abs(m - mu) > l:
-            continue
-        coef = cg_s1(l, j, mu, m)
-        if coef == 0.0:
-            continue
-        y = scalar_harmonic(l, m - mu, theta, phi, HarmonicConvention.CONDON_SHORTLEY)
-        out += coef * _E_SPH[mu].reshape((3,) + (1,) * (out.ndim - 1)) * np.asarray(y)
+    return _coupled(_Harmonics(l, theta, phi), j, l, m)
+
+
+def _vsh(Y: _Harmonics, kind: str, j: int, m: int) -> np.ndarray:
+    # Y^E, Y^M or Y^L (kind already upper case) from the coupled harmonics
+    if kind in ("E", "M") and j < 1:
+        raise ValueError(f"the {kind}-type harmonic vanishes identically for j={j}; need j >= 1")
+    if j < 0 or abs(m) > j:
+        raise ValueError(f"need j >= 0 and |m| <= j, got j={j}, m={m}")
+    if kind == "M":
+        return _coupled(Y, j, j, m)
+    a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
+    if kind == "E":
+        return a * _coupled(Y, j, j + 1, m) + b * _coupled(Y, j, j - 1, m)
+    # longitudinal; for j = 0 only the l = j+1 term contributes
+    out = -b * _coupled(Y, j, j + 1, m)
+    if j >= 1:
+        out += a * _coupled(Y, j, j - 1, m)
     return out
-
-
-_AB_CACHE: dict[int, tuple[float, float]] = {}
-
-
-def _ab(j: int) -> tuple[float, float]:
-    if j not in _AB_CACHE:
-        _AB_CACHE[j] = (math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1)))
-    return _AB_CACHE[j]
 
 
 def vsh(kind: str, j: int, m: int, theta, phi) -> np.ndarray:
@@ -217,20 +222,17 @@ def vsh(kind: str, j: int, m: int, theta, phi) -> np.ndarray:
     kind = str(kind).upper()
     if kind not in ("E", "M", "L"):
         raise ValueError(f"kind must be 'E', 'M' or 'L', got {kind!r}")
-    if kind in ("E", "M") and j < 1:
-        raise ValueError(f"the {kind}-type harmonic vanishes identically for j={j}; need j >= 1")
-    if j < 0 or abs(m) > j:
-        raise ValueError(f"need j >= 0 and |m| <= j, got j={j}, m={m}")
-    if kind == "M":
-        return vsh_coupled(j, j, m, theta, phi)
-    a, b = _ab(j)
-    if kind == "E":
-        return a * vsh_coupled(j, j + 1, m, theta, phi) + b * vsh_coupled(j, j - 1, m, theta, phi)
-    # longitudinal; for j = 0 only the l = j+1 term contributes
-    out = -b * vsh_coupled(j, j + 1, m, theta, phi)
-    if j >= 1:
-        out += a * vsh_coupled(j, j - 1, m, theta, phi)
-    return out
+    return _vsh(_Harmonics(j + 1, theta, phi), kind, j, m)
+
+
+def _helicity(Y: _Harmonics, lam: int, j: int, m: int) -> np.ndarray:
+    # Y^(lam) from Y^E and Y^M (Y^L for lam = 0)
+    if lam == 0:
+        return _vsh(Y, "L", j, m)
+    ye, ym = _vsh(Y, "E", j, m), _vsh(Y, "M", j, m)
+    if lam == +1:
+        return -(ye - ym) / _SQ2
+    return (ye + ym) / _SQ2
 
 
 def helicity_vsh(lam: int, j: int, m: int, theta, phi) -> np.ndarray:
@@ -248,13 +250,7 @@ def helicity_vsh(lam: int, j: int, m: int, theta, phi) -> np.ndarray:
     """
     if lam not in (+1, 0, -1):
         raise ValueError(f"helicity must be +1, 0 or -1, got {lam}")
-    if lam == 0:
-        return vsh("L", j, m, theta, phi)
-    ye = vsh("E", j, m, theta, phi)
-    ym = vsh("M", j, m, theta, phi)
-    if lam == +1:
-        return -(ye - ym) / _SQ2
-    return (ye + ym) / _SQ2
+    return _helicity(_Harmonics(j + 1, theta, phi), lam, j, m)
 
 
 def helicity_apply(theta, phi, vec) -> np.ndarray:

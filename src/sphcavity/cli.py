@@ -123,15 +123,15 @@ def cmd_field(args) -> int:
         return 2
     radii = np.linspace(0.0, config.radius, args.nr)
     th, ph = md.fibonacci_directions(args.ndirs)
+    sample = md.mode_field(spec, radii[:, None], th, ph, config)
     rows = []
-    for r in radii:
-        sample = md.mode_field(spec, np.full_like(th, r), th, ph, config)
+    for i, r in enumerate(radii):
         for k in range(args.ndirs):
             row = {"r": float(r), "theta": float(th[k]), "phi": float(ph[k])}
             for name, arr in (("A", sample.A), ("E", sample.E), ("B", sample.B)):
                 for ci, comp in enumerate("xyz"):
-                    row[f"{name}{comp}_re"] = float(arr[ci, k].real)
-                    row[f"{name}{comp}_im"] = float(arr[ci, k].imag)
+                    row[f"{name}{comp}_re"] = float(arr[ci, i, k].real)
+                    row[f"{name}{comp}_im"] = float(arr[ci, i, k].imag)
             rows.append(row)
     _emit_table(rows, args.format)
     return 0

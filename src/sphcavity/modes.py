@@ -34,9 +34,10 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .angular import unit_phi, unit_radial, unit_theta, vsh_coupled
+from .angular import _coupled, unit_phi, unit_radial, unit_theta
 from .reporting import CheckReport
-from .specfun import MAX_BESSEL_ORDER, _upward_pair, bessel_j_halfint, spherical_bessel_j
+from .specfun import (MAX_BESSEL_ORDER, _Harmonics, _upward_pair, bessel_j_halfint,
+                      spherical_bessel_j)
 
 __all__ = [
     "TAU_ELECTRIC",
@@ -412,17 +413,17 @@ def _fields(spec: ModeSpec, r, theta, phi,
 
     r, theta and phi broadcast together and are not expanded first: with
     r of shape (n_r, 1, 1) and angles of shape (1, n_theta, n_phi), each
-    Bessel function is evaluated at n_r points and each harmonic at
-    n_theta * n_phi points.
+    Bessel function is evaluated at n_r points and each harmonic, from one
+    table shared by the three terms, at n_theta * n_phi points.
     """
     tau, j, m, _ = spec.index
     k = spec.omega / config.wave_speed
     x = k * np.asarray(r, float)
-    th, ph = np.asarray(theta, float), np.asarray(phi, float)
-    ndim = max(x.ndim, th.ndim, ph.ndim)
+    harmonics = _Harmonics(j + 1, theta, phi)
+    ndim = max(x.ndim, len(harmonics.shape))
 
     def term(l: int, c: float) -> np.ndarray:
-        y = vsh_coupled(j, l, m, th, ph)
+        y = _coupled(harmonics, j, l, m)
         y = y.reshape((3,) + (1,) * (ndim + 1 - y.ndim) + y.shape[1:])
         return (c * spherical_bessel_j(l, x)) * y
 

@@ -4,6 +4,9 @@ Spherical Bessel functions of the first kind, half-integer-order Bessel
 functions, associated Legendre functions, and scalar spherical harmonics
 in the two phase conventions used throughout the package.
 
+Callers that need many harmonics on one grid of angles build one private
+_Harmonics table per grid and drop it after the call; no cache is kept.
+
 All evaluators are pure, accept scalars or numpy arrays, and are safe for
 unrestricted concurrent use.
 """
@@ -138,6 +141,31 @@ def bessel_j_halfint(two_nu: int, x):
     return np.sqrt(2.0 * arr / np.pi) * spherical_bessel_j(l, arr)
 
 
+def _plm_upward(m: int, l_max: int, x):
+    # P_m^m(x), ..., P_{l_max}^m(x) by upward recurrence in l from the sectoral
+    # seed; stable for l <= ~64.  Unvalidated: callers guarantee
+    # 0 <= m <= l_max and |x| <= 1.  Each step works in place on its own
+    # fresh array, so a value once yielded is never modified.
+    p0 = _odd_double_factorial(2 * m - 1) * np.sqrt(np.maximum(0.0, 1.0 - x * x))**m
+    yield p0
+    if l_max > m:
+        p1 = (2 * m + 1) * x * p0
+        yield p1
+    for ll in range(m + 2, l_max + 1):
+        p = (2 * ll - 1) * x
+        p *= p1
+        p -= (ll + m - 1) * p0
+        p /= ll - m
+        p0, p1 = p1, p
+        yield p
+
+
+def _plm(l: int, m: int, x):
+    for p in _plm_upward(m, l, x):
+        pass
+    return p
+
+
 def legendre_plm(l: int, m: int, x):
     """Associated Legendre function P_l^m(x) (Ferrers, no phase factor).
 
@@ -147,16 +175,9 @@ def legendre_plm(l: int, m: int, x):
     if not (0 <= m <= l):
         raise ValueError(f"need 0 <= m <= l, got l={l}, m={m}")
     xa = np.asarray(x, dtype=float)
-    somx2 = np.sqrt(np.maximum(0.0, 1.0 - xa * xa))
-    pmm = np.full_like(xa, _odd_double_factorial(2 * m - 1)) * somx2**m
-    if l == m:
-        return pmm
-    pm1 = (2 * m + 1) * xa * pmm
-    if l == m + 1:
-        return pm1
-    for ll in range(m + 2, l + 1):
-        pmm, pm1 = pm1, ((2 * ll - 1) * xa * pm1 - (ll + m - 1) * pmm) / (ll - m)
-    return pm1
+    if not np.all(np.abs(xa) <= 1.0):
+        raise ValueError("argument must be finite with |x| <= 1")
+    return _plm(l, m, xa)
 
 
 class HarmonicConvention(enum.Enum):
@@ -168,6 +189,38 @@ class HarmonicConvention(enum.Enum):
 
     CONDON_SHORTLEY = "condon-shortley"
     LANDAU_LIFSHITZ = "landau-lifshitz"
+
+
+def _norm_phase(l: int, m: int) -> float:
+    # sqrt((2l+1)/(4 pi) (l-|m|)!/(l+|m|)!) times the Condon-Shortley phase
+    am = abs(m)
+    lognorm = 0.5 * (math.log(2 * l + 1) - math.log(4 * math.pi)
+                     + math.lgamma(l - am + 1) - math.lgamma(l + am + 1))
+    return ((-1.0) ** m if m > 0 else 1.0) * math.exp(lognorm)
+
+
+class _Harmonics:
+    """Condon-Shortley Y_lm, |m| <= l <= l_max (unvalidated), on one grid: Y(l, m).
+
+    Each order |m| runs the Legendre recurrence to l_max once, when first
+    asked for, and each Y_lm is formed once, with the arithmetic of
+    scalar_harmonic, so the two agree bit for bit.  Entries are shared, not copied.
+    """
+
+    def __init__(self, l_max: int, theta, phi):
+        th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+        self.l_max, self.shape = l_max, th.shape
+        self._x, self._phi = np.cos(th), ph
+        self._plm, self._y = {}, {}
+
+    def __call__(self, l: int, m: int):
+        if (l, m) not in self._y:
+            am = abs(m)
+            if am not in self._plm:
+                self._plm[am] = list(_plm_upward(am, self.l_max, self._x))
+            self._y[l, m] = _norm_phase(l, m) * self._plm[am][l - am] * np.exp(1j * m * self._phi)
+        return self._y[l, m]
 
 
 def scalar_harmonic(l: int, m: int, theta, phi,
@@ -191,12 +244,7 @@ def scalar_harmonic(l: int, m: int, theta, phi,
         raise ValueError(f"|m| must not exceed l, got l={l}, m={m}")
     th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                  np.asarray(phi, dtype=float))
-    am = abs(m)
-    lognorm = 0.5 * (math.log(2 * l + 1) - math.log(4 * math.pi)
-                     + math.lgamma(l - am + 1) - math.lgamma(l + am + 1))
-    norm = math.exp(lognorm)
-    phase = (-1.0) ** m if m > 0 else 1.0
-    val = phase * norm * legendre_plm(l, am, np.cos(th)) * np.exp(1j * m * ph)
+    val = _norm_phase(l, m) * _plm(l, abs(m), np.cos(th)) * np.exp(1j * m * ph)
     if convention is HarmonicConvention.LANDAU_LIFSHITZ:
         val = val * 1j**l
     return val[()] if np.isscalar(theta) and np.isscalar(phi) else val

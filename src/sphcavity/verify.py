@@ -18,14 +18,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import entangle as ent
 from . import modes as md
-from .angular import (
-    antipode,
-    helicity_apply,
-    helicity_vsh,
-    unit_radial,
-    vsh,
-    vsh_coupled,
-)
+from .angular import _coupled, _helicity, _vsh, antipode, helicity_apply, unit_radial
 from .reporting import CheckReport
 from .rotations import (
     MAX_WIGNER_J,
@@ -34,12 +27,7 @@ from .rotations import (
     spherical_wave_helicity,
     wigner_d_matrix,
 )
-from .specfun import (
-    HarmonicConvention,
-    bessel_j_halfint,
-    scalar_harmonic,
-    spherical_bessel_j,
-)
+from .specfun import _Harmonics, bessel_j_halfint, spherical_bessel_j
 
 __all__ = [
     "SphereQuadrature",
@@ -168,45 +156,24 @@ def _tol(name: str, overrides: dict | None) -> float:
 # angular-algebra checks
 
 
-def _family_functions(family: str, l_max: int):
-    """(label, callable(theta_grid, phi_grid) -> samples) for a Gram family."""
-    fns = []
+def _family_samples(family: str, l_max: int, tg, pg) -> list[np.ndarray]:
+    """Every member of a Gram family sampled on the grid, in a fixed order."""
+    Y = _Harmonics(l_max + 1, tg, pg)
     if family == "scalar":
-        for l in range(l_max + 1):
-            for m in range(-l, l + 1):
-                fns.append(((l, m), lambda t, p, l=l, m=m: scalar_harmonic(l, m, t, p)))
-    elif family == "coupled":
-        for j in range(0, l_max + 1):
-            for l in (j - 1, j, j + 1):
-                if l < 0 or l > l_max + 1 or (l == 0 and j == 0):
-                    continue
-                for m in range(-j, j + 1):
-                    fns.append(((j, l, m),
-                                lambda t, p, j=j, l=l, m=m: vsh_coupled(j, l, m, t, p)))
-    elif family == "eml":
-        for kind in ("E", "M", "L"):
-            j_lo = 1 if kind in ("E", "M") else 0
-            for j in range(j_lo, l_max + 1):
-                for m in range(-j, j + 1):
-                    fns.append(((kind, j, m),
-                                lambda t, p, k=kind, j=j, m=m: vsh(k, j, m, t, p)))
-    elif family == "helicity":
-        for lam in (+1, 0, -1):
-            j_lo = 1 if lam else 0
-            for j in range(j_lo, l_max + 1):
-                for m in range(-j, j + 1):
-                    fns.append(((lam, j, m),
-                                lambda t, p, lam=lam, j=j, m=m: helicity_vsh(lam, j, m, t, p)))
-    elif family == "spherical_wave":
-        for lam in (+1, -1):
-            for j in range(1, l_max + 1):
-                for m in range(-j, j + 1):
-                    fns.append(((lam, j, m),
-                                lambda t, p, lam=lam, j=j, m=m:
-                                spherical_wave_helicity(j, m, lam, t, p)))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return fns
+        return [Y(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+    if family == "coupled":
+        return [_coupled(Y, j, l, m) for j in range(l_max + 1) for l in (j - 1, j, j + 1)
+                if l >= 0 and (j, l) != (0, 0) for m in range(-j, j + 1)]
+    if family == "eml":
+        return [_vsh(Y, kind, j, m) for kind in ("E", "M", "L")
+                for j in range(0 if kind == "L" else 1, l_max + 1) for m in range(-j, j + 1)]
+    if family == "helicity":
+        return [_helicity(Y, lam, j, m) for lam in (+1, 0, -1)
+                for j in range(0 if lam == 0 else 1, l_max + 1) for m in range(-j, j + 1)]
+    if family == "spherical_wave":
+        return [spherical_wave_helicity(j, m, lam, tg, pg) for lam in (+1, -1)
+                for j in range(1, l_max + 1) for m in range(-j, j + 1)]
+    raise ValueError(f"unknown family {family!r}")
 
 
 def check_orthonormality(family: str, l_max: int,
@@ -217,15 +184,14 @@ def check_orthonormality(family: str, l_max: int,
     tol = tolerance if tolerance is not None else DEFAULT_TOLERANCES[f"orthonormality_{family}"]
     quad = sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
-    fns = _family_functions(family, l_max)
-    samples = np.stack([f(tg, pg) for _, f in fns])
+    samples = np.stack(_family_samples(family, l_max, tg, pg))
     # one row per function; a vector family's components share the grid weights
     w = np.broadcast_to(quad.weights, samples.shape[1:]).ravel()
-    s = samples.reshape(len(fns), -1)
+    s = samples.reshape(len(samples), -1)
     gram = s.conj() @ (s * w).T
-    resid = np.abs(gram - np.eye(len(fns))).max()
+    resid = np.abs(gram - np.eye(len(s))).max()
     return CheckReport(f"orthonormality_{family}", float(resid), tol,
-                       details=f"{len(fns)} functions, l_max={l_max}")
+                       details=f"{len(s)} functions, l_max={l_max}")
 
 
 def check_parity(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
@@ -236,21 +202,19 @@ def check_parity(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
     th = rng.uniform(0.1, np.pi - 0.1, 24)
     ph = rng.uniform(0.0, 2 * np.pi, 24)
     tha, pha = antipode(th, ph)
+    Y_flip, Y = _Harmonics(l_max + 1, tha, pha), _Harmonics(l_max + 1, th, ph)
     resid = 0.0
     for l in range(l_max + 1):
         for m in range(-l, l + 1):
-            for conv in HarmonicConvention:
-                ya = scalar_harmonic(l, m, tha, pha, conv)
-                y0 = scalar_harmonic(l, m, th, ph, conv)
+            for phase in (1.0, 1j**l):  # Condon-Shortley, Landau-Lifshitz
+                ya, y0 = Y_flip(l, m) * phase, Y(l, m) * phase
                 resid = max(resid, float(np.abs(ya - (-1.0) ** l * y0).max()))
-    parities = {"E": lambda j: (-1.0) ** j, "M": lambda j: (-1.0) ** (j + 1),
-                "L": lambda j: (-1.0) ** j}
-    for kind, pfun in parities.items():
-        j_lo = 1 if kind in ("E", "M") else 0
-        for j in range(j_lo, l_max + 1):
+    for kind, shift in (("E", 0), ("M", 1), ("L", 0)):  # parity (-1)^(j + shift)
+        for j in range(0 if kind == "L" else 1, l_max + 1):
             for m in range(-j, j + 1):
-                flipped = -vsh(kind, j, m, tha, pha)
-                resid = max(resid, float(np.abs(flipped - pfun(j) * vsh(kind, j, m, th, ph)).max()))
+                flipped = -_vsh(Y_flip, kind, j, m)
+                expected = (-1.0) ** (j + shift) * _vsh(Y, kind, j, m)
+                resid = max(resid, float(np.abs(flipped - expected).max()))
     return CheckReport("parity", float(resid), tol,
                        details="scalar and E/M/L vector parity eigenvalues")
 
@@ -261,11 +225,12 @@ def check_helicity_eigen(l_max: int = 4, tolerance: float | None = None) -> Chec
     rng = np.random.default_rng(20260811)
     th = rng.uniform(0.1, np.pi - 0.1, 16)
     ph = rng.uniform(0.0, 2 * np.pi, 16)
+    Y = _Harmonics(l_max + 1, th, ph)
     resid = 0.0
     for j in range(1, l_max + 1):
         for m in range(-j, j + 1):
             for lam in (+1, 0, -1):
-                y = helicity_vsh(lam, j, m, th, ph)
+                y = _helicity(Y, lam, j, m)
                 resid = max(resid, float(np.abs(helicity_apply(th, ph, y) - lam * y).max()))
                 if lam:
                     twice = helicity_apply(th, ph, helicity_apply(th, ph, y))
@@ -281,22 +246,19 @@ def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3,
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.05, np.pi - 0.05, n_dirs)
     ph = rng.uniform(0.0, 2 * np.pi, n_dirs)
+    Y, n = _Harmonics(5, th, ph), unit_radial(th, ph)
     resid = 0.0
     for j in range(1, 5):
         a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
         for m in range(-j, j + 1):
-            yp = vsh_coupled(j, j + 1, m, th, ph)
-            ym_ = vsh_coupled(j, j - 1, m, th, ph)
-            resid = max(resid, float(np.abs(vsh("E", j, m, th, ph) - (a * yp + b * ym_)).max()))
-            resid = max(resid, float(np.abs(vsh("L", j, m, th, ph) - (a * ym_ - b * yp)).max()))
-            resid = max(resid, float(np.abs(vsh("M", j, m, th, ph)
-                                            - vsh_coupled(j, j, m, th, ph)).max()))
+            yp, ym_ = _coupled(Y, j, j + 1, m), _coupled(Y, j, j - 1, m)
+            ye, yl = _vsh(Y, "E", j, m), _vsh(Y, "L", j, m)
+            resid = max(resid, float(np.abs(ye - (a * yp + b * ym_)).max()))
+            resid = max(resid, float(np.abs(yl - (a * ym_ - b * yp)).max()))
+            resid = max(resid, float(np.abs(_vsh(Y, "M", j, m) - _coupled(Y, j, j, m)).max()))
             # radial/tangential structure
-            n = unit_radial(th, ph)
-            yl = vsh("L", j, m, th, ph)
-            y_sc = scalar_harmonic(j, m, th, ph)
-            resid = max(resid, float(np.abs((n * yl).sum(axis=0) - y_sc).max()))
-            resid = max(resid, float(np.abs((n * vsh("E", j, m, th, ph)).sum(axis=0)).max()))
+            resid = max(resid, float(np.abs((n * yl).sum(axis=0) - Y(j, m)).max()))
+            resid = max(resid, float(np.abs((n * ye).sum(axis=0)).max()))
     return CheckReport("vsh_linear_combinations", float(resid), tol,
                        details=f"{n_dirs} random directions, j <= 4")
 
@@ -307,12 +269,11 @@ def check_cross_products(tolerance: float | None = None) -> CheckReport:
     rng = np.random.default_rng(11)
     th = rng.uniform(0.05, np.pi - 0.05, 40)
     ph = rng.uniform(0.0, 2 * np.pi, 40)
-    n = unit_radial(th, ph)
+    Y, n = _Harmonics(5, th, ph), unit_radial(th, ph)
     resid = 0.0
     for j in range(1, 5):
         for m in range(-j, j + 1):
-            ye = vsh("E", j, m, th, ph)
-            ym = vsh("M", j, m, th, ph)
+            ye, ym = _vsh(Y, "E", j, m), _vsh(Y, "M", j, m)
             resid = max(resid, float(np.abs(np.cross(n, ye, axis=0) - 1j * ym).max()))
             resid = max(resid, float(np.abs(-1j * np.cross(n, ym, axis=0) - ye).max()))
     return CheckReport("cross_products", float(resid), tol,
@@ -365,14 +326,13 @@ def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int,
     tol = _tol("plane_wave_expansion", None) if tolerance is None else tolerance
     thk, phk = dir_k
     thr, phr = dir_r
+    Y_k, Y_r = _Harmonics(l_max, thk, phk), _Harmonics(l_max, thr, phr)
     total = 0.0 + 0.0j
     kr = k * r
     for l in range(l_max + 1):
         jl = spherical_bessel_j(l, kr)
         for m in range(-l, l + 1):
-            total += (4 * np.pi * 1j**l * jl
-                      * np.conj(scalar_harmonic(l, m, thk, phk))
-                      * scalar_harmonic(l, m, thr, phr))
+            total += 4 * np.pi * 1j**l * jl * np.conj(Y_k(l, m)) * Y_r(l, m)
     direct = np.exp(1j * kr * float((unit_radial(thk, phk) * unit_radial(thr, phr)).sum()))
     return CheckReport("plane_wave_expansion", abs(total - direct), tol,
                        details=f"kr={kr}, l_max={l_max}")
@@ -385,8 +345,11 @@ def check_vsh_fourier(j: int, kind: str, kr: float,
     tol = _tol("vsh_fourier", None) if tolerance is None else tolerance
     if j > 4 or kr > 20:
         raise ValueError("supported range: j <= 4, kr <= 20")
+    if kind not in ("scalar", "coupled", "M", "E"):
+        raise ValueError(f"kind must be scalar/coupled/M/E, got {kind!r}")
     quad = sphere_quadrature(min(64, 2 * int(math.ceil(kr)) + 2 * j + 24))
     tg, pg = quad.grid
+    Y_g = _Harmonics(j + 1, tg, pg)
     rng = np.random.default_rng(5)
     resid = 0.0
 
@@ -398,34 +361,25 @@ def check_vsh_fourier(j: int, kind: str, kr: float,
         ph_r = rng.uniform(0.0, 2 * np.pi)
         cosang = (unit_radial(tg, pg) * unit_radial(th_r, ph_r).reshape(3, 1, 1)).sum(axis=0)
         kernel = np.exp(1j * kr * cosang)
+        Y_r = _Harmonics(j + 1, th_r, ph_r)
         for m in range(-j, j + 1):
+            # (function on the quadrature grid, expected transform at r^)
             if kind == "scalar":
-                lhs = quad.integrate(scalar_harmonic(j, m, tg, pg) * kernel)
-                rhs = g(j) * scalar_harmonic(j, m, th_r, ph_r)
-                scale = max(1.0, abs(rhs))
-                resid = max(resid, abs(lhs - rhs) / scale)
+                pairs = [(Y_g(j, m), g(j) * Y_r(j, m))]
             elif kind == "coupled":
-                for l in (j - 1, j, j + 1):
-                    if l < 0:
-                        continue
-                    lhs = quad.integrate(vsh_coupled(j, l, m, tg, pg) * kernel)
-                    rhs = g(l) * vsh_coupled(j, l, m, th_r, ph_r)
-                    scale = max(1.0, float(np.abs(rhs).max()))
-                    resid = max(resid, float(np.abs(lhs - rhs).max()) / scale)
+                pairs = [(_coupled(Y_g, j, l, m), g(l) * _coupled(Y_r, j, l, m))
+                         for l in (j - 1, j, j + 1) if l >= 0]
             elif kind == "M":
-                lhs = quad.integrate(vsh(kind, j, m, tg, pg) * kernel)
-                rhs = g(j) * vsh("M", j, m, th_r, ph_r)
-                scale = max(1.0, float(np.abs(rhs).max()))
-                resid = max(resid, float(np.abs(lhs - rhs).max()) / scale)
-            elif kind == "E":
-                lhs = quad.integrate(vsh(kind, j, m, tg, pg) * kernel)
-                a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
-                rhs = (a * g(j + 1) * vsh_coupled(j, j + 1, m, th_r, ph_r)
-                       + b * g(j - 1) * vsh_coupled(j, j - 1, m, th_r, ph_r))
-                scale = max(1.0, float(np.abs(rhs).max()))
-                resid = max(resid, float(np.abs(lhs - rhs).max()) / scale)
+                pairs = [(_vsh(Y_g, kind, j, m), g(j) * _vsh(Y_r, kind, j, m))]
             else:
-                raise ValueError(f"kind must be scalar/coupled/M/E, got {kind!r}")
+                a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
+                pairs = [(_vsh(Y_g, kind, j, m),
+                          a * g(j + 1) * _coupled(Y_r, j, j + 1, m)
+                          + b * g(j - 1) * _coupled(Y_r, j, j - 1, m))]
+            for f, rhs in pairs:
+                lhs = quad.integrate(f * kernel)
+                scale = max(1.0, float(abs(rhs).max()))
+                resid = max(resid, float(abs(lhs - rhs).max()) / scale)
     return CheckReport("vsh_fourier", float(resid), tol,
                        details=f"kind={kind}, j={j}, kr={kr}")
 
@@ -611,13 +565,13 @@ def vsh_project(field_fn, l_max: int,
     quad = quadrature or sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
     field = np.asarray(field_fn(tg, pg), dtype=complex)
+    Y = _Harmonics(l_max + 1, tg, pg)
     coeffs: dict[tuple, complex] = {}
     recon = np.zeros_like(field)
     for kind in ("L", "E", "M"):
-        l_lo = 0 if kind == "L" else 1
-        for l in range(l_lo, l_max + 1):
+        for l in range(0 if kind == "L" else 1, l_max + 1):
             for m in range(-l, l + 1):
-                basis = vsh(kind, l, m, tg, pg)
+                basis = _vsh(Y, kind, l, m)
                 c = quad.integrate((np.conj(basis) * field).sum(axis=0))
                 coeffs[(kind, l, m)] = complex(c)
                 recon = recon + c * basis
@@ -636,16 +590,16 @@ def check_completeness(l_max: int = 8, seed: int = 7,
     rng = np.random.default_rng(seed)
     terms = []
     for kind in ("L", "E", "M"):
-        l_lo = 0 if kind == "L" else 1
-        for l in range(l_lo, min(4, l_max) + 1):
+        for l in range(0 if kind == "L" else 1, min(4, l_max) + 1):
             for m in range(-l, l + 1):
                 terms.append((kind, l, m,
                               complex(rng.normal(), rng.normal()) / (1 + l)))
 
     def field(t, p):
+        Y = _Harmonics(5, t, p)
         out = np.zeros((3,) + t.shape, dtype=complex)
         for kind, l, m, c in terms:
-            out += c * vsh(kind, l, m, t, p)
+            out += c * _vsh(Y, kind, l, m)
         return out
 
     coeffs, report = vsh_project(field, l_max)
@@ -663,11 +617,10 @@ def check_quadrature_convergence(tolerance: float | None = None) -> CheckReport:
 
     def gram_resid(degree):
         quad = sphere_quadrature(degree)
-        tg, pg = quad.grid
+        Y = _Harmonics(4, *quad.grid)
         resid = 0.0
         for (la, ma), (lb, mb) in (((3, 1), (3, 1)), ((4, -2), (2, 1)), ((2, 0), (4, 0))):
-            g = quad.integrate(np.conj(scalar_harmonic(la, ma, tg, pg))
-                               * scalar_harmonic(lb, mb, tg, pg))
+            g = quad.integrate(np.conj(Y(la, ma)) * Y(lb, mb))
             resid = max(resid, abs(g - (1.0 if (la, ma) == (lb, mb) else 0.0)))
         return resid
 

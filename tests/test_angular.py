@@ -8,6 +8,9 @@ from numpy.testing import assert_allclose
 
 from sphcavity.angular import (
     Direction,
+    _coupled,
+    _helicity,
+    _vsh,
     antipode,
     cartesian_to_spherical_components,
     cg_s1,
@@ -20,7 +23,7 @@ from sphcavity.angular import (
     vsh_coupled,
 )
 from sphcavity.rotations import spherical_wave_helicity
-from sphcavity.specfun import scalar_harmonic
+from sphcavity.specfun import _Harmonics, scalar_harmonic
 
 from _oracles import cg_by_diagonalization, gradient_form_vsh, ladder_form_coupled_vsh
 
@@ -265,6 +268,25 @@ class TestHelicity:
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
             helicity_vsh(2, 1, 0, 0.3, 0.4)
+
+
+class TestSharedTable:
+    def test_private_builders_equal_public_calls_bitwise(self, rng):
+        th, ph = random_directions(rng, 40, margin=0.0)
+        th[:2] = 0.0, np.pi
+        table = _Harmonics(9, th, ph)  # one table serves every function below
+        for j in range(0, 9):
+            for m in range(-j, j + 1):
+                for l in (j - 1, j, j + 1):
+                    if l >= 0 and (j, l) != (0, 0):
+                        assert (_coupled(table, j, l, m).tobytes()
+                                == vsh_coupled(j, l, m, th, ph).tobytes()), (j, l, m)
+                for kind in ("E", "M", "L") if j else ("L",):
+                    assert (_vsh(table, kind, j, m).tobytes()
+                            == vsh(kind, j, m, th, ph).tobytes()), (kind, j, m)
+                for lam in (+1, 0, -1) if j else (0,):
+                    assert (_helicity(table, lam, j, m).tobytes()
+                            == helicity_vsh(lam, j, m, th, ph).tobytes()), (lam, j, m)
 
 
 class TestHelicityApply:

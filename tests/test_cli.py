@@ -95,6 +95,32 @@ class TestFieldCommand:
         assert center
         assert all(np.isfinite(v) for row in center for v in row.values())
 
+    def test_one_call_prints_per_radius_loop_bytes(self, capsys):
+        # the command evaluates every radius in one mode_field call; the
+        # per-radius loop it replaced, rebuilt here, must print the same bytes
+        from sphcavity import modes as md
+        from sphcavity.cli import _emit_table
+
+        spec = md.mode_spec("E", 20, 5, 32)
+        th, ph = md.fibonacci_directions(33)
+        rows = []
+        for r in np.linspace(0.0, md.CavityConfig().radius, 9):
+            sample = md.mode_field(spec, np.full_like(th, r), th, ph)
+            for k in range(th.size):
+                row = {"r": float(r), "theta": float(th[k]), "phi": float(ph[k])}
+                for name, arr in (("A", sample.A), ("E", sample.E), ("B", sample.B)):
+                    for ci, comp in enumerate("xyz"):
+                        row[f"{name}{comp}_re"] = float(arr[ci, k].real)
+                        row[f"{name}{comp}_im"] = float(arr[ci, k].imag)
+                rows.append(row)
+        for fmt in ("csv", "json"):
+            _emit_table(rows, fmt)
+            expected = capsys.readouterr().out
+            code, out, _ = run_cli(capsys, "field", "--tau", "E", "--j", "20", "--m", "5",
+                                   "--n", "32", "--nr", "9", "--ndirs", "33", "--format", fmt)
+            assert code == 0
+            assert out == expected
+
     def test_invalid_mode_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "field", "--tau", "E", "--j", "1",
                                "--m", "5", "--n", "1")

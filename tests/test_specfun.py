@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from sphcavity.specfun import (
     HarmonicConvention,
+    _Harmonics,
     _series_cutoff,
     bessel_j_halfint,
     legendre_plm,
@@ -172,6 +173,30 @@ class TestLegendre:
             legendre_plm(2, 3, 0.5)
         with pytest.raises(ValueError):
             legendre_plm(2, -1, 0.5)
+        for bad in (1.5, -1.0 - 1e-12, np.nan, np.inf, -np.inf, [0.5, 2.0], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                legendre_plm(2, 1, bad)
+        assert legendre_plm(2, 1, 1.0) == 0.0  # the end points stay valid
+        assert legendre_plm(3, 0, -1.0) == -1.0
+
+    def test_equals_recurrence_loop_bitwise(self):
+        # the two-term loop legendre_plm used before the recurrence was shared
+        # with the harmonic table; same arithmetic, so equal bit for bit
+        def loop_plm(l, m, x):
+            somx2 = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+            pmm = np.full_like(x, math.prod(range(2 * m - 1, 0, -2), start=1.0)) * somx2**m
+            if l == m:
+                return pmm
+            pm1 = (2 * m + 1) * x * pmm
+            for ll in range(m + 2, l + 1):
+                pmm, pm1 = pm1, ((2 * ll - 1) * x * pm1 - (ll + m - 1) * pmm) / (ll - m)
+            return pm1
+
+        x = np.concatenate([[-1.0, 0.0, 1.0], np.cos(np.linspace(1e-3, np.pi - 1e-3, 97))])
+        for l in range(0, 61):
+            for m in range(0, l + 1):
+                assert legendre_plm(l, m, x).tobytes() == loop_plm(l, m, x).tobytes(), (l, m)
+                assert legendre_plm(l, m, x[5]) == loop_plm(l, m, np.asarray(x[5]))
 
 
 class TestScalarHarmonic:
@@ -237,6 +262,30 @@ class TestScalarHarmonic:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             scalar_harmonic(2, 3, 0.5, 0.5)
+
+
+class TestHarmonicTable:
+    def test_equals_scalar_harmonic_bitwise(self, rng):
+        th = np.concatenate([[0.0, np.pi, 1e-3, np.pi - 1e-3], rng.uniform(0, np.pi, 299)])
+        ph = rng.uniform(0, 2 * np.pi, th.size)
+        grid = _Harmonics(60, th, ph)
+        point = _Harmonics(60, 0.7, 5.9)
+        # ask for degrees in descending order, so every entry after the first
+        # of its order comes from a column that is already built
+        for l in range(60, -1, -1):
+            for m in range(-l, l + 1):
+                assert grid(l, m).tobytes() == scalar_harmonic(l, m, th, ph).tobytes(), (l, m)
+                assert point(l, m) == scalar_harmonic(l, m, 0.7, 5.9), (l, m)
+        assert grid.shape == th.shape and point.shape == ()
+
+    def test_broadcast_grid_and_shared_entries(self):
+        th = np.linspace(0.0, np.pi, 7)[:, None]
+        ph = np.linspace(0.0, 2 * np.pi, 5, endpoint=False)[None, :]
+        table = _Harmonics(4, th, ph)
+        assert table.shape == (7, 5)
+        for l, m in ((0, 0), (3, -2), (4, 4)):
+            assert table(l, m).tobytes() == scalar_harmonic(l, m, th, ph).tobytes()
+            assert table(l, m) is table(l, m)  # formed once
 
 
 class TestSmallArgument:
