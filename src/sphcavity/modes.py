@@ -18,16 +18,23 @@ and magnetic roots strictly interlace and the two sets never coincide.
 All root finding happens in the dimensionless variable x; cavity
 dimensions and physical constants enter only through CavityConfig.
 
-Roots come from one vectorized solver: an array scan from x = j brackets
-the zeros of j_j (magnetic) or of (x j_j)' (electric), and a safeguarded
-Newton step with closed-form derivatives refines all brackets at once.
-Every root lies above x = j, so the root functions take j_j and j_{j+1}
-together from one upward Bessel recurrence (specfun._upward_pair).
-Results are cached per (tau, j) and served as prefixes.
+Roots come from one vectorized solver that takes a set of j for one tau
+in a single pass: an array scan from x = j for each j brackets the zeros
+of j_j (magnetic) or of (x j_j)' (electric), the scans of all j are
+evaluated together, and a safeguarded Newton step with closed-form
+derivatives refines every bracket of every j at once.  Every root lies
+above x = j, so the root functions take j_j and j_{j+1} together from one
+upward Bessel recurrence (specfun._upward_pair) in which each lane stops
+at its own order; a root is bit-identical whatever other j share its
+batch.  spectrum solves the (tau, j) the cache cannot serve in one batch
+per tau, magnetic first since the electric guard reads the magnetic
+roots; find_roots, mode_spec and spherical_bessel_zeros solve a batch of
+one.  Results are cached per (tau, j) and served as prefixes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -169,72 +176,107 @@ _NEWTON_MAX_ITER = 100
 _MAX_COUNT = 64
 
 
-def _bessel_zero_fn(l: int):
+# The root functions take one order, or an integer array of orders with one
+# entry per element of x (see specfun._upward_pair), and return value and slope.
+def _bessel_zero(l, x):
     """j_l(x) and its slope j_l' = (l/x) j_l - j_{l+1}, on arrays with x >= l."""
-    def fn(x):
-        jl, jl1 = _upward_pair(l, x)
-        return jl, (l / x) * jl - jl1
-    return fn
+    jl, jl1 = _upward_pair(l, x)
+    return jl, (l / x) * jl - jl1
 
 
-def _electric_fn(j: int):
+def _electric(j, x):
     """(x j_j)' = (j+1) j_j - x j_{j+1} and (x j_j)'' = (j(j+1)/x^2 - 1) x j_j,
     on arrays with x >= j."""
-    def fn(x):
-        jj, jj1 = _upward_pair(j, x)
-        return (j + 1) * jj - x * jj1, (j * (j + 1) / (x * x) - 1.0) * x * jj
-    return fn
+    jj, jj1 = _upward_pair(j, x)
+    return (j + 1) * jj - x * jj1, (j * (j + 1) / (x * x) - 1.0) * x * jj
 
 
-def _sign_changes(f: np.ndarray) -> np.ndarray:
-    """Indices k where f changes sign between k and k + 1."""
-    return np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
+def _scan_grid(start: float, hi: float) -> np.ndarray:
+    """Points from start to at least hi, _SCAN_STEP apart."""
+    return start + _SCAN_STEP * np.arange(math.ceil((hi - start) / _SCAN_STEP) + 1)
 
 
-def _newton_roots(fn, start: float, count: int) -> np.ndarray:
-    """First `count` zeros above `start` of fn (which returns value and slope).
+def _join(orders: list[int], grids: list[np.ndarray]):
+    """The grids, one per order, joined; the order of each point; the grid
+    sizes.  A batch of one is left as it is, with a plain int order, so it
+    runs the scalar recurrence."""
+    sizes = [len(g) for g in grids]
+    if len(grids) == 1:
+        return grids[0], orders[0], sizes
+    return np.concatenate(grids), np.repeat(orders, sizes), sizes
 
-    One array scan on a grid of step _SCAN_STEP brackets the zeros; a
-    safeguarded Newton step then refines every bracket at once.  A lane
-    whose step leaves its bracket bisects instead; a lane stops once its
-    step is <= _NEWTON_RTOL * x, and one polishing step follows.
+
+def _sign_changes(f: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """For each segment of f (consecutive lengths `sizes`), the indices k
+    into f where f changes sign between k and k + 1 inside that segment."""
+    idx = (np.signbit(f[:-1]) != np.signbit(f[1:])).nonzero()[0]
+    if len(sizes) == 1:
+        return [idx]
+    ends = list(itertools.accumulate(sizes))
+    # a segment's last point pairs with the next segment's first: skip it
+    cuts = np.searchsorted(idx, [0] + ends[:-1] + [e - 1 for e in ends]).tolist()
+    return [idx[a:b] for a, b in zip(cuts[:len(sizes)], cuts[len(sizes):])]
+
+
+def _newton_roots(fn, orders: list[int], starts: list[float], count: int) -> np.ndarray:
+    """First `count` zeros of fn(l, .) above start, for each l and start.
+
+    Returns shape (len(orders), count).  Each order gets one scan on its
+    own grid of step _SCAN_STEP; the grids are evaluated together, and an
+    order with too few sign changes doubles its range and is scanned again.
+    A safeguarded Newton step then refines the brackets of every order at
+    once: a lane whose step leaves its bracket bisects instead; a lane stops
+    once its step is <= _NEWTON_RTOL * x, and one polishing step follows.
+    Every lane's arithmetic is that of a batch holding its order alone.
     """
-    hi = start + (count + 0.5 * start + 2.0) * math.pi
-    while True:
-        xs = start + _SCAN_STEP * np.arange(math.ceil((hi - start) / _SCAN_STEP) + 1)
-        fs = fn(xs)[0]
-        idx = _sign_changes(fs)[:count]
-        if len(idx) == count:
-            break
-        if hi > 1e4:
-            raise RootFindingError(f"failed to bracket root {len(idx) + 1} below x = 1e4")
-        hi *= 2.0
-    a, b = xs[idx], xs[idx + 1]
-    fa, fb = fs[idx], fs[idx + 1]
+    his = [s + (count + 0.5 * s + 2.0) * math.pi for s in starts]
+    brackets = [None] * len(orders)
+    todo = range(len(orders))
+    while todo:
+        grids = [_scan_grid(starts[i], his[i]) for i in todo]
+        xs, lanes, sizes = _join([orders[i] for i in todo], grids)
+        fs = fn(lanes, xs)[0]
+        retry = []
+        for i, idx in zip(todo, _sign_changes(fs, sizes)):
+            idx = idx[:count]
+            if len(idx) < count:
+                if his[i] > 1e4:
+                    raise RootFindingError(f"failed to bracket root {len(idx) + 1} "
+                                           f"below x = 1e4")
+                his[i] *= 2.0
+                retry.append(i)
+            else:
+                brackets[i] = xs[idx], xs[idx + 1], fs[idx], fs[idx + 1]
+        todo = retry
+    if len(orders) == 1:
+        (a, b, fa, fb), lanes = brackets[0], orders[0]
+    else:
+        (a, b, fa, fb), lanes = np.concatenate(brackets, axis=1), np.repeat(orders, count)
     neg_a = np.signbit(fa)
     x = a - fa * (b - a) / (fb - fa)
-    active = np.arange(count)
+    batched = isinstance(lanes, np.ndarray)
+    active = np.arange(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
             xa = x[active]
-            f, df = fn(xa)
+            f, df = fn(lanes[active] if batched else lanes, xa)
             step = f / df
             left = np.signbit(f) == neg_a[active]
-            a[active] = np.where(left, xa, a[active])
-            b[active] = np.where(left, b[active], xa)
+            a[active] = aa = np.where(left, xa, a[active])
+            b[active] = bb = np.where(left, b[active], xa)
             xn = xa - step
             done = np.abs(step) <= _NEWTON_RTOL * xa
-            inside = (xn > a[active]) & (xn < b[active])
-            x[active] = np.where(done | inside, xn, 0.5 * (a[active] + b[active]))
+            inside = (xn > aa) & (xn < bb)
+            x[active] = np.where(done | inside, xn, 0.5 * (aa + bb))
             active = active[~done]
             if not len(active):
                 break
         else:
             raise RootFindingError(f"Newton refinement did not converge in "
                                    f"{_NEWTON_MAX_ITER} steps")
-        f, df = fn(x)
+        f, df = fn(lanes, x)
         polished = x - f / df
-    return np.where((polished >= a) & (polished <= b), polished, x)
+    return np.where((polished >= a) & (polished <= b), polished, x).reshape(len(orders), count)
 
 
 def spherical_bessel_zeros(l: int, count: int) -> list[float]:
@@ -248,46 +290,57 @@ def spherical_bessel_zeros(l: int, count: int) -> list[float]:
     if not 1 <= count <= _MAX_COUNT:
         raise ValueError(f"count must be in [1, {_MAX_COUNT}]")
     # j_l has no zero below l (nor below pi for l = 0)
-    return _newton_roots(_bessel_zero_fn(l), max(l, _SCAN_STEP), count).tolist()
+    return _newton_roots(_bessel_zero, [l], [max(l, _SCAN_STEP)], count)[0].tolist()
 
 
 _ROOT_CACHE: dict[tuple[str, int], tuple[float, ...]] = {}
 
 
-def _roots(tau: str, j: int, count: int) -> tuple[float, ...]:
-    """Cached, guarded roots; a cached longer sequence serves any prefix."""
-    cached = _ROOT_CACHE.get((tau, j), ())
-    if len(cached) >= count:
-        return cached[:count]
-    if tau == TAU_MAGNETIC:
-        # the first zero of J_{j+1/2} lies above j + 1/2
-        roots = _newton_roots(_bessel_zero_fn(j), j, count)
-        # interlacing: J_{nu} and J_{nu+1} zeros alternate, so j_{j+1} must
-        # change sign exactly count - 1 times below the count-th root
-        last = roots[-1]
-        grid = np.append(np.arange(j, last, _SCAN_STEP), last)
-        below = len(_sign_changes(_upward_pair(j, grid)[1]))
-        if below != count - 1:
-            raise RootFindingError(
-                f"interlacing violated for M j={j}: {below} companion zeros "
-                f"below root {count}")
-    else:
-        # every electric root has x^2 > j(j+1)
-        roots = _newton_roots(_electric_fn(j), j, count)
-        # electric roots are the extrema of x j_j(x): exactly one between
-        # consecutive magnetic roots (and one below the first)
-        fences = (0.0,) + _roots(TAU_MAGNETIC, j, count)
-        for n, r in enumerate(roots):
-            if not fences[n] < r < fences[n + 1]:
+def _roots(tau: str, js: list[int], count: int) -> list[tuple[float, ...]]:
+    """Cached, guarded roots of (tau, j) for each j in js.
+
+    A cached sequence at least `count` long serves its prefix; every other
+    j is solved in one batch, checked, and replaces its cache entry.
+    """
+    todo = [j for j in js if len(_ROOT_CACHE.get((tau, j), ())) < count]
+    if todo:
+        # the first zero of J_{j+1/2} lies above j + 1/2, and every electric
+        # root has x^2 > j(j+1)
+        roots = _newton_roots(_bessel_zero if tau == TAU_MAGNETIC else _electric,
+                              todo, todo, count)
+        if tau == TAU_MAGNETIC:
+            # interlacing: J_{nu} and J_{nu+1} zeros alternate, so j_{j+1} must
+            # change sign exactly count - 1 times below the count-th root
+            grids = [np.append(np.arange(j, last, _SCAN_STEP), last)
+                     for j, last in zip(todo, roots[:, -1])]
+            xs, lanes, sizes = _join(todo, grids)
+            companion = _upward_pair(lanes, xs)[1]
+            for j, idx in zip(todo, _sign_changes(companion, sizes)):
+                if len(idx) != count - 1:
+                    raise RootFindingError(
+                        f"interlacing violated for M j={j}: {len(idx)} companion "
+                        f"zeros below root {count}")
+        else:
+            # electric roots are the extrema of x j_j(x): exactly one between
+            # consecutive magnetic roots (and one below the first)
+            fences = np.zeros((len(todo), count + 1))
+            fences[:, 1:] = _roots(TAU_MAGNETIC, todo, count)
+            bad = ((roots <= fences[:, :-1]) | (roots >= fences[:, 1:])).nonzero()
+            if len(bad[0]):
+                i, n = bad[0][0], bad[1][0]
                 raise RootFindingError(
-                    f"interlacing violated for E j={j}: root {n + 1} = {r} "
-                    f"not in ({fences[n]}, {fences[n + 1]})")
-    gaps = np.diff(roots)
-    if len(gaps) and (np.any(gaps <= 0) or np.any(gaps > 2.5 * math.pi)):
-        raise RootFindingError(f"implausible root spacing for {tau} j={j}: {gaps}")
-    out = tuple(roots.tolist())
-    _ROOT_CACHE[(tau, j)] = out
-    return out
+                    f"interlacing violated for E j={todo[i]}: root {n + 1} = "
+                    f"{roots[i, n]} not in ({fences[i, n]}, {fences[i, n + 1]})")
+        if count > 1:
+            gaps = roots[:, 1:] - roots[:, :-1]
+            bad = ((gaps <= 0) | (gaps > 2.5 * math.pi)).nonzero()[0]
+            if len(bad):
+                i = bad[0]
+                raise RootFindingError(
+                    f"implausible root spacing for {tau} j={todo[i]}: {gaps[i]}")
+        for j, r in zip(todo, roots.tolist()):
+            _ROOT_CACHE[(tau, j)] = tuple(r)
+    return [_ROOT_CACHE[(tau, j)][:count] for j in js]
 
 
 def find_roots(tau: str, j: int, count: int) -> list[float]:
@@ -303,16 +356,18 @@ def find_roots(tau: str, j: int, count: int) -> list[float]:
     change sign exactly count - 1 times below the last magnetic root
     (interlacing), which guards against any skipped root.
 
-    Results are cached per (tau, j): a request for fewer roots than the
-    cache holds is served from it; a longer request is solved once and
-    replaces the entry.
+    The solve is a batch of one of the solver that spectrum runs on all j
+    of one tau at once, and gives the same roots bit for bit.  Results are
+    cached per (tau, j), whichever call solved them: a request for fewer
+    roots than the cache holds is served from it; a longer request is
+    solved once and replaces the entry.
     """
     tau = _validate_tau(tau)
     if not 1 <= j < MAX_BESSEL_ORDER:
         raise ValueError(f"j must be in [1, {MAX_BESSEL_ORDER - 1}]")
     if not 1 <= count <= _MAX_COUNT:
         raise ValueError(f"count must be in [1, {_MAX_COUNT}]")
-    return list(_roots(tau, j, count))
+    return list(_roots(tau, [j], count)[0])
 
 
 def _norm_prefactor(config: CavityConfig) -> float:
@@ -339,17 +394,22 @@ def normalization_constant(tau: str, j: int, x_root: float,
     eq = magnetic_root_equation(j, x) if tau == TAU_MAGNETIC else electric_root_equation(j, x)
     if abs(eq) > 1e-4:
         raise ValueError(f"x_root={x} does not satisfy the {tau} condition for j={j}")
-    return float(_norm_consts(tau, j, np.array([x]), config)[0])
+    jb = spherical_bessel_j(j + 1 if tau == TAU_MAGNETIC else j, np.array([x]))
+    return float(_norm_consts(tau, j, np.array([x]), jb, config)[0])
 
 
-def _norm_consts(tau: str, j: int, x: np.ndarray, config: CavityConfig) -> np.ndarray:
-    """normalization_constant for an array of roots of (tau, j), unvalidated."""
-    if tau == TAU_MAGNETIC:
-        num = _norm_prefactor(config)
-        den = np.abs(bessel_j_halfint(2 * j + 3, x))
-    else:
-        num = _norm_prefactor(config) * x
-        den = np.sqrt((2 * j + 1) * (x * x - j * (j + 1))) * np.abs(bessel_j_halfint(2 * j + 1, x))
+def _norm_consts(tau: str, j, x: np.ndarray, jb: np.ndarray,
+                 config: CavityConfig) -> np.ndarray:
+    """normalization_constant at roots x of (tau, j), unvalidated.
+
+    jb holds j_{j+1}(x) (magnetic) or j_j(x) (electric); j is one order or
+    one per root.
+    """
+    num = _norm_prefactor(config)
+    den = np.abs(np.sqrt(2.0 * x / np.pi) * jb)
+    if tau == TAU_ELECTRIC:
+        num = num * x
+        den = np.sqrt((2 * j + 1) * (x * x - j * (j + 1))) * den
     if np.any(den < 1e-14):
         raise ValueError("degenerate normalization denominator")
     return num / den
@@ -364,11 +424,15 @@ def mode_spec(tau: str, j: int, m: int, n: int,
     if n < 1:
         raise ValueError("root ordinal n must be >= 1")
     x = find_roots(tau, j, n)[n - 1]
+    # magnetic roots lie above j + 1 and electric ones above j, where
+    # spherical_bessel_j takes the values of this same upward pair
+    xa = np.array([x])
+    jb = _upward_pair(j, xa)[tau == TAU_MAGNETIC]
     return ModeSpec(
         index=ModeIndex(tau, j, m, n),
         x_root=x,
         omega=config.wave_speed * x / config.radius,
-        norm_const=float(_norm_consts(tau, j, np.array([x]), config)[0]),
+        norm_const=float(_norm_consts(tau, j, xa, jb, config)[0]),
     )
 
 
@@ -377,24 +441,27 @@ def spectrum(j_max: int, n_max: int,
     """All modes with j <= j_max, n <= n_max, sorted by increasing frequency.
 
     One entry per (tau, j, n); each carries the (2j+1)-fold m-degeneracy.
-    Ties break deterministically: electric first, then j, then n.
+    Ties break deterministically: electric first, then j, then n.  The
+    (tau, j) the root cache cannot serve are solved in one batch per tau,
+    and all normalization constants come from one upward Bessel pair.
     """
     if not 1 <= j_max <= 20:
         raise ValueError("j_max must be in [1, 20]")
     if not 1 <= n_max <= 32:
         raise ValueError("n_max must be in [1, 32]")
-    out: list[ModeSpec] = []
-    for tau in (TAU_ELECTRIC, TAU_MAGNETIC):
-        for j in range(1, j_max + 1):
-            roots = find_roots(tau, j, n_max)
-            norms = _norm_consts(tau, j, np.array(roots), config).tolist()
-            for n, (x, c) in enumerate(zip(roots, norms), start=1):
-                out.append(ModeSpec(
-                    index=ModeIndex(tau, j, 0, n),
-                    x_root=x,
-                    omega=config.wave_speed * x / config.radius,
-                    norm_const=c,
-                ))
+    js = list(range(1, j_max + 1))
+    # magnetic first: the electric guard reads the magnetic roots from the cache
+    roots = {tau: _roots(tau, js, n_max) for tau in (TAU_MAGNETIC, TAU_ELECTRIC)}
+    order = np.repeat(js, n_max)
+    x = np.array([roots[TAU_ELECTRIC], roots[TAU_MAGNETIC]]).reshape(2, -1)
+    jj, jj1 = _upward_pair(np.tile(order, 2), x.ravel())
+    norms = {TAU_ELECTRIC: _norm_consts(TAU_ELECTRIC, order, x[0], jj[:order.size], config),
+             TAU_MAGNETIC: _norm_consts(TAU_MAGNETIC, order, x[1], jj1[order.size:], config)}
+    out = [ModeSpec(index=ModeIndex(tau, j, 0, n), x_root=xr,
+                    omega=config.wave_speed * xr / config.radius, norm_const=c)
+           for tau in (TAU_ELECTRIC, TAU_MAGNETIC)
+           for j, xs, cs in zip(js, roots[tau], norms[tau].reshape(j_max, n_max).tolist())
+           for n, (xr, c) in enumerate(zip(xs, cs), start=1)]
     out.sort(key=lambda s: (s.omega, 0 if s.index.tau == TAU_ELECTRIC else 1,
                             s.index.j, s.index.n))
     return out

@@ -56,16 +56,29 @@ def _series_jl(l: int, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _upward_pair(l: int, x):
+def _upward_pair(l, x):
     # (j_l, j_{l+1}) by upward recurrence j_{k+1} = ((2k+1)/x) j_k - j_{k-1}
     # from the closed forms of j_0 and j_1.  Unvalidated: callers guarantee
     # x > 0 and x >= l, where the recurrence is stable relative to the
-    # envelope sqrt(j_l^2 + y_l^2).
+    # envelope sqrt(j_l^2 + y_l^2).  l is one order, or an integer array of
+    # orders, one per element of the array x: each lane stops at its own
+    # order, so its values equal those of the call with that order alone.
     s, c = np.sin(x), np.cos(x)
     lo, hi = s / x, s / x**2 - c / x
-    for k in range(1, l + 1):
-        lo, hi = hi, (2 * k + 1) / x * hi - lo
-    return lo, hi
+    if not isinstance(l, np.ndarray):
+        for k in range(1, l + 1):
+            lo, hi = hi, (2 * k + 1) / x * hi - lo
+        return lo, hi
+    # sorted by order, the lanes still running at step k are a suffix
+    perm = np.argsort(l, kind="stable")
+    ls, xs, lo, hi = l[perm], x[perm], lo[perm], hi[perm]
+    for k, i in enumerate(np.searchsorted(ls, np.arange(1, ls[-1] + 1)), start=1):
+        nxt = (2 * k + 1) / xs[i:] * hi[i:] - lo[i:]
+        lo[i:] = hi[i:]
+        hi[i:] = nxt
+    out_lo, out_hi = np.empty_like(lo), np.empty_like(hi)
+    out_lo[perm], out_hi[perm] = lo, hi
+    return out_lo, out_hi
 
 
 def _downward_jl(l: int, x: np.ndarray) -> np.ndarray:
@@ -98,9 +111,10 @@ def spherical_bessel_j(l: int, x):
     Parameters
     ----------
     l : int
-        Order, 0 <= l <= 60.  Against 40-digit mpmath, for x <= 200, the
-        error is at most 2e-15 of the envelope sqrt(j_l^2 + y_l^2), and
-        at most 4e-15 of |j_l| itself for x <= l.
+        Order, 0 <= l <= 60.  Against 40-digit mpmath, for x <= 300 (every
+        root modes.find_roots returns lies below 288), the error is at most
+        2e-15 of the envelope sqrt(j_l^2 + y_l^2) (8.4e-16 on [200, 300]),
+        and at most 4e-15 of |j_l| itself for x <= l.
     x : float or array_like
         Argument(s), must be >= 0.
 

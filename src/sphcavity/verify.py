@@ -27,7 +27,8 @@ from .rotations import (
     spherical_wave_helicity,
     wigner_d_matrix,
 )
-from .specfun import _Harmonics, bessel_j_halfint, spherical_bessel_j
+from .specfun import (HarmonicConvention, _Harmonics, bessel_j_halfint, scalar_harmonic,
+                      spherical_bessel_j)
 
 __all__ = [
     "SphereQuadrature",
@@ -206,9 +207,12 @@ def check_parity(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
     resid = 0.0
     for l in range(l_max + 1):
         for m in range(-l, l + 1):
-            for phase in (1.0, 1j**l):  # Condon-Shortley, Landau-Lifshitz
-                ya, y0 = Y_flip(l, m) * phase, Y(l, m) * phase
-                resid = max(resid, float(np.abs(ya - (-1.0) ** l * y0).max()))
+            y0 = (-1.0) ** l * Y(l, m)
+            resid = max(resid, float(np.abs(Y_flip(l, m) - y0).max()))
+            # Landau-Lifshitz through the public function: its i^l phase
+            # and its parity at once
+            ya = scalar_harmonic(l, m, tha, pha, HarmonicConvention.LANDAU_LIFSHITZ)
+            resid = max(resid, float(np.abs(ya - 1j**l * y0).max()))
     for kind, shift in (("E", 0), ("M", 1), ("L", 0)):  # parity (-1)^(j + shift)
         for j in range(0 if kind == "L" else 1, l_max + 1):
             for m in range(-j, j + 1):
@@ -255,7 +259,13 @@ def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3,
             ye, yl = _vsh(Y, "E", j, m), _vsh(Y, "L", j, m)
             resid = max(resid, float(np.abs(ye - (a * yp + b * ym_)).max()))
             resid = max(resid, float(np.abs(yl - (a * ym_ - b * yp)).max()))
-            resid = max(resid, float(np.abs(_vsh(Y, "M", j, m) - _coupled(Y, j, j, m)).max()))
+            # Y^M = L Y_jm / sqrt(j(j+1)) from the ladder operators L_+-,
+            # with L_x = (L_+ + L_-)/2, L_y = (L_+ - L_-)/(2i), L_z = m
+            up = math.sqrt(j * (j + 1) - m * (m + 1)) * Y(j, m + 1) if m < j else 0.0
+            down = math.sqrt(j * (j + 1) - m * (m - 1)) * Y(j, m - 1) if m > -j else 0.0
+            ly = np.stack([(up + down) / 2, (up - down) / 2j, m * Y(j, m)])
+            ym = _vsh(Y, "M", j, m)
+            resid = max(resid, float(np.abs(ym - ly / math.sqrt(j * (j + 1))).max()))
             # radial/tangential structure
             resid = max(resid, float(np.abs((n * yl).sum(axis=0) - Y(j, m)).max()))
             resid = max(resid, float(np.abs((n * ye).sum(axis=0)).max()))
@@ -477,11 +487,11 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8,
 
 
 def _mode_energy_quadrature(spec: md.ModeSpec, config: md.CavityConfig,
-                            radial: tuple[np.ndarray, np.ndarray]) -> float:
+                            radial: tuple[np.ndarray, np.ndarray],
+                            quad: SphereQuadrature) -> float:
     """(1/2) w^2 eps0 int |A|^2 d3r by a full 3-d product quadrature on the
-    radial rule (nodes, weights) over [0, R]."""
-    j = spec.index.j
-    quad = sphere_quadrature(2 * (j + 2) + 2)
+    radial rule (nodes, weights) over [0, R] and a sphere rule of degree at
+    least 2 (j + 2) + 2."""
     tg, pg = quad.grid
     r, wr = radial
     a, _ = md._fields(spec, r[:, None, None], tg, pg, config)
@@ -497,12 +507,13 @@ def check_mode_energy(j_max: int = 3, n_max: int = 3,
     tol = _tol("mode_energy", None) if tolerance is None else tolerance
     config = md.CavityConfig()
     radial = radial_quadrature(200, config.radius)
+    quads = {j: sphere_quadrature(2 * (j + 2) + 2) for j in range(1, j_max + 1)}
     resid = 0.0
     for tau in ("E", "M"):
         for j in range(1, j_max + 1):
             for n in range(1, n_max + 1):
                 spec = md.mode_spec(tau, j, 0, n, config)
-                energy = _mode_energy_quadrature(spec, config, radial)
+                energy = _mode_energy_quadrature(spec, config, radial, quads[j])
                 resid = max(resid, abs(energy / (config.hbar * spec.omega) - 1.0))
     return CheckReport("mode_energy", float(resid), tol,
                        details=f"all modes with j <= {j_max}, n <= {n_max}")

@@ -188,6 +188,49 @@ class TestRootCache:
         with pytest.raises(RootFindingError, match="interlacing"):
             find_roots("E", 2, 3)
 
+    def test_batched_spectrum_equals_single_solves_bitwise(self, cache):
+        # spectrum solves every j of one tau in one batch; each lane must
+        # reproduce the solve of its (tau, j) alone, roots and norm_const
+        specs = {(s.index.tau, s.index.j, s.index.n): s for s in spectrum(20, 32)}
+        batched = dict(cache)
+        for tau in ("M", "E"):
+            for j in range(1, 21):
+                cache.clear()
+                roots = find_roots(tau, j, 32)
+                assert batched[(tau, j)] == tuple(roots), (tau, j)
+                for n, x in enumerate(roots, start=1):
+                    spec = specs[(tau, j, n)]
+                    assert spec.x_root == x
+                    assert spec.norm_const == normalization_constant(tau, j, x), (tau, j, n)
+                    assert spec == mode_spec(tau, j, 0, n)
+
+    def test_partly_filled_cache(self, cache):
+        # entries longer than n_max serve prefixes, shorter ones are replaced
+        # by the n_max solve, exactly as one find_roots call per (tau, j)
+        def fill():
+            cache.clear()
+            find_roots("M", 3, 40)
+            find_roots("E", 3, 2)
+            find_roots("E", 5, 30)
+            find_roots("M", 6, 1)
+            cache[("M", 5)] = cache[("M", 5)][:4]
+        fill()
+        expected = dict(cache)
+        for key in [(tau, j) for tau in ("M", "E") for j in range(1, 8)]:
+            if len(expected.get(key, ())) < 12:
+                expected[key] = tuple(find_roots(*key, 12))
+        cache.clear()
+        fresh = spectrum(7, 12)
+        fill()
+        assert spectrum(7, 12) == fresh
+        assert cache == expected
+        assert len(cache[("M", 3)]) == 40 and len(cache[("E", 5)]) == 30
+
+    def test_spectrum_electric_guard_reads_cached_magnetic_roots(self, cache):
+        cache[("M", 2)] = tuple(x - 2.0 for x in find_roots("M", 2, 3))
+        with pytest.raises(RootFindingError, match="interlacing violated for E j=2"):
+            spectrum(3, 3)
+
 
 def _fresh_python(code: str) -> str:
     src = str(Path(sphcavity.__file__).resolve().parents[1])

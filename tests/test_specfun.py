@@ -10,6 +10,7 @@ from sphcavity.specfun import (
     HarmonicConvention,
     _Harmonics,
     _series_cutoff,
+    _upward_pair,
     bessel_j_halfint,
     legendre_plm,
     scalar_harmonic,
@@ -81,10 +82,22 @@ class TestSphericalBessel:
             assert spherical_bessel_j(l, np.array([x, 200.0]))[0] == alone, x
             assert spherical_bessel_j(l, np.array([0.5, x]))[1] == alone, x
 
+    def test_upward_pair_per_lane_orders(self):
+        # each lane stops at its own order: bit-identical to its order alone
+        rng = np.random.default_rng(7)
+        ls = rng.integers(0, 60, 200)
+        xs = ls + rng.uniform(1e-3, 250.0, 200)
+        lo, hi = _upward_pair(ls, xs)
+        for l, x, a, b in zip(ls, xs, lo, hi):
+            assert (a, b) == tuple(_upward_pair(int(l), np.array([x]))), (l, x)
+            assert a == spherical_bessel_j(int(l), x)
+        with np.errstate(all="raise"):  # finished lanes are not carried on
+            _upward_pair(np.array([0, 59]), np.array([1e-3, 59.0]))
+
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 20, 40, 59, 60])
     def test_accuracy_to_advertised_edge(self, l):
         # the regime seams are the series cutoff and x = l (one ulp either side)
-        xs = np.concatenate([np.geomspace(1e-3, 200.0, 160),
+        xs = np.concatenate([np.geomspace(1e-3, 300.0, 165),
                              [_series_cutoff(l)],
                              [np.nextafter(float(l), -1.0), float(l),
                               np.nextafter(float(l), 400.0)] if l else []])
