@@ -6,16 +6,18 @@ field sampling), ``verify`` (property-check suite), ``entangle``
 coefficient rotations), ``ratios`` (transition scalings).
 
 Machine formats (csv, json) are byte-stable across runs: deterministic
-ordering and fixed 9-significant-digit numbers.  Exit codes: 0 success,
-1 check or physics failure, 2 usage error.  The default output format
+ordering and fixed 9-significant-digit numbers.  The default output format
 can be set with the SPHCAVITY_FORMAT environment variable.
+
+Exit codes: 0 success; 1 a failed check or a physics failure (RootFindingError,
+or DegenerateStateError for a construction that symmetrizes to zero); 2 any
+other ValueError or argparse error, including an unknown SPHCAVITY_FORMAT.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -72,11 +74,8 @@ def _emit_table(rows: list[dict], fmt: str) -> None:
 
 
 def _config_from(args) -> md.CavityConfig:
-    if getattr(args, "si", False):
-        return md.CavityConfig.si(args.radius_m if args.radius_m else 1.0)
-    if getattr(args, "radius_m", None):
-        return md.CavityConfig(radius=args.radius_m)
-    return md.CavityConfig()
+    radius = args.radius_m or 1.0
+    return md.CavityConfig.si(radius) if args.si else md.CavityConfig(radius=radius)
 
 
 def _add_common(sub, si: bool = False):
@@ -89,16 +88,19 @@ def _add_common(sub, si: bool = False):
                          help="cavity radius in metres (default 1)")
 
 
+def _listed(parse):
+    """argparse type: comma-separated values, each read by parse, which
+    argparse names when it rejects one."""
+    def read(text: str) -> list:
+        return [parse(t) for t in text.split(",")]
+    read.__name__ = parse.__name__
+    return read
+
+
 def cmd_modes(args) -> int:
     if args.jmax < 1 or args.nmax < 1:
-        print("error: --jmax and --nmax must be >= 1 (j starts at 1)", file=sys.stderr)
-        return 2
-    config = _config_from(args)
-    try:
-        specs = md.spectrum(args.jmax, args.nmax, config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--jmax and --nmax must be >= 1 (j starts at 1)")
+    specs = md.spectrum(args.jmax, args.nmax, _config_from(args))
     if args.tau:
         tau = args.tau.upper()
         specs = [s for s in specs if s.index.tau == tau]
@@ -113,14 +115,9 @@ def cmd_modes(args) -> int:
 
 def cmd_field(args) -> int:
     config = _config_from(args)
-    try:
-        spec = md.mode_spec(args.tau.upper(), args.j, args.m, args.n, config)
-    except (ValueError, md.RootFindingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = md.mode_spec(args.tau, args.j, args.m, args.n, config)
     if args.nr < 1 or args.ndirs < 1:
-        print("error: --nr and --ndirs must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--nr and --ndirs must be >= 1")
     radii = np.linspace(0.0, config.radius, args.nr)
     th, ph = md.fibonacci_directions(args.ndirs)
     sample = md.mode_field(spec, radii[:, None], th, ph, config)
@@ -140,24 +137,11 @@ def cmd_field(args) -> int:
 def cmd_verify(args) -> int:
     overrides = {}
     for spec in args.tol or []:
-        if "=" not in spec:
-            print(f"error: --tol expects NAME=VALUE, got {spec!r}", file=sys.stderr)
-            return 2
-        name, _, value = spec.partition("=")
-        if name not in vf.DEFAULT_TOLERANCES:
-            print(f"error: unknown check {name!r}", file=sys.stderr)
-            return 2
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            print(f"error: bad tolerance value {value!r}", file=sys.stderr)
-            return 2
-    try:
-        reports = vf.run_suite(only=args.only or None, tolerances=overrides,
-                               seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        name, sep, value = spec.partition("=")
+        if not sep:
+            raise ValueError(f"--tol expects NAME=VALUE, got {spec!r}")
+        overrides[name] = float(value)
+    reports = vf.run_suite(only=args.only or None, tolerances=overrides, seed=args.seed)
     rows = [{
         "name": r.name, "max_residual": r.max_residual,
         "tolerance": r.tolerance, "pass": r.passed,
@@ -197,21 +181,13 @@ def cmd_entangle(args) -> int:
     required = ("partition", "bell", "alpha1", "alpha2", "gamma1", "gamma2")
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
     if missing:
-        print(f"error: entangle build requires {' '.join(missing)}", file=sys.stderr)
-        return 2
-    try:
-        partition = ent.partition_by_id(args.partition)
-        alpha = (_parse_values(partition.alpha_fields, args.alpha1),
-                 _parse_values(partition.alpha_fields, args.alpha2))
-        gamma = (_parse_values(partition.gamma_fields, args.gamma1),
-                 _parse_values(partition.gamma_fields, args.gamma2))
-        state = ent.build_state(partition, args.bell, alpha, gamma)
-    except ent.DegenerateStateError as exc:
-        print(f"error: construction symmetrizes to zero: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"entangle build requires {' '.join(missing)}")
+    partition = ent.partition_by_id(args.partition)
+    alpha = (_parse_values(partition.alpha_fields, args.alpha1),
+             _parse_values(partition.alpha_fields, args.alpha2))
+    gamma = (_parse_values(partition.gamma_fields, args.gamma1),
+             _parse_values(partition.gamma_fields, args.gamma2))
+    state = ent.build_state(partition, args.bell, alpha, gamma)
     payload = {
         "partition": partition.id,
         "bell": args.bell,
@@ -232,22 +208,13 @@ def cmd_entangle(args) -> int:
 
 
 def cmd_rotate(args) -> int:
-    try:
-        alpha, beta, gamma = (float(t) for t in args.euler.split(","))
-    except ValueError:
-        print(f"error: --euler expects three comma-separated radians, got "
-              f"{args.euler!r}", file=sys.stderr)
-        return 2
+    if len(args.euler) != 3:
+        raise ValueError(f"--euler expects three comma-separated radians, got "
+                         f"{len(args.euler)}")
     if args.vec:
-        try:
-            vec = np.array([complex(t) for t in args.vec.split(",")])
-            if vec.shape != (3,):
-                raise ValueError
-        except ValueError:
-            print(f"error: --vec expects three components, got {args.vec!r}",
-                  file=sys.stderr)
-            return 2
-        rotated = rotate_cartesian(vec, alpha, beta, gamma)
+        if len(args.vec) != 3:
+            raise ValueError(f"--vec expects three components, got {len(args.vec)}")
+        rotated = rotate_cartesian(np.array(args.vec), *args.euler)
         sph = cartesian_to_spherical_components(rotated)
         rows = [{
             "component": name, "re": float(val.real), "im": float(val.imag),
@@ -257,29 +224,18 @@ def cmd_rotate(args) -> int:
         return 0
     if args.coeffs:
         if args.j is None:
-            print("error: --coeffs requires --j", file=sys.stderr)
-            return 2
-        try:
-            coeffs = np.array([complex(t) for t in args.coeffs.split(",")])
-            rotated = rotate_jm_coefficients(args.j, coeffs, alpha, beta, gamma)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError("--coeffs requires --j")
+        rotated = rotate_jm_coefficients(args.j, np.array(args.coeffs), *args.euler)
         rows = [{"m": args.j - i, "re": float(c.real), "im": float(c.imag)}
                 for i, c in enumerate(rotated)]
         _emit_table(rows, args.format)
         return 0
-    print("error: provide --vec X,Y,Z or --coeffs ... with --j", file=sys.stderr)
-    return 2
+    raise ValueError("provide --vec X,Y,Z or --coeffs ... with --j")
 
 
 def cmd_ratios(args) -> int:
-    if args.ka <= 0:
-        print("error: --ka must be > 0", file=sys.stderr)
-        return 2
     if args.jmax < 1:
-        print("error: --jmax must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--jmax must be >= 1")
     rows = [{
         "j": j,
         **{kind: scaling_ratio(kind, j, args.ka) for kind in RATIO_KINDS},
@@ -334,10 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("rotate", help="rotate a vector or jm coefficients")
-    p.add_argument("--vec", default=None, help="Cartesian components X,Y,Z")
-    p.add_argument("--coeffs", default=None, help="coefficients c_j,...,c_-j")
+    p.add_argument("--vec", type=_listed(complex), default=None,
+                   help="Cartesian components X,Y,Z")
+    p.add_argument("--coeffs", type=_listed(complex), default=None,
+                   help="coefficients c_j,...,c_-j")
     p.add_argument("--j", type=int, default=None)
-    p.add_argument("--euler", required=True, help="alpha,beta,gamma in radians")
+    p.add_argument("--euler", type=_listed(float), required=True,
+                   help="alpha,beta,gamma in radians")
     _add_common(p)
     p.set_defaults(func=cmd_rotate)
 
@@ -351,9 +310,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        # argparse does not check a default, taken from the environment,
+        # against the choices
+        if args.format not in FORMATS:
+            raise ValueError(f"{_ENV_FORMAT}={args.format!r} is not one of "
+                             + ", ".join(FORMATS))
+        return args.func(args)
+    # a DegenerateStateError is also a ValueError
+    except (ent.DegenerateStateError, md.RootFindingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

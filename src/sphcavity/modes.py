@@ -386,16 +386,26 @@ def normalization_constant(tau: str, j: int, x_root: float,
     evaluated at a root of the electric condition (where J_{j-1/2} =
     j J_{j+1/2} / x and J_{j+3/2} = (j+1) J_{j+1/2} / x); it is verified
     against brute-force quadrature of the energy integral in the tests.
+    Raises ValueError unless x_root lies above j (magnetic) or sqrt(j(j+1))
+    (electric), where every root lies, and meets its condition to 1e-4.
     """
     tau = _validate_tau(tau)
-    if j < 1:
-        raise ValueError("j must be >= 1")
     x = float(x_root)
+    # the residual test alone passes every small x: J_{j+1/2}(x) ~ x^{j+1/2}
+    if (x <= j) if tau == TAU_MAGNETIC else (x * x <= j * (j + 1)):
+        raise ValueError(f"x_root={x} lies below every {tau} root for j={j}")
     eq = magnetic_root_equation(j, x) if tau == TAU_MAGNETIC else electric_root_equation(j, x)
     if abs(eq) > 1e-4:
         raise ValueError(f"x_root={x} does not satisfy the {tau} condition for j={j}")
-    jb = spherical_bessel_j(j + 1 if tau == TAU_MAGNETIC else j, np.array([x]))
-    return float(_norm_consts(tau, j, np.array([x]), jb, config)[0])
+    return _norm_at_root(tau, j, x, config)
+
+
+def _norm_at_root(tau: str, j: int, x: float, config: CavityConfig) -> float:
+    """normalization_constant at a root x > j of (tau, j), unvalidated: the
+    Bessel value comes from the upward pair (j_j, j_{j+1}) at x."""
+    xa = np.array([x])
+    jb = _upward_pair(j, xa)[tau == TAU_MAGNETIC]
+    return float(_norm_consts(tau, j, xa, jb, config)[0])
 
 
 def _norm_consts(tau: str, j, x: np.ndarray, jb: np.ndarray,
@@ -419,20 +429,17 @@ def mode_spec(tau: str, j: int, m: int, n: int,
               config: CavityConfig = CavityConfig()) -> ModeSpec:
     """Resolve a mode label to its root, frequency and normalization."""
     tau = _validate_tau(tau)
-    if abs(m) > j:
-        raise ValueError(f"|m| must not exceed j, got j={j}, m={m}")
     if n < 1:
         raise ValueError("root ordinal n must be >= 1")
+    # find_roots checks the range of j before |m| is compared with it
     x = find_roots(tau, j, n)[n - 1]
-    # magnetic roots lie above j + 1 and electric ones above j, where
-    # spherical_bessel_j takes the values of this same upward pair
-    xa = np.array([x])
-    jb = _upward_pair(j, xa)[tau == TAU_MAGNETIC]
+    if abs(m) > j:
+        raise ValueError(f"|m| must not exceed j, got j={j}, m={m}")
     return ModeSpec(
         index=ModeIndex(tau, j, m, n),
         x_root=x,
         omega=config.wave_speed * x / config.radius,
-        norm_const=float(_norm_consts(tau, j, xa, jb, config)[0]),
+        norm_const=_norm_at_root(tau, j, x, config),
     )
 
 
@@ -580,14 +587,9 @@ def hamiltonian_energy(occupations: Mapping[ModeIndex | tuple, int],
     energy = 0.0
     photons = 0
     for key, count in occupations.items():
-        idx = ModeIndex(*key)
         if count < 0:
             raise ValueError("occupation numbers must be >= 0")
-        tau = _validate_tau(idx.tau)
-        if idx.j < 1 or abs(idx.m) > idx.j or idx.n < 1:
-            raise ValueError(f"unresolvable mode index {idx}")
-        x = find_roots(tau, idx.j, idx.n)[idx.n - 1]
-        omega = config.wave_speed * x / config.radius
+        omega = mode_spec(*key, config=config).omega
         energy += config.hbar * omega * (count + (0.5 if include_zero_point else 0.0))
         photons += count
     return HamiltonianResult(energy=energy, photon_count=photons)

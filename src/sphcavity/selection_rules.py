@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .modes import TAU_ELECTRIC, TAU_MAGNETIC
+from .modes import TAU_ELECTRIC, _validate_tau
 
 __all__ = [
     "TransitionQuery",
@@ -25,9 +25,7 @@ RATIO_KINDS = ("M_over_E", "E_step", "M_step")
 
 def photon_parity(tau: str, j: int) -> int:
     """Parity of a multipole photon: electric (-1)^j, magnetic (-1)^(j+1)."""
-    t = str(tau).upper()
-    if t not in (TAU_ELECTRIC, TAU_MAGNETIC):
-        raise ValueError(f"tau must be 'E' or 'M', got {tau!r}")
+    t = _validate_tau(tau)
     if j < 1:
         raise ValueError("j must be >= 1")
     return (-1) ** j if t == TAU_ELECTRIC else (-1) ** (j + 1)
@@ -54,9 +52,8 @@ class TransitionQuery:
     ka: float
 
     def __post_init__(self):
-        if self.parity_initial not in (+1, -1) or self.parity_final not in (+1, -1):
-            raise ValueError("parities must be +1 or -1")
-        photon_parity(self.tau, self.j)  # validates tau, j
+        # validates the parities, tau and j
+        transition_allowed(self.parity_initial, self.parity_final, self.tau, self.j)
         if self.ka <= 0:
             raise ValueError("ka must be > 0")
         if self.ka > 0.1:

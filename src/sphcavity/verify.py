@@ -147,10 +147,12 @@ def radial_quadrature(n: int, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * r_max * (nodes + 1.0), 0.5 * r_max * weights
 
 
-def _tol(name: str, overrides: dict | None) -> float:
-    if overrides and name in overrides:
-        return float(overrides[name])
-    return DEFAULT_TOLERANCES[name]
+def _report(name: str, residual: float, tolerance: float | None,
+            details: str) -> CheckReport:
+    """The named check's report, at its DEFAULT_TOLERANCES entry unless a
+    tolerance is given."""
+    tol = DEFAULT_TOLERANCES[name] if tolerance is None else float(tolerance)
+    return CheckReport(name, float(residual), tol, details=details)
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +184,6 @@ def check_orthonormality(family: str, l_max: int,
     """Max |Gram - identity| entry over one basis family (sphere quadrature)."""
     if l_max > 8:
         raise ValueError("l_max must be <= 8")
-    tol = tolerance if tolerance is not None else DEFAULT_TOLERANCES[f"orthonormality_{family}"]
     quad = sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
     samples = np.stack(_family_samples(family, l_max, tg, pg))
@@ -191,14 +192,13 @@ def check_orthonormality(family: str, l_max: int,
     s = samples.reshape(len(samples), -1)
     gram = s.conj() @ (s * w).T
     resid = np.abs(gram - np.eye(len(s))).max()
-    return CheckReport(f"orthonormality_{family}", float(resid), tol,
-                       details=f"{len(s)} functions, l_max={l_max}")
+    return _report(f"orthonormality_{family}", resid, tolerance,
+                   f"{len(s)} functions, l_max={l_max}")
 
 
 def check_parity(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
     """Parity eigenvalues: scalar (-1)^l; E and L carry (-1)^j, M carries
     (-1)^(j+1) under the vector parity operation (P V)(n) = -V(-n)."""
-    tol = _tol("parity", None) if tolerance is None else tolerance
     rng = np.random.default_rng(20260810)
     th = rng.uniform(0.1, np.pi - 0.1, 24)
     ph = rng.uniform(0.0, 2 * np.pi, 24)
@@ -219,13 +219,12 @@ def check_parity(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
                 flipped = -_vsh(Y_flip, kind, j, m)
                 expected = (-1.0) ** (j + shift) * _vsh(Y, kind, j, m)
                 resid = max(resid, float(np.abs(flipped - expected).max()))
-    return CheckReport("parity", float(resid), tol,
-                       details="scalar and E/M/L vector parity eigenvalues")
+    return _report("parity", resid, tolerance,
+                   "scalar and E/M/L vector parity eigenvalues")
 
 
 def check_helicity_eigen(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
     """(S.n) Y^(lam) = lam Y^(lam) pointwise, and (S.n)^2 = 1 on transverse."""
-    tol = _tol("helicity_eigen", None) if tolerance is None else tolerance
     rng = np.random.default_rng(20260811)
     th = rng.uniform(0.1, np.pi - 0.1, 16)
     ph = rng.uniform(0.0, 2 * np.pi, 16)
@@ -239,14 +238,13 @@ def check_helicity_eigen(l_max: int = 4, tolerance: float | None = None) -> Chec
                 if lam:
                     twice = helicity_apply(th, ph, helicity_apply(th, ph, y))
                     resid = max(resid, float(np.abs(twice - y).max()))
-    return CheckReport("helicity_eigen", float(resid), tol,
-                       details=f"helicity eigen-equation up to j={l_max}")
+    return _report("helicity_eigen", resid, tolerance,
+                   f"helicity eigen-equation up to j={l_max}")
 
 
 def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3,
                                   tolerance: float | None = None) -> CheckReport:
     """E/M/L as fixed linear combinations of the coupled harmonics Y_jlm."""
-    tol = _tol("vsh_linear_combinations", None) if tolerance is None else tolerance
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.05, np.pi - 0.05, n_dirs)
     ph = rng.uniform(0.0, 2 * np.pi, n_dirs)
@@ -269,13 +267,12 @@ def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3,
             # radial/tangential structure
             resid = max(resid, float(np.abs((n * yl).sum(axis=0) - Y(j, m)).max()))
             resid = max(resid, float(np.abs((n * ye).sum(axis=0)).max()))
-    return CheckReport("vsh_linear_combinations", float(resid), tol,
-                       details=f"{n_dirs} random directions, j <= 4")
+    return _report("vsh_linear_combinations", resid, tolerance,
+                   f"{n_dirs} random directions, j <= 4")
 
 
 def check_cross_products(tolerance: float | None = None) -> CheckReport:
     """n x Y^E = i Y^M and Y^E = -i (n x Y^M), pointwise."""
-    tol = _tol("cross_products", None) if tolerance is None else tolerance
     rng = np.random.default_rng(11)
     th = rng.uniform(0.05, np.pi - 0.05, 40)
     ph = rng.uniform(0.0, 2 * np.pi, 40)
@@ -286,8 +283,8 @@ def check_cross_products(tolerance: float | None = None) -> CheckReport:
             ye, ym = _vsh(Y, "E", j, m), _vsh(Y, "M", j, m)
             resid = max(resid, float(np.abs(np.cross(n, ye, axis=0) - 1j * ym).max()))
             resid = max(resid, float(np.abs(-1j * np.cross(n, ym, axis=0) - ye).max()))
-    return CheckReport("cross_products", float(resid), tol,
-                       details="n x Y^E = iY^M and Y^E = -i n x Y^M, j <= 4")
+    return _report("cross_products", resid, tolerance,
+                   "n x Y^E = iY^M and Y^E = -i n x Y^M, j <= 4")
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +294,6 @@ def check_cross_products(tolerance: float | None = None) -> CheckReport:
 def check_bessel_recurrences(tolerance: float | None = None) -> CheckReport:
     """Derivative recurrences j'_l = (l/x) j_l - j_{l+1} = j_{l-1} - ((l+1)/x) j_l,
     with j' from central finite differences."""
-    tol = _tol("bessel_recurrences", None) if tolerance is None else tolerance
     x = np.linspace(0.5, 50.0, 199)
     resid = 0.0
     for l in range(0, 11):
@@ -308,15 +304,14 @@ def check_bessel_recurrences(tolerance: float | None = None) -> CheckReport:
         if l >= 1:
             resid = max(resid, float(np.abs(
                 deriv - spherical_bessel_j(l - 1, x) + ((l + 1) / x) * jl).max()))
-    return CheckReport("bessel_recurrences", float(resid), tol,
-                       details="l <= 10 on x in [0.5, 50]")
+    return _report("bessel_recurrences", resid, tolerance,
+                   "l <= 10 on x in [0.5, 50]")
 
 
 def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2,
                           tolerance: float | None = None) -> CheckReport:
     """int_0^1 x J_nu(ax) J_nu(bx) dx = 0 (a != b) or J_{nu+1}(a)^2 / 2 (a = b)
     for a, b zeros of J_nu (half-integer nu)."""
-    tol = _tol("bessel_integral", None) if tolerance is None else tolerance
     two_nu = int(round(2 * nu))
     if two_nu % 2 == 0 or two_nu < 1 or abs(2 * nu - two_nu) > 1e-12:
         raise ValueError("nu must be half-integer (1/2, 3/2, ...)")
@@ -326,14 +321,13 @@ def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2
     x, w = radial_quadrature(256, 1.0)
     val = float(np.sum(w * x * bessel_j_halfint(two_nu, a * x) * bessel_j_halfint(two_nu, b * x)))
     expected = 0.0 if alpha_idx != beta_idx else 0.5 * bessel_j_halfint(two_nu + 2, a) ** 2
-    return CheckReport("bessel_integral", abs(val - expected), tol,
-                       details=f"nu={nu}, zeros #{alpha_idx}, #{beta_idx}")
+    return _report("bessel_integral", abs(val - expected), tolerance,
+                   f"nu={nu}, zeros #{alpha_idx}, #{beta_idx}")
 
 
 def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int,
                                tolerance: float | None = None) -> CheckReport:
     """Partial-wave expansion of exp(i k.r) against the direct exponential."""
-    tol = _tol("plane_wave_expansion", None) if tolerance is None else tolerance
     thk, phk = dir_k
     thr, phr = dir_r
     Y_k, Y_r = _Harmonics(l_max, thk, phk), _Harmonics(l_max, thr, phr)
@@ -344,15 +338,14 @@ def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int,
         for m in range(-l, l + 1):
             total += 4 * np.pi * 1j**l * jl * np.conj(Y_k(l, m)) * Y_r(l, m)
     direct = np.exp(1j * kr * float((unit_radial(thk, phk) * unit_radial(thr, phr)).sum()))
-    return CheckReport("plane_wave_expansion", abs(total - direct), tol,
-                       details=f"kr={kr}, l_max={l_max}")
+    return _report("plane_wave_expansion", abs(total - direct), tolerance,
+                   f"kr={kr}, l_max={l_max}")
 
 
 def check_vsh_fourier(j: int, kind: str, kr: float,
                       tolerance: float | None = None) -> CheckReport:
     """Angular transform int Y(k^) e^{i k.r} dOmega_k = g_l(kr) Y(r^) with
     g_l = 4 pi i^l j_l; the E-type maps onto the shifted-degree pair."""
-    tol = _tol("vsh_fourier", None) if tolerance is None else tolerance
     if j > 4 or kr > 20:
         raise ValueError("supported range: j <= 4, kr <= 20")
     if kind not in ("scalar", "coupled", "M", "E"):
@@ -390,8 +383,8 @@ def check_vsh_fourier(j: int, kind: str, kr: float,
                 lhs = quad.integrate(f * kernel)
                 scale = max(1.0, float(abs(rhs).max()))
                 resid = max(resid, float(abs(lhs - rhs).max()) / scale)
-    return CheckReport("vsh_fourier", float(resid), tol,
-                       details=f"kind={kind}, j={j}, kr={kr}")
+    return _report("vsh_fourier", resid, tolerance,
+                   f"kind={kind}, j={j}, kr={kr}")
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +393,6 @@ def check_vsh_fourier(j: int, kind: str, kr: float,
 
 def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9,
                             tolerance: float | None = None) -> CheckReport:
-    tol = _tol("dmatrix_unitarity", None) if tolerance is None else tolerance
     rng = np.random.default_rng(seed)
     resid = 0.0
     for j in range(0, j_max + 1):
@@ -409,8 +401,8 @@ def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9,
         resid = max(resid, float(np.abs(d @ d.conj().T - np.eye(2 * j + 1)).max()))
         d0 = wigner_d_matrix(j, 0.0, 0.0, 0.0)
         resid = max(resid, float(np.abs(d0 - np.eye(2 * j + 1)).max()))
-    return CheckReport("dmatrix_unitarity", float(resid), tol,
-                       details=f"random angles, j <= {j_max}")
+    return _report("dmatrix_unitarity", resid, tolerance,
+                   f"random angles, j <= {j_max}")
 
 
 _GOLDEN_D1 = np.array([
@@ -423,13 +415,12 @@ _GOLDEN_D1 = np.array([
 def check_dmatrix_golden(tolerance: float | None = None) -> CheckReport:
     """The j=1, beta=pi/2 matrix entry-for-entry, and the worked vector
     rotation x-axis -> z-axis under the quarter-turn frame rotation."""
-    tol = _tol("dmatrix_golden", None) if tolerance is None else tolerance
     d = wigner_d_matrix(1, 0.0, math.pi / 2, 0.0)
     resid = float(np.abs(d - _GOLDEN_D1).max())
     rotated = rotate_cartesian([1.0, 0.0, 0.0], 0.0, math.pi / 2, 0.0)
     resid = max(resid, float(np.abs(rotated - np.array([0.0, 0.0, 1.0])).max()))
-    return CheckReport("dmatrix_golden", resid, tol,
-                       details="d^1(pi/2) matrix and (1,0,0)->(0,0,1) rotation")
+    return _report("dmatrix_golden", resid, tolerance,
+                   "d^1(pi/2) matrix and (1,0,0)->(0,0,1) rotation")
 
 
 # --------------------------------------------------------------------------
@@ -446,7 +437,6 @@ def check_mode_tables(tolerance: float | None = None) -> CheckReport:
     confirms those skipped roots are present in the solver's output and
     reports them in the details.
     """
-    tol = _tol("mode_tables", None) if tolerance is None else tolerance
     resid = 0.0
     for j, row in ELECTRIC_REFERENCE_TABLE.items():
         roots = md.find_roots("E", j, len(row))
@@ -465,14 +455,13 @@ def check_mode_tables(tolerance: float | None = None) -> CheckReport:
     details = ("electric rows positional, magnetic rows by membership; "
                "roots absent from the magnetic reference rows were found at "
                + "; ".join(skipped_found))
-    return CheckReport("mode_tables", float(resid), tol, details=details)
+    return _report("mode_tables", resid, tolerance, details)
 
 
 def check_dual_condition(j_max: int = 6, n_each: int = 8,
                          tolerance: float | None = None) -> CheckReport:
     """Electric and magnetic root sets are disjoint and omega^E_{j,1} <
     omega^M_{j,1} for every j <= j_max."""
-    tol = _tol("dual_condition", None) if tolerance is None else tolerance
     min_dist = np.inf
     ok = True
     for j in range(1, j_max + 1):
@@ -481,9 +470,9 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8,
         min_dist = min(min_dist, min(abs(a - b) for a in re for b in rm))
         ok = ok and (re[0] < rm[0])
     resid = 0.0 if (ok and min_dist > 1e-6) else 1.0
-    return CheckReport("dual_condition", resid, tol,
-                       details=f"j <= {j_max}, min |x_E - x_M| = {min_dist:.4f}, "
-                               f"lowest-root ordering {'holds' if ok else 'fails'}")
+    return _report("dual_condition", resid, tolerance,
+                   f"j <= {j_max}, min |x_E - x_M| = {min_dist:.4f}, "
+                   f"lowest-root ordering {'holds' if ok else 'fails'}")
 
 
 def _mode_energy_quadrature(spec: md.ModeSpec, config: md.CavityConfig,
@@ -504,7 +493,6 @@ def _mode_energy_quadrature(spec: md.ModeSpec, config: md.CavityConfig,
 def check_mode_energy(j_max: int = 3, n_max: int = 3,
                       tolerance: float | None = None) -> CheckReport:
     """Quadrature energy of each normalized mode equals hbar omega."""
-    tol = _tol("mode_energy", None) if tolerance is None else tolerance
     config = md.CavityConfig()
     radial = radial_quadrature(200, config.radius)
     quads = {j: sphere_quadrature(2 * (j + 2) + 2) for j in range(1, j_max + 1)}
@@ -515,15 +503,14 @@ def check_mode_energy(j_max: int = 3, n_max: int = 3,
                 spec = md.mode_spec(tau, j, 0, n, config)
                 energy = _mode_energy_quadrature(spec, config, radial, quads[j])
                 resid = max(resid, abs(energy / (config.hbar * spec.omega) - 1.0))
-    return CheckReport("mode_energy", float(resid), tol,
-                       details=f"all modes with j <= {j_max}, n <= {n_max}")
+    return _report("mode_energy", resid, tolerance,
+                   f"all modes with j <= {j_max}, n <= {n_max}")
 
 
 def check_mode_equipartition(j_max: int = 2, n_max: int = 2,
                              tolerance: float | None = None) -> CheckReport:
     """Electric-part and magnetic-part field energies agree (3-d quadrature,
     closed-form curl for B)."""
-    tol = _tol("mode_equipartition", None) if tolerance is None else tolerance
     config = md.CavityConfig()
     mu0 = 1.0 / (config.epsilon0 * config.wave_speed**2)
     r, wr = radial_quadrature(80, config.radius)
@@ -541,24 +528,23 @@ def check_mode_equipartition(j_max: int = 2, n_max: int = 2,
                     (w3 * (np.abs(a) ** 2).sum(axis=0)).sum())
                 e_mag = 0.25 / mu0 * float((w3 * (np.abs(b) ** 2).sum(axis=0)).sum())
                 resid = max(resid, abs(e_mag / e_elec - 1.0))
-    return CheckReport("mode_equipartition", float(resid), tol,
-                       details=f"modes with j <= {j_max}, n <= {n_max}, closed-form curl")
+    return _report("mode_equipartition", resid, tolerance,
+                   f"modes with j <= {j_max}, n <= {n_max}, closed-form curl")
 
 
 def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64,
                         tolerance: float | None = None) -> CheckReport:
-    tol = _tol("mode_boundary", None) if tolerance is None else tolerance
     config = md.CavityConfig()
     resid = 0.0
     for tau in ("E", "M"):
         for j in range(1, j_max + 1):
             for n in range(1, n_max + 1):
                 spec = md.mode_spec(tau, j, 0, n, config)
-                rep = md.boundary_residual(spec, config, n_dirs=n_dirs, tolerance=tol)
+                rep = md.boundary_residual(spec, config, n_dirs=n_dirs)
                 resid = max(resid, rep.max_residual)
-    return CheckReport("mode_boundary", float(resid), tol,
-                       details=f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
-                               f"({n_dirs} directions each)")
+    return _report("mode_boundary", resid, tolerance,
+                   f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
+                   f"({n_dirs} directions each)")
 
 
 # --------------------------------------------------------------------------
@@ -597,7 +583,6 @@ def check_completeness(l_max: int = 8, seed: int = 7,
                        tolerance: float | None = None) -> CheckReport:
     """A random band-limited vector field is reproduced by projection and
     resummation over {Y^L, Y^E, Y^M}."""
-    tol = _tol("completeness", None) if tolerance is None else tolerance
     rng = np.random.default_rng(seed)
     terms = []
     for kind in ("L", "E", "M"):
@@ -617,14 +602,13 @@ def check_completeness(l_max: int = 8, seed: int = 7,
     resid = report.max_residual
     for kind, l, m, c in terms:
         resid = max(resid, abs(coeffs[(kind, l, m)] - c))
-    return CheckReport("completeness", float(resid), tol,
-                       details=f"{len(terms)} random components, projection through l={l_max}")
+    return _report("completeness", resid, tolerance,
+                   f"{len(terms)} random components, projection through l={l_max}")
 
 
 def check_quadrature_convergence(tolerance: float | None = None) -> CheckReport:
     """Doubling the rule degree must not grow a representative residual by
     more than 10x (guards against accidental exactness)."""
-    tol = _tol("quadrature_convergence", None) if tolerance is None else tolerance
 
     def gram_resid(degree):
         quad = sphere_quadrature(degree)
@@ -637,8 +621,8 @@ def check_quadrature_convergence(tolerance: float | None = None) -> CheckReport:
 
     r1, r2 = gram_resid(14), gram_resid(28)
     ratio = r2 / (10.0 * r1 + 1e-15)
-    return CheckReport("quadrature_convergence", float(ratio), tol,
-                       details=f"residual {r1:.2e} at degree 14 vs {r2:.2e} at 28")
+    return _report("quadrature_convergence", ratio, tolerance,
+                   f"residual {r1:.2e} at degree 14 vs {r2:.2e} at 28")
 
 
 # --------------------------------------------------------------------------
@@ -646,7 +630,6 @@ def check_quadrature_convergence(tolerance: float | None = None) -> CheckReport:
 
 
 def check_entangle_catalog(tolerance: float | None = None) -> CheckReport:
-    tol = _tol("entangle_catalog", None) if tolerance is None else tolerance
     parts = ent.enumerate_partitions()
     catalog = ent.enumerate_catalog()
     ids = [e.identifier for e in catalog]
@@ -654,15 +637,14 @@ def check_entangle_catalog(tolerance: float | None = None) -> CheckReport:
           and sum(1 for p in parts if len(p.alpha_fields) == 1) == 4
           and sum(1 for p in parts if len(p.alpha_fields) == 2) == 6
           and len(catalog) == 40 and len(set(ids)) == 40)
-    return CheckReport("entangle_catalog", 0.0 if ok else 1.0, tol,
-                       details=f"{len(parts)} partitions, {len(catalog)} catalog entries")
+    return _report("entangle_catalog", 0.0 if ok else 1.0, tolerance,
+                   f"{len(parts)} partitions, {len(catalog)} catalog entries")
 
 
 def check_entangle_factorization(tolerance: float | None = None) -> CheckReport:
     """Every catalog entry built with distinct labels passes the Bell
     factorization and exchange-symmetry checks; the antisymmetric
     construction with equal spectator labels symmetrizes to zero."""
-    tol = _tol("entangle_factorization", None) if tolerance is None else tolerance
     values = {"tau": ("E", "M"), "omega": (1, 2), "j": (1, 2), "m": (0, 1)}
     resid = 0.0
     for entry in ent.enumerate_catalog():
@@ -670,7 +652,7 @@ def check_entangle_factorization(tolerance: float | None = None) -> CheckReport:
         alpha = tuple(tuple(values[f][i] for f in p.alpha_fields) for i in (0, 1))
         gamma = tuple(tuple(values[f][i] for f in p.gamma_fields) for i in (0, 1))
         state = ent.build_state(p, entry.bell, alpha, gamma)
-        rep = ent.factorization_check(state, p, entry.bell, alpha, gamma, tolerance=tol)
+        rep = ent.factorization_check(state, p, entry.bell, alpha, gamma)
         resid = max(resid, rep.max_residual)
     # degenerate antisymmetric construction must vanish
     p0 = ent.partition_by_id("omega")
@@ -680,8 +662,8 @@ def check_entangle_factorization(tolerance: float | None = None) -> CheckReport:
         zero_note = "MISSED degenerate zero state"
     except ent.DegenerateStateError:
         zero_note = "degenerate psi-minus construction correctly reported as zero"
-    return CheckReport("entangle_factorization", float(resid), tol,
-                       details=f"all 40 catalog entries; {zero_note}")
+    return _report("entangle_factorization", resid, tolerance,
+                   f"all 40 catalog entries; {zero_note}")
 
 
 # --------------------------------------------------------------------------
@@ -731,15 +713,17 @@ def run_suite(only: list[str] | None = None,
     """Run the named checks (all by default) and return reports in name order.
 
     ``only`` filters by substring match against check names; ``tolerances``
-    overrides individual entries of DEFAULT_TOLERANCES.
+    overrides individual entries of DEFAULT_TOLERANCES.  A filter that
+    matches no check, or an override name that is not a check, raises
+    ValueError.
     """
+    tolerances = tolerances or {}
+    unknown = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ValueError(f"unknown check name(s) in tolerances: {unknown}")
     names = suite_check_names()
     if only:
         names = [n for n in names if any(f in n for f in only)]
         if not names:
             raise ValueError(f"no checks match filters {only!r}")
-    reports = []
-    for name in names:
-        tol = _tol(name, tolerances)
-        reports.append(_SUITE_BUILDERS[name](tol, seed))
-    return reports
+    return [_SUITE_BUILDERS[name](tolerances.get(name), seed) for name in names]

@@ -125,7 +125,7 @@ class TestFieldCommand:
         code, _, err = run_cli(capsys, "field", "--tau", "E", "--j", "1",
                                "--m", "5", "--n", "1")
         assert code == 2
-        assert "m" in err
+        assert "m=5" in err
 
 
 class TestVerifyCommand:
@@ -146,6 +146,7 @@ class TestVerifyCommand:
     def test_unknown_check_name_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--tol", "bogus=1")
         assert code == 2
+        assert "bogus" in err
 
     def test_full_suite_green(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
@@ -186,6 +187,7 @@ class TestEntangleCommand:
     def test_missing_arguments_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "entangle", "build", "--partition", "omega")
         assert code == 2
+        assert "--bell" in err
 
 
 class TestRotateCommand:
@@ -228,6 +230,7 @@ class TestRotateCommand:
         code, _, err = run_cli(capsys, "rotate", "--vec", "1,2",
                                "--euler", "0,0,0")
         assert code == 2
+        assert "--vec" in err
 
 
 class TestRatiosCommand:
@@ -261,6 +264,7 @@ class TestRatiosCommand:
     def test_nonpositive_ka_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "ratios", "--ka", "-1")
         assert code == 2
+        assert "ka" in err
 
 
 class TestFormatHandling:
@@ -281,3 +285,50 @@ class TestFormatHandling:
                             "--nmax", "1", "--format", "csv")
         x_field = out.strip().splitlines()[1].split(",")[3]
         assert x_field == "2.74370727"
+
+
+_BUILD = ("entangle", "build", "--bell", "psi-minus", "--alpha1", "1", "--alpha2", "2")
+
+# (argv, exit code, a piece of stderr that names the input at fault); the
+# cases the command classes above already test are not repeated here
+EXIT_CODES = [
+    (("modes", "--jmax", "21"), 2, "j_max"),
+    (("field", "--tau", "E", "--j", "1", "--nr", "0"), 2, "--nr"),
+    (("verify", "--tol", "x"), 2, "'x'"),
+    (("verify", "--tol", "dmatrix_golden=abc"), 2, "abc"),
+    (("verify", "--only", "zzz"), 2, "zzz"),
+    (_BUILD + ("--partition", "nope", "--gamma1", "E,1,0", "--gamma2", "M,2,1"), 2, "nope"),
+    (("rotate", "--vec", "1,0,0", "--euler", "1,2"), 2, "--euler"),
+    (("rotate", "--euler", "0,0,0"), 2, "--vec"),
+    (("rotate", "--coeffs", "1,0,0", "--euler", "0,0,0"), 2, "--j"),
+    (("ratios", "--ka", "1e-3", "--jmax", "0"), 2, "jmax"),
+]
+
+
+@pytest.mark.parametrize("argv,code,named", EXIT_CODES, ids=[" ".join(r[0]) for r in EXIT_CODES])
+def test_exit_code_table(capsys, argv, code, named):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, named in err) == (code, True), err
+    if code == 2:
+        assert out == ""
+
+
+def test_root_finding_error_exits_1(capsys, monkeypatch):
+    import sphcavity.modes as md
+
+    def fail(*args, **kwargs):
+        raise md.RootFindingError("failed to bracket root 3 below x = 1e4")
+    monkeypatch.setattr(md, "mode_spec", fail)
+    code, out, err = run_cli(capsys, "field", "--tau", "M", "--j", "2")
+    assert (code, out) == (1, "")
+    assert "failed to bracket root 3" in err
+
+
+@pytest.mark.parametrize("argv", [("ratios", "--ka", "1e-3"), _BUILD + (
+    "--partition", "omega", "--gamma1", "E,1,0", "--gamma2", "M,2,1")])
+def test_invalid_format_variable_exits_2(capsys, monkeypatch, argv):
+    # argparse does not check a default against the choices
+    monkeypatch.setenv("SPHCAVITY_FORMAT", "xml")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "SPHCAVITY_FORMAT" in err and "xml" in err

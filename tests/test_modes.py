@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,17 @@ class TestRootCache:
         with pytest.raises(RootFindingError, match="interlacing violated for E j=2"):
             spectrum(3, 3)
 
+    def test_magnetic_guard_catches_a_skipped_root(self, cache, monkeypatch):
+        # a solver that skips the second root of every j it is asked for
+        solve = md._newton_roots
+        monkeypatch.setattr(md, "_newton_roots", lambda fn, orders, starts, count: np.delete(
+            solve(fn, orders, starts, count + 1), 1, axis=1))
+        with pytest.raises(RootFindingError, match="interlacing violated for M j=3"):
+            find_roots("M", 3, 5)
+        with pytest.raises(RootFindingError, match="interlacing violated for M j=1"):
+            spectrum(4, 6)
+        assert cache == {}
+
 
 def _fresh_python(code: str) -> str:
     src = str(Path(sphcavity.__file__).resolve().parents[1])
@@ -290,6 +302,19 @@ class TestNormalization:
     def test_rejects_non_root(self):
         with pytest.raises(ValueError):
             normalization_constant("M", 1, 5.0)
+
+    def test_rejects_points_below_every_root(self):
+        # J_{j+1/2}(x) ~ x^{j+1/2}: the residual test alone passes a small x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for tau, j, x in (("M", 5, 0.5), ("E", 5, 0.3)):
+                with pytest.raises(ValueError, match="below every"):
+                    normalization_constant(tau, j, x)
+            # the 6-digit reference roots are still accepted
+            for tau, x in (("M", 4.49341), ("E", 2.74371)):
+                assert_allclose(normalization_constant(tau, 1, x),
+                                normalization_constant(tau, 1, find_roots(tau, 1, 1)[0]),
+                                rtol=1e-4)
 
 
 class TestModeField:
@@ -492,6 +517,12 @@ class TestHamiltonian:
             hamiltonian_energy({("E", 1, 2, 1): 1})
         with pytest.raises(ValueError):
             hamiltonian_energy({("E", 1, 0, 1): -1})
+
+    def test_invalid_j_is_named_before_m(self):
+        # |m| <= j means nothing for a j out of range
+        for j in (-1, 60):
+            with pytest.raises(ValueError, match="j must be in"):
+                hamiltonian_energy({("E", j, 0, 1): 1})
 
 
 class TestModeSpecInvariants:

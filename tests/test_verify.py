@@ -183,5 +183,12 @@ class TestSuite:
                             tolerances={"dmatrix_golden": 1e-30})
         assert not reports[0].passed
 
+    def test_unknown_tolerance_name_raises(self):
+        # a misspelt override must not run the check at its default
+        with pytest.raises(ValueError, match="dmatrix_gloden"):
+            run_suite(only=["dmatrix_golden"], tolerances={"dmatrix_gloden": 1e-30})
+        with pytest.raises(ValueError, match="bogus"):
+            run_suite(tolerances={"bogus": 1.0})
+
     def test_every_check_has_default_tolerance(self):
         assert set(suite_check_names()) == set(DEFAULT_TOLERANCES)
