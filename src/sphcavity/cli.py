@@ -74,8 +74,7 @@ def _emit_table(rows: list[dict], fmt: str) -> None:
 
 
 def _config_from(args) -> md.CavityConfig:
-    radius = args.radius_m or 1.0
-    return md.CavityConfig.si(radius) if args.si else md.CavityConfig(radius=radius)
+    return md.CavityConfig.si(args.radius_m) if args.si else md.CavityConfig(radius=args.radius_m)
 
 
 def _add_common(sub, si: bool = False):
@@ -84,7 +83,7 @@ def _add_common(sub, si: bool = False):
     if si:
         sub.add_argument("--si", action="store_true",
                          help="use SI constants (c, hbar, epsilon0)")
-        sub.add_argument("--radius-m", type=float, default=None,
+        sub.add_argument("--radius-m", type=float, default=1.0,
                          help="cavity radius in metres (default 1)")
 
 

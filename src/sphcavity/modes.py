@@ -370,10 +370,6 @@ def find_roots(tau: str, j: int, count: int) -> list[float]:
     return list(_roots(tau, [j], count)[0])
 
 
-def _norm_prefactor(config: CavityConfig) -> float:
-    return math.sqrt(8.0 * config.hbar / (math.pi * config.epsilon0 * config.wave_speed)) / config.radius
-
-
 def normalization_constant(tau: str, j: int, x_root: float,
                            config: CavityConfig = CavityConfig()) -> float:
     """Mode amplitude making the field energy equal one photon, hbar*omega.
@@ -397,25 +393,18 @@ def normalization_constant(tau: str, j: int, x_root: float,
     eq = magnetic_root_equation(j, x) if tau == TAU_MAGNETIC else electric_root_equation(j, x)
     if abs(eq) > 1e-4:
         raise ValueError(f"x_root={x} does not satisfy the {tau} condition for j={j}")
-    return _norm_at_root(tau, j, x, config)
+    return float(_norm_consts(tau, j, np.array([x]), config)[0])
 
 
-def _norm_at_root(tau: str, j: int, x: float, config: CavityConfig) -> float:
-    """normalization_constant at a root x > j of (tau, j), unvalidated: the
-    Bessel value comes from the upward pair (j_j, j_{j+1}) at x."""
-    xa = np.array([x])
-    jb = _upward_pair(j, xa)[tau == TAU_MAGNETIC]
-    return float(_norm_consts(tau, j, xa, jb, config)[0])
+def _norm_consts(tau: str, j, x: np.ndarray, config: CavityConfig) -> np.ndarray:
+    """normalization_constant at roots x > j of (tau, j), unvalidated.
 
-
-def _norm_consts(tau: str, j, x: np.ndarray, jb: np.ndarray,
-                 config: CavityConfig) -> np.ndarray:
-    """normalization_constant at roots x of (tau, j), unvalidated.
-
-    jb holds j_{j+1}(x) (magnetic) or j_j(x) (electric); j is one order or
-    one per root.
+    j is one order or one per root.  The Bessel value in the denominator,
+    j_{j+1}(x) (magnetic) or j_j(x) (electric), comes from the upward pair
+    at x, so a root's constant does not depend on the batch it is in.
     """
-    num = _norm_prefactor(config)
+    jb = _upward_pair(j, x)[tau == TAU_MAGNETIC]
+    num = math.sqrt(8.0 * config.hbar / (math.pi * config.epsilon0 * config.wave_speed)) / config.radius
     den = np.abs(np.sqrt(2.0 * x / np.pi) * jb)
     if tau == TAU_ELECTRIC:
         num = num * x
@@ -439,7 +428,7 @@ def mode_spec(tau: str, j: int, m: int, n: int,
         index=ModeIndex(tau, j, m, n),
         x_root=x,
         omega=config.wave_speed * x / config.radius,
-        norm_const=_norm_at_root(tau, j, x, config),
+        norm_const=float(_norm_consts(tau, j, np.array([x]), config)[0]),
     )
 
 
@@ -450,7 +439,8 @@ def spectrum(j_max: int, n_max: int,
     One entry per (tau, j, n); each carries the (2j+1)-fold m-degeneracy.
     Ties break deterministically: electric first, then j, then n.  The
     (tau, j) the root cache cannot serve are solved in one batch per tau,
-    and all normalization constants come from one upward Bessel pair.
+    and the normalization constants of each tau come from one upward
+    Bessel pair.
     """
     if not 1 <= j_max <= 20:
         raise ValueError("j_max must be in [1, 20]")
@@ -460,10 +450,8 @@ def spectrum(j_max: int, n_max: int,
     # magnetic first: the electric guard reads the magnetic roots from the cache
     roots = {tau: _roots(tau, js, n_max) for tau in (TAU_MAGNETIC, TAU_ELECTRIC)}
     order = np.repeat(js, n_max)
-    x = np.array([roots[TAU_ELECTRIC], roots[TAU_MAGNETIC]]).reshape(2, -1)
-    jj, jj1 = _upward_pair(np.tile(order, 2), x.ravel())
-    norms = {TAU_ELECTRIC: _norm_consts(TAU_ELECTRIC, order, x[0], jj[:order.size], config),
-             TAU_MAGNETIC: _norm_consts(TAU_MAGNETIC, order, x[1], jj1[order.size:], config)}
+    norms = {tau: _norm_consts(tau, order, np.array(roots[tau]).ravel(), config)
+             for tau in roots}
     out = [ModeSpec(index=ModeIndex(tau, j, 0, n), x_root=xr,
                     omega=config.wave_speed * xr / config.radius, norm_const=c)
            for tau in (TAU_ELECTRIC, TAU_MAGNETIC)

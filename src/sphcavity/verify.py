@@ -159,24 +159,30 @@ def _report(name: str, residual: float, tolerance: float | None,
 # angular-algebra checks
 
 
-def _family_samples(family: str, l_max: int, tg, pg) -> list[np.ndarray]:
-    """Every member of a Gram family sampled on the grid, in a fixed order."""
+def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], list[np.ndarray]]:
+    """Labels of every member of a basis family through l_max, in one fixed
+    order, and each member sampled on the grid: scalar (l, m), coupled
+    (j, l, m), eml (kind, j, m) in kind order L, E, M, helicity and
+    spherical_wave (lam, j, m)."""
     Y = _Harmonics(l_max + 1, tg, pg)
     if family == "scalar":
-        return [Y(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+        labels = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+        return labels, [Y(l, m) for l, m in labels]
     if family == "coupled":
-        return [_coupled(Y, j, l, m) for j in range(l_max + 1) for l in (j - 1, j, j + 1)
-                if l >= 0 and (j, l) != (0, 0) for m in range(-j, j + 1)]
+        labels = [(j, l, m) for j in range(l_max + 1) for l in (j - 1, j, j + 1)
+                  if l >= 0 and (j, l) != (0, 0) for m in range(-j, j + 1)]
+        return labels, [_coupled(Y, *label) for label in labels]
+    kinds = {"eml": ("L", "E", "M"), "helicity": (+1, 0, -1), "spherical_wave": (+1, -1)}
+    if family not in kinds:
+        raise ValueError(f"unknown family {family!r}")
+    # only Y^L and helicity 0 start at j = 0
+    labels = [(k, j, m) for k in kinds[family]
+              for j in range(0 if k in ("L", 0) else 1, l_max + 1) for m in range(-j, j + 1)]
     if family == "eml":
-        return [_vsh(Y, kind, j, m) for kind in ("E", "M", "L")
-                for j in range(0 if kind == "L" else 1, l_max + 1) for m in range(-j, j + 1)]
+        return labels, [_vsh(Y, *label) for label in labels]
     if family == "helicity":
-        return [_helicity(Y, lam, j, m) for lam in (+1, 0, -1)
-                for j in range(0 if lam == 0 else 1, l_max + 1) for m in range(-j, j + 1)]
-    if family == "spherical_wave":
-        return [spherical_wave_helicity(j, m, lam, tg, pg) for lam in (+1, -1)
-                for j in range(1, l_max + 1) for m in range(-j, j + 1)]
-    raise ValueError(f"unknown family {family!r}")
+        return labels, [_helicity(Y, *label) for label in labels]
+    return labels, [spherical_wave_helicity(j, m, lam, tg, pg) for lam, j, m in labels]
 
 
 def check_orthonormality(family: str, l_max: int,
@@ -186,7 +192,7 @@ def check_orthonormality(family: str, l_max: int,
         raise ValueError("l_max must be <= 8")
     quad = sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
-    samples = np.stack(_family_samples(family, l_max, tg, pg))
+    samples = np.stack(_family(family, l_max, tg, pg)[1])
     # one row per function; a vector family's components share the grid weights
     w = np.broadcast_to(quad.weights, samples.shape[1:]).ravel()
     s = samples.reshape(len(samples), -1)
@@ -203,22 +209,21 @@ def check_parity(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
     th = rng.uniform(0.1, np.pi - 0.1, 24)
     ph = rng.uniform(0.0, 2 * np.pi, 24)
     tha, pha = antipode(th, ph)
-    Y_flip, Y = _Harmonics(l_max + 1, tha, pha), _Harmonics(l_max + 1, th, ph)
-    resid = 0.0
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            y0 = (-1.0) ** l * Y(l, m)
-            resid = max(resid, float(np.abs(Y_flip(l, m) - y0).max()))
-            # Landau-Lifshitz through the public function: its i^l phase
-            # and its parity at once
-            ya = scalar_harmonic(l, m, tha, pha, HarmonicConvention.LANDAU_LIFSHITZ)
-            resid = max(resid, float(np.abs(ya - 1j**l * y0).max()))
-    for kind, shift in (("E", 0), ("M", 1), ("L", 0)):  # parity (-1)^(j + shift)
-        for j in range(0 if kind == "L" else 1, l_max + 1):
-            for m in range(-j, j + 1):
-                flipped = -_vsh(Y_flip, kind, j, m)
-                expected = (-1.0) ** (j + shift) * _vsh(Y, kind, j, m)
-                resid = max(resid, float(np.abs(flipped - expected).max()))
+    labels, flipped = _family("scalar", l_max, tha, pha)
+    sign = np.array([(-1.0) ** l for l, _ in labels])[:, None]
+    y0 = sign * np.stack(_family("scalar", l_max, th, ph)[1])
+    resid = float(np.abs(np.stack(flipped) - y0).max())
+    # Landau-Lifshitz through the public function: its i^l phase and its
+    # parity at once
+    ya = np.stack([scalar_harmonic(l, m, tha, pha, HarmonicConvention.LANDAU_LIFSHITZ)
+                   for l, m in labels])
+    phase = np.array([1j**l for l, _ in labels])[:, None]
+    resid = max(resid, float(np.abs(ya - phase * y0).max()))
+    # vector parity (-1)^j for E and L, (-1)^(j + 1) for M
+    labels, flipped = _family("eml", l_max, tha, pha)
+    sign = np.array([(-1.0) ** (j + (kind == "M")) for kind, j, _ in labels])[:, None, None]
+    expected = sign * np.stack(_family("eml", l_max, th, ph)[1])
+    resid = max(resid, float(np.abs(-np.stack(flipped) - expected).max()))
     return _report("parity", resid, tolerance,
                    "scalar and E/M/L vector parity eigenvalues")
 
@@ -228,16 +233,14 @@ def check_helicity_eigen(l_max: int = 4, tolerance: float | None = None) -> Chec
     rng = np.random.default_rng(20260811)
     th = rng.uniform(0.1, np.pi - 0.1, 16)
     ph = rng.uniform(0.0, 2 * np.pi, 16)
-    Y = _Harmonics(l_max + 1, th, ph)
-    resid = 0.0
-    for j in range(1, l_max + 1):
-        for m in range(-j, j + 1):
-            for lam in (+1, 0, -1):
-                y = _helicity(Y, lam, j, m)
-                resid = max(resid, float(np.abs(helicity_apply(th, ph, y) - lam * y).max()))
-                if lam:
-                    twice = helicity_apply(th, ph, helicity_apply(th, ph, y))
-                    resid = max(resid, float(np.abs(twice - y).max()))
+    labels, ys = _family("helicity", l_max, th, ph)
+    y = np.stack(ys, axis=1)  # component axis first, as helicity_apply takes it
+    lam = np.array([label[0] for label in labels])
+    th, ph = th[None], ph[None]  # one row of directions, broadcast over members
+    resid = float(np.abs(helicity_apply(th, ph, y) - lam[:, None] * y).max())
+    y = y[:, lam != 0]
+    twice = helicity_apply(th, ph, helicity_apply(th, ph, y))
+    resid = max(resid, float(np.abs(twice - y).max(initial=0.0)))
     return _report("helicity_eigen", resid, tolerance,
                    f"helicity eigen-equation up to j={l_max}")
 
@@ -276,13 +279,13 @@ def check_cross_products(tolerance: float | None = None) -> CheckReport:
     rng = np.random.default_rng(11)
     th = rng.uniform(0.05, np.pi - 0.05, 40)
     ph = rng.uniform(0.0, 2 * np.pi, 40)
-    Y, n = _Harmonics(5, th, ph), unit_radial(th, ph)
-    resid = 0.0
-    for j in range(1, 5):
-        for m in range(-j, j + 1):
-            ye, ym = _vsh(Y, "E", j, m), _vsh(Y, "M", j, m)
-            resid = max(resid, float(np.abs(np.cross(n, ye, axis=0) - 1j * ym).max()))
-            resid = max(resid, float(np.abs(-1j * np.cross(n, ym, axis=0) - ye).max()))
+    labels, ys = _family("eml", 4, th, ph)
+    # E and M members share their (j, m) order; component axis first
+    ye, ym = (np.stack([y for (k, _, _), y in zip(labels, ys) if k == kind], axis=1)
+              for kind in ("E", "M"))
+    n = unit_radial(th, ph)[:, None]
+    resid = float(np.abs(np.cross(n, ye, axis=0) - 1j * ym).max())
+    resid = max(resid, float(np.abs(-1j * np.cross(n, ym, axis=0) - ye).max()))
     return _report("cross_products", resid, tolerance,
                    "n x Y^E = iY^M and Y^E = -i n x Y^M, j <= 4")
 
@@ -475,34 +478,40 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8,
                    f"lowest-root ordering {'holds' if ok else 'fails'}")
 
 
-def _mode_energy_quadrature(spec: md.ModeSpec, config: md.CavityConfig,
-                            radial: tuple[np.ndarray, np.ndarray],
-                            quad: SphereQuadrature) -> float:
-    """(1/2) w^2 eps0 int |A|^2 d3r by a full 3-d product quadrature on the
-    radial rule (nodes, weights) over [0, R] and a sphere rule of degree at
-    least 2 (j + 2) + 2."""
+def _mode_energies(spec: md.ModeSpec, config: md.CavityConfig,
+                   radial: tuple[np.ndarray, np.ndarray],
+                   quad: SphereQuadrature) -> tuple[float, float]:
+    """Electric and magnetic field energies of one mode, (1/4) w^2 eps0
+    int |A|^2 d3r and (1/4 mu0) int |B|^2 d3r, by a 3-d product quadrature:
+    the radial rule (nodes, weights) over [0, R] times a sphere rule of
+    degree at least 2 (j + 2) + 2.  A and B come from one _fields call."""
     tg, pg = quad.grid
     r, wr = radial
-    a, _ = md._fields(spec, r[:, None, None], tg, pg, config)
-    density = (np.abs(a) ** 2).sum(axis=0)
-    shell = quad.integrate(density) * r * r  # angular integral at each radius
-    integral = float(np.sum(wr * shell.real))
-    return 0.5 * spec.omega**2 * config.epsilon0 * integral
+    a, b = md._fields(spec, r[:, None, None], tg, pg, config)
+
+    def integral(v: np.ndarray) -> float:
+        shell = quad.integrate((np.abs(v) ** 2).sum(axis=0)) * r * r  # at each radius
+        return float(np.sum(wr * shell.real))
+
+    mu0 = 1.0 / (config.epsilon0 * config.wave_speed**2)
+    return (0.25 * spec.omega**2 * config.epsilon0 * integral(a),
+            0.25 / mu0 * integral(b))
 
 
 def check_mode_energy(j_max: int = 3, n_max: int = 3,
                       tolerance: float | None = None) -> CheckReport:
-    """Quadrature energy of each normalized mode equals hbar omega."""
+    """Quadrature energy of each normalized mode of spectrum(j_max, n_max)
+    equals hbar omega.  The energy is (1/2) w^2 eps0 int |A|^2 d3r, twice
+    the electric part, on 200 radial nodes and a sphere rule of degree
+    2j + 6; the range of j_max and n_max is spectrum's."""
     config = md.CavityConfig()
+    specs = md.spectrum(j_max, n_max, config)
     radial = radial_quadrature(200, config.radius)
     quads = {j: sphere_quadrature(2 * (j + 2) + 2) for j in range(1, j_max + 1)}
     resid = 0.0
-    for tau in ("E", "M"):
-        for j in range(1, j_max + 1):
-            for n in range(1, n_max + 1):
-                spec = md.mode_spec(tau, j, 0, n, config)
-                energy = _mode_energy_quadrature(spec, config, radial, quads[j])
-                resid = max(resid, abs(energy / (config.hbar * spec.omega) - 1.0))
+    for spec in specs:
+        energy = 2.0 * _mode_energies(spec, config, radial, quads[spec.index.j])[0]
+        resid = max(resid, abs(energy / (config.hbar * spec.omega) - 1.0))
     return _report("mode_energy", resid, tolerance,
                    f"all modes with j <= {j_max}, n <= {n_max}")
 
@@ -512,22 +521,13 @@ def check_mode_equipartition(j_max: int = 2, n_max: int = 2,
     """Electric-part and magnetic-part field energies agree (3-d quadrature,
     closed-form curl for B)."""
     config = md.CavityConfig()
-    mu0 = 1.0 / (config.epsilon0 * config.wave_speed**2)
-    r, wr = radial_quadrature(80, config.radius)
-    wr2 = (wr * r * r)[:, None, None]
+    specs = md.spectrum(j_max, n_max, config)
+    radial = radial_quadrature(80, config.radius)
+    quads = {j: sphere_quadrature(2 * (j + 2) + 4) for j in range(1, j_max + 1)}
     resid = 0.0
-    for tau in ("E", "M"):
-        for j in range(1, j_max + 1):
-            for n in range(1, n_max + 1):
-                spec = md.mode_spec(tau, j, 0, n, config)
-                quad = sphere_quadrature(2 * (j + 2) + 4)
-                tg, pg = quad.grid
-                a, b = md._fields(spec, r[:, None, None], tg, pg, config)
-                w3 = wr2 * quad.weights
-                e_elec = 0.25 * spec.omega**2 * config.epsilon0 * float(
-                    (w3 * (np.abs(a) ** 2).sum(axis=0)).sum())
-                e_mag = 0.25 / mu0 * float((w3 * (np.abs(b) ** 2).sum(axis=0)).sum())
-                resid = max(resid, abs(e_mag / e_elec - 1.0))
+    for spec in specs:
+        e_elec, e_mag = _mode_energies(spec, config, radial, quads[spec.index.j])
+        resid = max(resid, abs(e_mag / e_elec - 1.0))
     return _report("mode_equipartition", resid, tolerance,
                    f"modes with j <= {j_max}, n <= {n_max}, closed-form curl")
 
@@ -536,12 +536,8 @@ def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64,
                         tolerance: float | None = None) -> CheckReport:
     config = md.CavityConfig()
     resid = 0.0
-    for tau in ("E", "M"):
-        for j in range(1, j_max + 1):
-            for n in range(1, n_max + 1):
-                spec = md.mode_spec(tau, j, 0, n, config)
-                rep = md.boundary_residual(spec, config, n_dirs=n_dirs)
-                resid = max(resid, rep.max_residual)
+    for spec in md.spectrum(j_max, n_max, config):
+        resid = max(resid, md.boundary_residual(spec, config, n_dirs=n_dirs).max_residual)
     return _report("mode_boundary", resid, tolerance,
                    f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
                    f"({n_dirs} directions each)")
@@ -562,16 +558,12 @@ def vsh_project(field_fn, l_max: int,
     quad = quadrature or sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
     field = np.asarray(field_fn(tg, pg), dtype=complex)
-    Y = _Harmonics(l_max + 1, tg, pg)
     coeffs: dict[tuple, complex] = {}
     recon = np.zeros_like(field)
-    for kind in ("L", "E", "M"):
-        for l in range(0 if kind == "L" else 1, l_max + 1):
-            for m in range(-l, l + 1):
-                basis = _vsh(Y, kind, l, m)
-                c = quad.integrate((np.conj(basis) * field).sum(axis=0))
-                coeffs[(kind, l, m)] = complex(c)
-                recon = recon + c * basis
+    for label, basis in zip(*_family("eml", l_max, tg, pg)):
+        c = quad.integrate((np.conj(basis) * field).sum(axis=0))
+        coeffs[label] = complex(c)
+        recon = recon + c * basis
     scale = max(1.0, float(np.abs(field).max()))
     resid = float(np.abs(recon - field).max()) / scale
     report = CheckReport("vsh_projection", resid, DEFAULT_TOLERANCES["completeness"],

@@ -293,6 +293,7 @@ _BUILD = ("entangle", "build", "--bell", "psi-minus", "--alpha1", "1", "--alpha2
 # cases the command classes above already test are not repeated here
 EXIT_CODES = [
     (("modes", "--jmax", "21"), 2, "j_max"),
+    (("modes", "--radius-m", "0", "--jmax", "1", "--nmax", "1"), 2, "radius"),
     (("field", "--tau", "E", "--j", "1", "--nr", "0"), 2, "--nr"),
     (("verify", "--tol", "x"), 2, "'x'"),
     (("verify", "--tol", "dmatrix_golden=abc"), 2, "abc"),

@@ -409,11 +409,15 @@ class TestClosedFormCurl:
 
 
 class TestBoundary:
-    @pytest.mark.parametrize("tau,j", [("M", 1), ("E", 2)])
-    def test_modes_pass(self, tau, j):
-        spec = mode_spec(tau, j, 0, 1)
+    # the spectrum edge (20, 32) and the find_roots edge (59, 64), at m = j
+    @pytest.mark.parametrize("tau,j,m,n", [
+        pytest.param("M", 1, 0, 1, id="M-1"), pytest.param("E", 2, 0, 1, id="E-2"),
+        ("E", 20, 20, 32), ("M", 20, 20, 32), ("E", 59, 59, 64), ("M", 59, 59, 64)])
+    def test_modes_pass(self, tau, j, m, n):
+        spec = mode_spec(tau, j, m, n)
         report = boundary_residual(spec, n_dirs=50)
         assert report.passed, report
+        assert report.max_residual < 1e-13, report
 
     def test_perturbed_root_fails(self):
         good = mode_spec("E", 1, 0, 1)

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sphcavity.angular import vsh
+from sphcavity.angular import antipode, helicity_apply, helicity_vsh, unit_radial, vsh
 from sphcavity.modes import spherical_bessel_zeros
 from sphcavity.reporting import CheckReport
-from sphcavity.specfun import scalar_harmonic
+from sphcavity.specfun import HarmonicConvention, scalar_harmonic
 from sphcavity.verify import (
     DEFAULT_TOLERANCES,
     check_bessel_integral,
+    check_cross_products,
     check_dual_condition,
+    check_helicity_eigen,
+    check_mode_boundary,
+    check_mode_energy,
+    check_mode_equipartition,
     check_mode_tables,
     check_orthonormality,
+    check_parity,
     check_plane_wave_expansion,
     check_vsh_fourier,
     radial_quadrature,
@@ -120,6 +126,65 @@ class TestIndividualChecks:
         report = check_dual_condition()
         assert report.passed
         assert "holds" in report.details
+
+    def test_mode_checks_reject_empty_range(self):
+        # the mode checks take spectrum's range: j_max = 0 holds no mode
+        # to check, and must not pass with residual 0
+        for check in (check_mode_energy, check_mode_equipartition, check_mode_boundary):
+            with pytest.raises(ValueError, match="j_max"):
+                check(j_max=0)
+
+
+class TestStackedChecks:
+    """The angular checks compare whole stacks of basis members; each must
+    read, bit for bit, the residual of a member-by-member loop over the
+    public harmonics with the check's directions."""
+
+    @staticmethod
+    def directions(seed, n, margin):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(margin, np.pi - margin, n), rng.uniform(0.0, 2 * np.pi, n)
+
+    def test_parity(self):
+        th, ph = self.directions(20260810, 24, 0.1)
+        tha, pha = antipode(th, ph)
+        resid = 0.0
+        for l in range(5):
+            for m in range(-l, l + 1):
+                y0 = (-1.0) ** l * scalar_harmonic(l, m, th, ph)
+                ya = scalar_harmonic(l, m, tha, pha, HarmonicConvention.LANDAU_LIFSHITZ)
+                resid = max(resid, np.abs(scalar_harmonic(l, m, tha, pha) - y0).max(),
+                            np.abs(ya - 1j**l * y0).max())
+        for kind, shift in (("E", 0), ("M", 1), ("L", 0)):
+            for j in range(0 if kind == "L" else 1, 5):
+                for m in range(-j, j + 1):
+                    expected = (-1.0) ** (j + shift) * vsh(kind, j, m, th, ph)
+                    resid = max(resid, np.abs(-vsh(kind, j, m, tha, pha) - expected).max())
+        assert check_parity().max_residual == resid
+
+    def test_helicity_eigen(self):
+        th, ph = self.directions(20260811, 16, 0.1)
+        resid = 0.0
+        for j in range(5):
+            for m in range(-j, j + 1):
+                for lam in (+1, 0, -1) if j else (0,):
+                    y = helicity_vsh(lam, j, m, th, ph)
+                    resid = max(resid, np.abs(helicity_apply(th, ph, y) - lam * y).max())
+                    if lam:
+                        twice = helicity_apply(th, ph, helicity_apply(th, ph, y))
+                        resid = max(resid, np.abs(twice - y).max())
+        assert check_helicity_eigen().max_residual == resid
+
+    def test_cross_products(self):
+        th, ph = self.directions(11, 40, 0.05)
+        n = unit_radial(th, ph)
+        resid = 0.0
+        for j in range(1, 5):
+            for m in range(-j, j + 1):
+                ye, ym = vsh("E", j, m, th, ph), vsh("M", j, m, th, ph)
+                resid = max(resid, np.abs(np.cross(n, ye, axis=0) - 1j * ym).max(),
+                            np.abs(-1j * np.cross(n, ym, axis=0) - ye).max())
+        assert check_cross_products().max_residual == resid
 
 
 class TestVshProject:
