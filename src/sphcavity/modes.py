@@ -381,7 +381,8 @@ def normalization_constant(tau: str, j: int, x_root: float,
     The electric form is the closed result of the radial energy integral
     evaluated at a root of the electric condition (where J_{j-1/2} =
     j J_{j+1/2} / x and J_{j+3/2} = (j+1) J_{j+1/2} / x); it is verified
-    against brute-force quadrature of the energy integral in the tests.
+    against a product quadrature of the energy integral (the mode_energy
+    check).
     Raises ValueError unless x_root lies above j (magnetic) or sqrt(j(j+1))
     (electric), where every root lies, and meets its condition to 1e-4.
     """
@@ -462,21 +463,32 @@ def spectrum(j_max: int, n_max: int,
     return out
 
 
-def _fields(spec: ModeSpec, r, theta, phi,
-            config: CavityConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A and B = curl A for one mode, each shape (3, ...); valid for any r >= 0.
-
-    Both are sums of the terms T_l = j_l(kr) Y_{j,l,m}, l = j-1, j, j+1:
+def _multipole_terms(tau: str, j: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Coefficients (l, c) of the terms T_l = j_l(kr) Y_{j,l,m} in A / N and in
+    B / (i k N), l = j-1, j, j+1:
 
         M:  A = N T_j
             B = i k N [sqrt((j+1)/(2j+1)) T_{j-1} - sqrt(j/(2j+1)) T_{j+1}]
         E:  A = N [sqrt(j) T_{j+1} - sqrt(j+1) T_{j-1}]
             B = i k N sqrt(2j+1) T_j
+    """
+    if tau == TAU_MAGNETIC:
+        return (((j, 1.0),),
+                ((j - 1, math.sqrt((j + 1) / (2 * j + 1))), (j + 1, -math.sqrt(j / (2 * j + 1)))))
+    return (((j + 1, math.sqrt(j)), (j - 1, -math.sqrt(j + 1))),
+            ((j, math.sqrt(2 * j + 1)),))
 
-    r, theta and phi broadcast together and are not expanded first: with
-    r of shape (n_r, 1, 1) and angles of shape (1, n_theta, n_phi), each
-    Bessel function is evaluated at n_r points and each harmonic, from one
-    table shared by the three terms, at n_theta * n_phi points.
+
+def _fields(spec: ModeSpec, r, theta, phi,
+            config: CavityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A and B = curl A for one mode, each shape (3, ...); valid for any r >= 0.
+
+    Both are sums of the terms T_l = j_l(kr) Y_{j,l,m}, l = j-1, j, j+1,
+    with the coefficients of _multipole_terms.  r, theta and phi broadcast
+    together and are not expanded first: with r of shape (n_r, 1, 1) and
+    angles of shape (1, n_theta, n_phi), each Bessel function is evaluated
+    at n_r points and each harmonic, from one table shared by the three
+    terms, at n_theta * n_phi points.
     """
     tau, j, m, _ = spec.index
     k = spec.omega / config.wave_speed
@@ -484,21 +496,27 @@ def _fields(spec: ModeSpec, r, theta, phi,
     harmonics = _Harmonics(j + 1, theta, phi)
     ndim = max(x.ndim, len(harmonics.shape))
 
-    def term(l: int, c: float) -> np.ndarray:
+    def term(l: int, c) -> np.ndarray:
         y = _coupled(harmonics, j, l, m)
         y = y.reshape((3,) + (1,) * (ndim + 1 - y.ndim) + y.shape[1:])
         return (c * spherical_bessel_j(l, x)) * y
 
+    def combine(terms, scale) -> np.ndarray:
+        # a single term carries the scale in its coefficient; a sum is scaled
+        # once, after it is summed, and subtracts a term of negative
+        # coefficient: a complex product with -c differs from the negated
+        # product with c in the sign of its zeros
+        if len(terms) == 1:
+            (l, c), = terms
+            return term(l, scale * c)
+        total = term(*terms[0])
+        for l, c in terms[1:]:
+            total = total + term(l, c) if c > 0 else total - term(l, -c)
+        return scale * total
+
     n = spec.norm_const
-    ikn = 1j * k * n
-    if tau == TAU_MAGNETIC:
-        a = term(j, n)
-        b = ikn * (term(j - 1, math.sqrt((j + 1) / (2 * j + 1)))
-                   - term(j + 1, math.sqrt(j / (2 * j + 1))))
-    else:
-        a = n * (term(j + 1, math.sqrt(j)) - term(j - 1, math.sqrt(j + 1)))
-        b = term(j, ikn * math.sqrt(2 * j + 1))
-    return a, b
+    a_terms, b_terms = _multipole_terms(tau, j)
+    return combine(a_terms, n), combine(b_terms, 1j * k * n)
 
 
 def mode_field(spec: ModeSpec, r, theta, phi,

@@ -318,6 +318,8 @@ def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2
     two_nu = int(round(2 * nu))
     if two_nu % 2 == 0 or two_nu < 1 or abs(2 * nu - two_nu) > 1e-12:
         raise ValueError("nu must be half-integer (1/2, 3/2, ...)")
+    if min(alpha_idx, beta_idx) < 1:
+        raise ValueError("zero indices start at 1")
     count = max(alpha_idx, beta_idx)
     zeros = md.spherical_bessel_zeros((two_nu - 1) // 2, count)
     a, b = zeros[alpha_idx - 1], zeros[beta_idx - 1]
@@ -349,10 +351,10 @@ def check_vsh_fourier(j: int, kind: str, kr: float,
                       tolerance: float | None = None) -> CheckReport:
     """Angular transform int Y(k^) e^{i k.r} dOmega_k = g_l(kr) Y(r^) with
     g_l = 4 pi i^l j_l; the E-type maps onto the shifted-degree pair."""
-    if j > 4 or kr > 20:
-        raise ValueError("supported range: j <= 4, kr <= 20")
     if kind not in ("scalar", "coupled", "M", "E"):
         raise ValueError(f"kind must be scalar/coupled/M/E, got {kind!r}")
+    if not (0 if kind == "scalar" else 1) <= j <= 4 or kr > 20:
+        raise ValueError("supported range: 1 <= j <= 4 (0 <= j for scalar), kr <= 20")
     quad = sphere_quadrature(min(64, 2 * int(math.ceil(kr)) + 2 * j + 24))
     tg, pg = quad.grid
     Y_g = _Harmonics(j + 1, tg, pg)
@@ -396,6 +398,8 @@ def check_vsh_fourier(j: int, kind: str, kr: float,
 
 def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9,
                             tolerance: float | None = None) -> CheckReport:
+    if not 0 <= j_max <= MAX_WIGNER_J:
+        raise ValueError(f"j_max must be in [0, {MAX_WIGNER_J}]")
     rng = np.random.default_rng(seed)
     resid = 0.0
     for j in range(0, j_max + 1):
@@ -478,56 +482,80 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8,
                    f"lowest-root ordering {'holds' if ok else 'fails'}")
 
 
-def _mode_energies(spec: md.ModeSpec, config: md.CavityConfig,
+def _mode_energies(specs: list[md.ModeSpec], config: md.CavityConfig,
                    radial: tuple[np.ndarray, np.ndarray],
-                   quad: SphereQuadrature) -> tuple[float, float]:
-    """Electric and magnetic field energies of one mode, (1/4) w^2 eps0
-    int |A|^2 d3r and (1/4 mu0) int |B|^2 d3r, by a 3-d product quadrature:
-    the radial rule (nodes, weights) over [0, R] times a sphere rule of
-    degree at least 2 (j + 2) + 2.  A and B come from one _fields call."""
-    tg, pg = quad.grid
+                   quads: dict[int, SphereQuadrature]) -> np.ndarray:
+    """Electric and magnetic field energies, (1/4) w^2 eps0 int |A|^2 d3r and
+    (1/4 mu0) int |B|^2 d3r, of each mode: shape (len(specs), 2).
+
+    The 3-d product rule is the radial rule (nodes, weights) over [0, R]
+    times the sphere rule quads[j], of degree at least 2 (j + 2) + 2.  A and
+    B are sums of c_l j_l(kr) Y_{j,l,m} (modes._multipole_terms), so the
+    rule's sum separates exactly: sum_{l,l'} c_l c_l' R_ll' S_ll', with R
+    the Gram matrix of r j_l(kr) on the radial rule and S that of the
+    Y_{j,l,m} on the sphere rule.  The modes are grouped by (j, m); each
+    group takes S from one harmonic table and one matmul, and R for all its
+    modes from one spherical_bessel_j call per l.
+    """
     r, wr = radial
-    a, b = md._fields(spec, r[:, None, None], tg, pg, config)
-
-    def integral(v: np.ndarray) -> float:
-        shell = quad.integrate((np.abs(v) ** 2).sum(axis=0)) * r * r  # at each radius
-        return float(np.sum(wr * shell.real))
-
     mu0 = 1.0 / (config.epsilon0 * config.wave_speed**2)
-    return (0.25 * spec.omega**2 * config.epsilon0 * integral(a),
-            0.25 / mu0 * integral(b))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.index.j, spec.index.m), []).append(i)
+    out = np.empty((len(specs), 2))
+    for (j, m), idx in groups.items():
+        quad, ls = quads[j], (j - 1, j, j + 1)
+        Y = _Harmonics(j + 1, *quad.grid)
+        t = np.stack([_coupled(Y, j, l, m) for l in ls]).reshape(3, -1)
+        w = np.broadcast_to(quad.weights, (3,) + quad.weights.shape).ravel()
+        S = (t * w) @ t.conj().T
+        omega = np.array([specs[i].omega for i in idx])
+        k = omega / config.wave_speed
+        x = k[:, None] * r
+        J = np.stack([spherical_bessel_j(l, x) for l in ls], axis=1)
+        R = np.einsum("i,mai,mbi->mab", wr * r * r, J, J)
+        # the coefficients of each mode's terms in A / N (row 0) and B / (ikN)
+        c = np.zeros((len(idx), 2, 3))
+        for row, i in enumerate(idx):
+            for part, terms in enumerate(md._multipole_terms(specs[i].index.tau, j)):
+                for l, cl in terms:
+                    c[row, part, l - j + 1] = cl
+        q = np.einsum("mpa,mab,mpb->mp", c, R * S, c).real
+        n2 = np.array([specs[i].norm_const for i in idx]) ** 2
+        out[idx, 0] = 0.25 * omega**2 * config.epsilon0 * n2 * q[:, 0]
+        out[idx, 1] = 0.25 / mu0 * k**2 * n2 * q[:, 1]
+    return out
 
 
 def check_mode_energy(j_max: int = 3, n_max: int = 3,
                       tolerance: float | None = None) -> CheckReport:
     """Quadrature energy of each normalized mode of spectrum(j_max, n_max)
     equals hbar omega.  The energy is (1/2) w^2 eps0 int |A|^2 d3r, twice
-    the electric part, on 200 radial nodes and a sphere rule of degree
-    2j + 6; the range of j_max and n_max is spectrum's."""
+    the electric part of _mode_energies, summed in separable form on 200
+    radial nodes and a sphere rule of degree 2j + 6; the range of j_max and
+    n_max is spectrum's."""
     config = md.CavityConfig()
     specs = md.spectrum(j_max, n_max, config)
-    radial = radial_quadrature(200, config.radius)
     quads = {j: sphere_quadrature(2 * (j + 2) + 2) for j in range(1, j_max + 1)}
-    resid = 0.0
-    for spec in specs:
-        energy = 2.0 * _mode_energies(spec, config, radial, quads[spec.index.j])[0]
-        resid = max(resid, abs(energy / (config.hbar * spec.omega) - 1.0))
+    energy = 2.0 * _mode_energies(specs, config, radial_quadrature(200, config.radius),
+                                  quads)[:, 0]
+    omega = np.array([spec.omega for spec in specs])
+    resid = np.abs(energy / (config.hbar * omega) - 1.0).max()
     return _report("mode_energy", resid, tolerance,
                    f"all modes with j <= {j_max}, n <= {n_max}")
 
 
 def check_mode_equipartition(j_max: int = 2, n_max: int = 2,
                              tolerance: float | None = None) -> CheckReport:
-    """Electric-part and magnetic-part field energies agree (3-d quadrature,
-    closed-form curl for B)."""
+    """Electric-part and magnetic-part field energies of each mode of
+    spectrum(j_max, n_max) agree: _mode_energies on 80 radial nodes and a
+    sphere rule of degree 2j + 8, with B the closed-form curl."""
     config = md.CavityConfig()
     specs = md.spectrum(j_max, n_max, config)
-    radial = radial_quadrature(80, config.radius)
     quads = {j: sphere_quadrature(2 * (j + 2) + 4) for j in range(1, j_max + 1)}
-    resid = 0.0
-    for spec in specs:
-        e_elec, e_mag = _mode_energies(spec, config, radial, quads[spec.index.j])
-        resid = max(resid, abs(e_mag / e_elec - 1.0))
+    e_elec, e_mag = _mode_energies(specs, config, radial_quadrature(80, config.radius),
+                                   quads).T
+    resid = np.abs(e_mag / e_elec - 1.0).max()
     return _report("mode_equipartition", resid, tolerance,
                    f"modes with j <= {j_max}, n <= {n_max}, closed-form curl")
 

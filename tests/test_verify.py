@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sphcavity import modes as md
 from sphcavity.angular import antipode, helicity_apply, helicity_vsh, unit_radial, vsh
-from sphcavity.modes import spherical_bessel_zeros
+from sphcavity.modes import CavityConfig, mode_spec, spherical_bessel_zeros
 from sphcavity.reporting import CheckReport
 from sphcavity.specfun import HarmonicConvention, scalar_harmonic
 from sphcavity.verify import (
     DEFAULT_TOLERANCES,
+    _mode_energies,
     check_bessel_integral,
     check_cross_products,
+    check_dmatrix_unitarity,
     check_dual_condition,
     check_helicity_eigen,
     check_mode_boundary,
@@ -107,6 +110,9 @@ class TestIndividualChecks:
     def test_bessel_integral_validation(self):
         with pytest.raises(ValueError):
             check_bessel_integral(1.0, 1, 2)
+        # zero #0 does not exist, and must not be read as the last zero found
+        with pytest.raises(ValueError, match="start at 1"):
+            check_bessel_integral(1.5, 0, 2)
 
     def test_vsh_fourier_zero_argument(self):
         # at kr = 0 only the l = 0 transform survives: the j-1 term of the
@@ -133,6 +139,60 @@ class TestIndividualChecks:
         for check in (check_mode_energy, check_mode_equipartition, check_mode_boundary):
             with pytest.raises(ValueError, match="j_max"):
                 check(j_max=0)
+
+    @pytest.mark.parametrize("call,match", [
+        pytest.param(lambda: check_vsh_fourier(-1, "scalar", 1.0), "range",
+                     id="vsh_fourier-scalar"),
+        pytest.param(lambda: check_vsh_fourier(-3, "M", 1.0), "range", id="vsh_fourier-M"),
+        pytest.param(lambda: check_dmatrix_unitarity(j_max=-1), "j_max",
+                     id="dmatrix_unitarity"),
+    ])
+    def test_checks_reject_empty_range(self, call, match):
+        # each range holds no j to check, and must not pass with residual 0
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def _full_field_energies(spec, config, radial, quad):
+    """Electric and magnetic energies of one mode by the 3-d product rule on
+    the full fields: one _fields call on the (r, theta, phi) grid, then the
+    sum over each shell and over the radial nodes."""
+    tg, pg = quad.grid
+    r, wr = radial
+    a, b = md._fields(spec, r[:, None, None], tg, pg, config)
+
+    def integral(v):
+        shell = quad.integrate((np.abs(v) ** 2).sum(axis=0)) * r * r
+        return float(np.sum(wr * shell.real))
+
+    mu0 = 1.0 / (config.epsilon0 * config.wave_speed**2)
+    return (0.25 * spec.omega**2 * config.epsilon0 * integral(a),
+            0.25 / mu0 * integral(b))
+
+
+class TestModeEnergies:
+    # the rules of check_mode_energy and check_mode_equipartition:
+    # radial nodes, and sphere degree 2j + pad
+    @pytest.mark.parametrize("n_radial,pad", [(200, 6), (80, 8)])
+    def test_separable_sum_equals_full_field_integral(self, n_radial, pad):
+        config = CavityConfig()
+        radial = radial_quadrature(n_radial, config.radius)
+        js = (1, 2, 5, 8)
+        quads = {j: sphere_quadrature(2 * j + pad) for j in js}
+        specs = [mode_spec(tau, j, m, n) for tau in ("E", "M") for j in js
+                 for m in (-j, 0, j) for n in (1, 3)]
+        # one call over every (j, m) group; the members of a group are not adjacent
+        got = _mode_energies(specs, config, radial, quads)
+        for spec, energies in zip(specs, got):
+            want = _full_field_energies(spec, config, radial, quads[spec.index.j])
+            assert_allclose(energies, want, rtol=1e-13, atol=0, err_msg=str(spec.index))
+
+    def test_spectrum_edge(self):
+        # ROADMAP's advertised spectrum corner (20, 32); the 80-node rule of
+        # equipartition under-resolves x ~ 120 there, at ~1e-8
+        assert check_mode_energy(j_max=20, n_max=32).max_residual <= 1e-13
+        report = check_mode_equipartition(j_max=20, n_max=32)
+        assert report.passed, report
 
 
 class TestStackedChecks:
