@@ -449,18 +449,20 @@ def spectrum(j_max: int, n_max: int,
         raise ValueError("n_max must be in [1, 32]")
     js = list(range(1, j_max + 1))
     # magnetic first: the electric guard reads the magnetic roots from the cache
-    roots = {tau: _roots(tau, js, n_max) for tau in (TAU_MAGNETIC, TAU_ELECTRIC)}
-    order = np.repeat(js, n_max)
-    norms = {tau: _norm_consts(tau, order, np.array(roots[tau]).ravel(), config)
-             for tau in roots}
-    out = [ModeSpec(index=ModeIndex(tau, j, 0, n), x_root=xr,
-                    omega=config.wave_speed * xr / config.radius, norm_const=c)
-           for tau in (TAU_ELECTRIC, TAU_MAGNETIC)
-           for j, xs, cs in zip(js, roots[tau], norms[tau].reshape(j_max, n_max).tolist())
-           for n, (xr, c) in enumerate(zip(xs, cs), start=1)]
-    out.sort(key=lambda s: (s.omega, 0 if s.index.tau == TAU_ELECTRIC else 1,
-                            s.index.j, s.index.n))
-    return out
+    roots = {tau: np.array(_roots(tau, js, n_max)).ravel()
+             for tau in (TAU_MAGNETIC, TAU_ELECTRIC)}
+    taus = (TAU_ELECTRIC, TAU_MAGNETIC)
+    x = np.concatenate([roots[tau] for tau in taus])
+    norms = np.concatenate([_norm_consts(tau, np.repeat(js, n_max), roots[tau], config)
+                            for tau in taus])
+    omega = config.wave_speed * x / config.radius
+    # position in taus, j - 1 and n - 1 of each entry
+    rank, j0, n0 = (t.ravel() for t in np.indices((2, j_max, n_max)))
+    order = np.lexsort((n0, j0, rank, omega))
+    return [ModeSpec(index=ModeIndex(taus[t], j + 1, 0, n + 1), x_root=xr, omega=w,
+                     norm_const=c)
+            for t, j, n, xr, w, c in zip(*(a[order].tolist()
+                                           for a in (rank, j0, n0, x, omega, norms)))]
 
 
 def _multipole_terms(tau: str, j: int) -> tuple[tuple[tuple[int, float], ...], ...]:

@@ -264,6 +264,16 @@ def _check_photon(j: int, m: int, lam: int) -> None:
         raise ValueError(f"|m| must not exceed j, got j={j}, m={m}")
 
 
+def _spherical_waves(j: int, lam: int, theta, phi) -> np.ndarray:
+    """psi_jm^(lam) for every m = j..-j: shape (2j+1, 3) + the angles' shape.
+
+    All m share one D^(j) row and one polarization vector.
+    """
+    row = wigner_d_matrix(j, phi, theta, 0.0)[m_index(j, lam)]
+    amp = math.sqrt((2 * j + 1) / (4 * math.pi)) * row
+    return amp[:, None] * helicity_polarization_vector(lam, theta, phi)
+
+
 def spherical_wave_helicity(j: int, m: int, lam: int, theta, phi) -> np.ndarray:
     """Angular profile of the spherical-wave helicity eigenfunction.
 
@@ -275,9 +285,7 @@ def spherical_wave_helicity(j: int, m: int, lam: int, theta, phi) -> np.ndarray:
     angles and (3, ...) for arrays, each point equal to its scalar call.
     """
     _check_photon(j, m, lam)
-    dmat = wigner_d_matrix(j, phi, theta, 0.0)
-    amp = math.sqrt((2 * j + 1) / (4 * math.pi)) * wigner_entry(dmat, j, lam, m)
-    return amp * helicity_polarization_vector(lam, theta, phi)
+    return _spherical_waves(j, lam, theta, phi)[m_index(j, m)]
 
 
 def plane_to_spherical_coefficient(j: int, m: int, lam: int, theta, phi):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -22,9 +23,9 @@ from .angular import _coupled, _helicity, _vsh, antipode, helicity_apply, unit_r
 from .reporting import CheckReport
 from .rotations import (
     MAX_WIGNER_J,
+    _spherical_waves,
     euler_to_rotation_matrix,
     rotate_cartesian,
-    spherical_wave_helicity,
     wigner_d_matrix,
 )
 from .specfun import (HarmonicConvention, _Harmonics, bessel_j_halfint, scalar_harmonic,
@@ -117,13 +118,24 @@ class SphereQuadrature:
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.theta, self.phi, indexing="ij")
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return self.theta_weights[:, None] * self.phi_weight * np.ones_like(self.phi)[None, :]
+        w = self.theta_weights[:, None] * self.phi_weight * np.ones_like(self.phi)[None, :]
+        w.flags.writeable = False
+        return w
 
     def integrate(self, values) -> complex:
         v = np.asarray(values)
         return (v * self.weights).sum(axis=(-2, -1))
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-point Gauss-Legendre rule on [-1, 1], computed once per n;
+    read-only, since every caller shares the arrays."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def sphere_quadrature(degree: int) -> SphereQuadrature:
@@ -132,7 +144,7 @@ def sphere_quadrature(degree: int) -> SphereQuadrature:
         raise ValueError("degree must be in [0, 64]")
     n_theta = degree // 2 + 2
     n_phi = degree + 3
-    nodes, weights = leggauss(n_theta)
+    nodes, weights = _gauss_legendre(n_theta)
     return SphereQuadrature(
         theta=np.arccos(nodes),
         theta_weights=weights,
@@ -143,7 +155,7 @@ def sphere_quadrature(degree: int) -> SphereQuadrature:
 
 def radial_quadrature(n: int, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, r_max]."""
-    nodes, weights = leggauss(n)
+    nodes, weights = _gauss_legendre(n)
     return 0.5 * r_max * (nodes + 1.0), 0.5 * r_max * weights
 
 
@@ -182,7 +194,9 @@ def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], list[np.ndarr
         return labels, [_vsh(Y, *label) for label in labels]
     if family == "helicity":
         return labels, [_helicity(Y, *label) for label in labels]
-    return labels, [spherical_wave_helicity(j, m, lam, tg, pg) for lam, j, m in labels]
+    # one D^(j) row per (lam, j) gives every m, in the order m = j..-j
+    return labels, [w for lam in kinds[family] for j in range(1, l_max + 1)
+                    for w in _spherical_waves(j, lam, tg, pg)[::-1]]
 
 
 def check_orthonormality(family: str, l_max: int,
@@ -298,15 +312,14 @@ def check_bessel_recurrences(tolerance: float | None = None) -> CheckReport:
     """Derivative recurrences j'_l = (l/x) j_l - j_{l+1} = j_{l-1} - ((l+1)/x) j_l,
     with j' from central finite differences."""
     x = np.linspace(0.5, 50.0, 199)
-    resid = 0.0
-    for l in range(0, 11):
-        h = 1e-6 * np.maximum(1.0, x)
-        deriv = (spherical_bessel_j(l, x + h) - spherical_bessel_j(l, x - h)) / (2 * h)
-        jl = spherical_bessel_j(l, x)
-        resid = max(resid, float(np.abs(deriv - (l / x) * jl + spherical_bessel_j(l + 1, x)).max()))
-        if l >= 1:
-            resid = max(resid, float(np.abs(
-                deriv - spherical_bessel_j(l - 1, x) + ((l + 1) / x) * jl).max()))
+    h = 1e-6 * np.maximum(1.0, x)
+    # j_l at x - h, x and x + h, one call per order l <= 11
+    below, at, above = np.stack([spherical_bessel_j(l, np.concatenate((x - h, x, x + h)))
+                                 for l in range(12)]).reshape(12, 3, -1).transpose(1, 0, 2)
+    deriv = (above[:11] - below[:11]) / (2 * h)
+    l = np.arange(11)[:, None]
+    resid = float(np.abs(deriv - (l / x) * at[:11] + at[1:]).max())
+    resid = max(resid, float(np.abs(deriv[1:] - at[:10] + ((l[1:] + 1) / x) * at[1:11]).max()))
     return _report("bessel_recurrences", resid, tolerance,
                    "l <= 10 on x in [0.5, 50]")
 
@@ -314,7 +327,8 @@ def check_bessel_recurrences(tolerance: float | None = None) -> CheckReport:
 def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2,
                           tolerance: float | None = None) -> CheckReport:
     """int_0^1 x J_nu(ax) J_nu(bx) dx = 0 (a != b) or J_{nu+1}(a)^2 / 2 (a = b)
-    for a, b zeros of J_nu (half-integer nu)."""
+    for a, b zeros of J_nu (half-integer nu), on ceil(max(a, b)) + 32
+    Gauss-Legendre nodes (40 at the defaults)."""
     two_nu = int(round(2 * nu))
     if two_nu % 2 == 0 or two_nu < 1 or abs(2 * nu - two_nu) > 1e-12:
         raise ValueError("nu must be half-integer (1/2, 3/2, ...)")
@@ -323,7 +337,7 @@ def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2
     count = max(alpha_idx, beta_idx)
     zeros = md.spherical_bessel_zeros((two_nu - 1) // 2, count)
     a, b = zeros[alpha_idx - 1], zeros[beta_idx - 1]
-    x, w = radial_quadrature(256, 1.0)
+    x, w = radial_quadrature(math.ceil(max(a, b)) + 32, 1.0)
     val = float(np.sum(w * x * bessel_j_halfint(two_nu, a * x) * bessel_j_halfint(two_nu, b * x)))
     expected = 0.0 if alpha_idx != beta_idx else 0.5 * bessel_j_halfint(two_nu + 2, a) ** 2
     return _report("bessel_integral", abs(val - expected), tolerance,
@@ -357,37 +371,31 @@ def check_vsh_fourier(j: int, kind: str, kr: float,
         raise ValueError("supported range: 1 <= j <= 4 (0 <= j for scalar), kr <= 20")
     quad = sphere_quadrature(min(64, 2 * int(math.ceil(kr)) + 2 * j + 24))
     tg, pg = quad.grid
-    Y_g = _Harmonics(j + 1, tg, pg)
     rng = np.random.default_rng(5)
-    resid = 0.0
-
-    def g(l):
-        return 4 * np.pi * 1j**l * spherical_bessel_j(l, kr)
-
-    for _ in range(3):
-        th_r = rng.uniform(0.2, np.pi - 0.2)
-        ph_r = rng.uniform(0.0, 2 * np.pi)
-        cosang = (unit_radial(tg, pg) * unit_radial(th_r, ph_r).reshape(3, 1, 1)).sum(axis=0)
-        kernel = np.exp(1j * kr * cosang)
-        Y_r = _Harmonics(j + 1, th_r, ph_r)
-        for m in range(-j, j + 1):
-            # (function on the quadrature grid, expected transform at r^)
-            if kind == "scalar":
-                pairs = [(Y_g(j, m), g(j) * Y_r(j, m))]
-            elif kind == "coupled":
-                pairs = [(_coupled(Y_g, j, l, m), g(l) * _coupled(Y_r, j, l, m))
-                         for l in (j - 1, j, j + 1) if l >= 0]
-            elif kind == "M":
-                pairs = [(_vsh(Y_g, kind, j, m), g(j) * _vsh(Y_r, kind, j, m))]
-            else:
-                a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
-                pairs = [(_vsh(Y_g, kind, j, m),
-                          a * g(j + 1) * _coupled(Y_r, j, j + 1, m)
-                          + b * g(j - 1) * _coupled(Y_r, j, j - 1, m))]
-            for f, rhs in pairs:
-                lhs = quad.integrate(f * kernel)
-                scale = max(1.0, float(abs(rhs).max()))
-                resid = max(resid, float(abs(lhs - rhs).max()) / scale)
+    th_r, ph_r = np.array([(rng.uniform(0.2, np.pi - 0.2), rng.uniform(0.0, 2 * np.pi))
+                           for _ in range(3)]).T
+    Y_g, Y_r = _Harmonics(j + 1, tg, pg), _Harmonics(j + 1, th_r, ph_r)
+    g = {l: 4 * np.pi * 1j**l * spherical_bessel_j(l, kr) for l in range(max(j - 1, 0), j + 2)}
+    # (function on the quadrature grid, expected transform at each r^), with
+    # the component axis first
+    if kind == "scalar":
+        pairs = [(Y_g(j, m)[None], g[j] * Y_r(j, m)[None]) for m in range(-j, j + 1)]
+    elif kind == "coupled":
+        pairs = [(_coupled(Y_g, j, l, m), g[l] * _coupled(Y_r, j, l, m))
+                 for m in range(-j, j + 1) for l in (j - 1, j, j + 1) if l >= 0]
+    elif kind == "M":
+        pairs = [(_vsh(Y_g, kind, j, m), g[j] * _vsh(Y_r, kind, j, m)) for m in range(-j, j + 1)]
+    else:
+        a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
+        pairs = [(_vsh(Y_g, kind, j, m), a * g[j + 1] * _coupled(Y_r, j, j + 1, m)
+                  + b * g[j - 1] * _coupled(Y_r, j, j - 1, m)) for m in range(-j, j + 1)]
+    f, rhs = (np.stack(t) for t in zip(*pairs))
+    # every member's integral against the three kernels e^{i k.r} at once
+    cosang = np.einsum("cab,cd->dab", unit_radial(tg, pg), unit_radial(th_r, ph_r))
+    kernel = (np.exp(1j * kr * cosang) * quad.weights).reshape(3, -1)
+    lhs = f.reshape(f.shape[:2] + (-1,)) @ kernel.T
+    scale = np.maximum(1.0, np.abs(rhs).max(axis=1))
+    resid = float((np.abs(lhs - rhs).max(axis=1) / scale).max())
     return _report("vsh_fourier", resid, tolerance,
                    f"kind={kind}, j={j}, kr={kr}")
 
@@ -527,18 +535,26 @@ def _mode_energies(specs: list[md.ModeSpec], config: md.CavityConfig,
     return out
 
 
+def _radial_rule(specs: list[md.ModeSpec],
+                 config: md.CavityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [0, R] with ceil(x_max) + 24 nodes, x_max the
+    largest root kR of the frequency-sorted specs: products of the j_l(kr)
+    up to x_max integrate to rounding level."""
+    return radial_quadrature(math.ceil(specs[-1].x_root) + 24, config.radius)
+
+
 def check_mode_energy(j_max: int = 3, n_max: int = 3,
                       tolerance: float | None = None) -> CheckReport:
     """Quadrature energy of each normalized mode of spectrum(j_max, n_max)
     equals hbar omega.  The energy is (1/2) w^2 eps0 int |A|^2 d3r, twice
-    the electric part of _mode_energies, summed in separable form on 200
-    radial nodes and a sphere rule of degree 2j + 6; the range of j_max and
-    n_max is spectrum's."""
+    the electric part of _mode_energies, summed in separable form on
+    _radial_rule (38 nodes at the defaults, 155 at (20, 32)) and a sphere
+    rule of degree 2j + 6; the range of j_max and n_max is spectrum's."""
     config = md.CavityConfig()
     specs = md.spectrum(j_max, n_max, config)
+    radial = _radial_rule(specs, config)
     quads = {j: sphere_quadrature(2 * (j + 2) + 2) for j in range(1, j_max + 1)}
-    energy = 2.0 * _mode_energies(specs, config, radial_quadrature(200, config.radius),
-                                  quads)[:, 0]
+    energy = 2.0 * _mode_energies(specs, config, radial, quads)[:, 0]
     omega = np.array([spec.omega for spec in specs])
     resid = np.abs(energy / (config.hbar * omega) - 1.0).max()
     return _report("mode_energy", resid, tolerance,
@@ -548,13 +564,14 @@ def check_mode_energy(j_max: int = 3, n_max: int = 3,
 def check_mode_equipartition(j_max: int = 2, n_max: int = 2,
                              tolerance: float | None = None) -> CheckReport:
     """Electric-part and magnetic-part field energies of each mode of
-    spectrum(j_max, n_max) agree: _mode_energies on 80 radial nodes and a
-    sphere rule of degree 2j + 8, with B the closed-form curl."""
+    spectrum(j_max, n_max) agree: _mode_energies on _radial_rule (34 nodes
+    at the defaults, 155 at (20, 32)) and a sphere rule of degree 2j + 8,
+    with B the closed-form curl."""
     config = md.CavityConfig()
     specs = md.spectrum(j_max, n_max, config)
+    radial = _radial_rule(specs, config)
     quads = {j: sphere_quadrature(2 * (j + 2) + 4) for j in range(1, j_max + 1)}
-    e_elec, e_mag = _mode_energies(specs, config, radial_quadrature(80, config.radius),
-                                   quads).T
+    e_elec, e_mag = _mode_energies(specs, config, radial, quads).T
     resid = np.abs(e_mag / e_elec - 1.0).max()
     return _report("mode_equipartition", resid, tolerance,
                    f"modes with j <= {j_max}, n <= {n_max}, closed-form curl")

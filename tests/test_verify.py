@@ -5,14 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sphcavity import modes as md
-from sphcavity.angular import antipode, helicity_apply, helicity_vsh, unit_radial, vsh
+from sphcavity.angular import (antipode, helicity_apply, helicity_vsh, unit_radial, vsh,
+                               vsh_coupled)
 from sphcavity.modes import CavityConfig, mode_spec, spherical_bessel_zeros
 from sphcavity.reporting import CheckReport
-from sphcavity.specfun import HarmonicConvention, scalar_harmonic
+from sphcavity.rotations import (_spherical_waves, helicity_polarization_vector, m_index,
+                                 spherical_wave_helicity, wigner_d_matrix, wigner_entry)
+from sphcavity.specfun import HarmonicConvention, scalar_harmonic, spherical_bessel_j
 from sphcavity.verify import (
     DEFAULT_TOLERANCES,
     _mode_energies,
     check_bessel_integral,
+    check_bessel_recurrences,
     check_cross_products,
     check_dmatrix_unitarity,
     check_dual_condition,
@@ -114,6 +118,11 @@ class TestIndividualChecks:
         with pytest.raises(ValueError, match="start at 1"):
             check_bessel_integral(1.5, 0, 2)
 
+    @pytest.mark.parametrize("zeros", [(30, 31), (64, 64)])
+    def test_bessel_integral_count_edge(self, zeros):
+        # the radial rule grows with the largest zero, up to count = 64
+        assert check_bessel_integral(1.5, *zeros).max_residual <= 1e-15
+
     def test_vsh_fourier_zero_argument(self):
         # at kr = 0 only the l = 0 transform survives: the j-1 term of the
         # electric transform reduces to g_0(0) = 4 pi for j = 1, and for
@@ -171,8 +180,9 @@ def _full_field_energies(spec, config, radial, quad):
 
 
 class TestModeEnergies:
-    # the rules of check_mode_energy and check_mode_equipartition:
-    # radial nodes, and sphere degree 2j + pad
+    # the sphere rules of check_mode_energy and check_mode_equipartition,
+    # degree 2j + pad, each on a radial rule finer than the checks' own
+    # ceil(x_max) + 24 nodes (45 here): the separable sum is exact on any rule
     @pytest.mark.parametrize("n_radial,pad", [(200, 6), (80, 8)])
     def test_separable_sum_equals_full_field_integral(self, n_radial, pad):
         config = CavityConfig()
@@ -188,17 +198,17 @@ class TestModeEnergies:
             assert_allclose(energies, want, rtol=1e-13, atol=0, err_msg=str(spec.index))
 
     def test_spectrum_edge(self):
-        # ROADMAP's advertised spectrum corner (20, 32); the 80-node rule of
-        # equipartition under-resolves x ~ 120 there, at ~1e-8
+        # the advertised spectrum corner (20, 32), where the largest root is
+        # x ~ 130: both radial rules grow with it
         assert check_mode_energy(j_max=20, n_max=32).max_residual <= 1e-13
-        report = check_mode_equipartition(j_max=20, n_max=32)
-        assert report.passed, report
+        assert check_mode_equipartition(j_max=20, n_max=32).max_residual <= 1e-13
 
 
 class TestStackedChecks:
-    """The angular checks compare whole stacks of basis members; each must
-    read, bit for bit, the residual of a member-by-member loop over the
-    public harmonics with the check's directions."""
+    """The stacked checks evaluate whole stacks of basis members or orders;
+    each must read, bit for bit, the residual of a member-by-member loop over
+    the public functions with the check's points, except vsh_fourier, whose
+    quadrature sums run in another order (within 1e-15)."""
 
     @staticmethod
     def directions(seed, n, margin):
@@ -245,6 +255,78 @@ class TestStackedChecks:
                 resid = max(resid, np.abs(np.cross(n, ye, axis=0) - 1j * ym).max(),
                             np.abs(-1j * np.cross(n, ym, axis=0) - ye).max())
         assert check_cross_products().max_residual == resid
+
+    def test_bessel_recurrences(self):
+        x = np.linspace(0.5, 50.0, 199)
+        h = 1e-6 * np.maximum(1.0, x)
+        resid = 0.0
+        for l in range(11):
+            deriv = (spherical_bessel_j(l, x + h) - spherical_bessel_j(l, x - h)) / (2 * h)
+            jl = spherical_bessel_j(l, x)
+            resid = max(resid, np.abs(deriv - (l / x) * jl + spherical_bessel_j(l + 1, x)).max())
+            if l >= 1:
+                resid = max(resid, np.abs(
+                    deriv - spherical_bessel_j(l - 1, x) + ((l + 1) / x) * jl).max())
+        assert check_bessel_recurrences().max_residual == resid
+
+    def test_orthonormality_spherical_wave(self):
+        quad = sphere_quadrature(14)
+        tg, pg = quad.grid
+        s = np.stack([spherical_wave_helicity(j, m, lam, tg, pg) for lam in (+1, -1)
+                      for j in range(1, 5) for m in range(-j, j + 1)]).reshape(48, -1)
+        w = np.broadcast_to(quad.weights, (3,) + tg.shape).ravel()
+        resid = np.abs(s.conj() @ (s * w).T - np.eye(len(s))).max()
+        assert check_orthonormality("spherical_wave", 4).max_residual == resid
+
+    @pytest.mark.parametrize("j,kind,kr", [(0, "scalar", 1.0), (1, "M", 2.5), (2, "E", 3.0),
+                                           (2, "coupled", 2.0)])
+    def test_vsh_fourier(self, j, kind, kr):
+        # one quad.integrate per (direction, member)
+        quad = sphere_quadrature(min(64, 2 * math.ceil(kr) + 2 * j + 24))
+        tg, pg = quad.grid
+        rng = np.random.default_rng(5)
+
+        def g(l):
+            return 4 * np.pi * 1j**l * spherical_bessel_j(l, kr)
+
+        a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
+        resid = 0.0
+        for _ in range(3):
+            th, ph = rng.uniform(0.2, np.pi - 0.2), rng.uniform(0.0, 2 * np.pi)
+            cosang = (unit_radial(tg, pg) * unit_radial(th, ph).reshape(3, 1, 1)).sum(axis=0)
+            kernel = np.exp(1j * kr * cosang)
+            for m in range(-j, j + 1):
+                if kind == "scalar":
+                    pairs = [(scalar_harmonic(j, m, tg, pg), g(j) * scalar_harmonic(j, m, th, ph))]
+                elif kind == "coupled":
+                    pairs = [(vsh_coupled(j, l, m, tg, pg), g(l) * vsh_coupled(j, l, m, th, ph))
+                             for l in (j - 1, j, j + 1)]
+                elif kind == "M":
+                    pairs = [(vsh("M", j, m, tg, pg), g(j) * vsh("M", j, m, th, ph))]
+                else:
+                    pairs = [(vsh("E", j, m, tg, pg),
+                              a * g(j + 1) * vsh_coupled(j, j + 1, m, th, ph)
+                              + b * g(j - 1) * vsh_coupled(j, j - 1, m, th, ph))]
+                for f, rhs in pairs:
+                    lhs = quad.integrate(f * kernel)
+                    scale = max(1.0, np.abs(rhs).max())
+                    resid = max(resid, np.abs(lhs - rhs).max() / scale)
+        assert abs(check_vsh_fourier(j, kind, kr).max_residual - resid) <= 1e-15
+
+    def test_spherical_waves_rows(self):
+        # each row against the defining product, one D^(j) entry times the
+        # polarization vector, and against the public per-member function
+        th, ph = self.directions(4, 12, 0.0)
+        for j in range(1, 21):
+            for lam in (+1, -1):
+                for t, p in ((th, ph), (th[0], ph[0])):
+                    rows = _spherical_waves(j, lam, t, p)
+                    dmat = wigner_d_matrix(j, p, t, 0.0)
+                    for m in range(-j, j + 1):
+                        amp = math.sqrt((2 * j + 1) / (4 * math.pi)) * wigner_entry(dmat, j, lam, m)
+                        want = amp * helicity_polarization_vector(lam, t, p)
+                        assert np.array_equal(rows[m_index(j, m)], want), (j, m, lam)
+                        assert np.array_equal(spherical_wave_helicity(j, m, lam, t, p), want)
 
 
 class TestVshProject:
