@@ -1,17 +1,17 @@
 """Quadrature engines and the cross-cutting property-check suite.
 
-Every check returns a :class:`CheckReport`; :func:`run_suite` executes
-the default battery (orthonormality, parity, helicity eigen-equations,
-Bessel identities, plane-wave expansions, rotation algebra, mode
-boundary/energy checks, entanglement catalog checks) with one report per
-named check, aggregated in name order.  Tolerances live in
-``DEFAULT_TOLERANCES`` and can be overridden per name.
+Every check returns a :class:`CheckReport` at its default tolerance.  One
+registry entry per named check (orthonormality, parity, helicity, Bessel
+identities, plane-wave expansions, rotation algebra, mode and entanglement
+checks) holds that tolerance and the suite's call; ``DEFAULT_TOLERANCES`` is
+read from it.  :func:`run_suite` runs the checks in name order and applies
+per-name tolerance overrides, each a finite number > 0, in one place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -65,35 +65,6 @@ ELECTRIC_REFERENCE_TABLE = {
     4: (6.06195, 9.96755, 13.3801, 16.6742),
 }
 MAGNETIC_TABLE_SKIPPED_ROOTS = {1: 14.06619, 2: 9.09501, 3: 16.92362}
-
-TABLE_RELATIVE_TOLERANCE = 5e-5
-
-DEFAULT_TOLERANCES = {
-    "bessel_integral": 1e-9,
-    "bessel_recurrences": 1e-8,
-    "completeness": 1e-10,
-    "cross_products": 1e-13,
-    "dmatrix_golden": 1e-12,
-    "dmatrix_unitarity": 1e-12,
-    "dual_condition": 0.5,
-    "entangle_catalog": 0.5,
-    "entangle_factorization": 1e-14,
-    "helicity_eigen": 1e-12,
-    "mode_boundary": 1e-7,
-    "mode_energy": 1e-8,
-    "mode_equipartition": 1e-6,
-    "mode_tables": TABLE_RELATIVE_TOLERANCE,
-    "orthonormality_coupled": 1e-11,
-    "orthonormality_eml": 1e-11,
-    "orthonormality_helicity": 1e-11,
-    "orthonormality_scalar": 1e-12,
-    "orthonormality_spherical_wave": 1e-11,
-    "parity": 1e-12,
-    "plane_wave_expansion": 1e-10,
-    "quadrature_convergence": 1.0,
-    "vsh_fourier": 1e-9,
-    "vsh_linear_combinations": 1e-12,
-}
 
 
 # --------------------------------------------------------------------------
@@ -159,12 +130,9 @@ def radial_quadrature(n: int, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * r_max * (nodes + 1.0), 0.5 * r_max * weights
 
 
-def _report(name: str, residual: float, tolerance: float | None,
-            details: str) -> CheckReport:
-    """The named check's report, at its DEFAULT_TOLERANCES entry unless a
-    tolerance is given."""
-    tol = DEFAULT_TOLERANCES[name] if tolerance is None else float(tolerance)
-    return CheckReport(name, float(residual), tol, details=details)
+def _report(name: str, residual: float, details: str) -> CheckReport:
+    """The named check's report, at its default tolerance."""
+    return CheckReport(name, float(residual), DEFAULT_TOLERANCES[name], details=details)
 
 
 # --------------------------------------------------------------------------
@@ -199,8 +167,7 @@ def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], list[np.ndarr
                     for w in _spherical_waves(j, lam, tg, pg)[::-1]]
 
 
-def check_orthonormality(family: str, l_max: int,
-                         tolerance: float | None = None) -> CheckReport:
+def check_orthonormality(family: str, l_max: int) -> CheckReport:
     """Max |Gram - identity| entry over one basis family (sphere quadrature)."""
     if l_max > 8:
         raise ValueError("l_max must be <= 8")
@@ -212,11 +179,10 @@ def check_orthonormality(family: str, l_max: int,
     s = samples.reshape(len(samples), -1)
     gram = s.conj() @ (s * w).T
     resid = np.abs(gram - np.eye(len(s))).max()
-    return _report(f"orthonormality_{family}", resid, tolerance,
-                   f"{len(s)} functions, l_max={l_max}")
+    return _report(f"orthonormality_{family}", resid, f"{len(s)} functions, l_max={l_max}")
 
 
-def check_parity(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
+def check_parity(l_max: int = 4) -> CheckReport:
     """Parity eigenvalues: scalar (-1)^l; E and L carry (-1)^j, M carries
     (-1)^(j+1) under the vector parity operation (P V)(n) = -V(-n)."""
     rng = np.random.default_rng(20260810)
@@ -238,11 +204,10 @@ def check_parity(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
     sign = np.array([(-1.0) ** (j + (kind == "M")) for kind, j, _ in labels])[:, None, None]
     expected = sign * np.stack(_family("eml", l_max, th, ph)[1])
     resid = max(resid, float(np.abs(-np.stack(flipped) - expected).max()))
-    return _report("parity", resid, tolerance,
-                   "scalar and E/M/L vector parity eigenvalues")
+    return _report("parity", resid, "scalar and E/M/L vector parity eigenvalues")
 
 
-def check_helicity_eigen(l_max: int = 4, tolerance: float | None = None) -> CheckReport:
+def check_helicity_eigen(l_max: int = 4) -> CheckReport:
     """(S.n) Y^(lam) = lam Y^(lam) pointwise, and (S.n)^2 = 1 on transverse."""
     rng = np.random.default_rng(20260811)
     th = rng.uniform(0.1, np.pi - 0.1, 16)
@@ -255,12 +220,10 @@ def check_helicity_eigen(l_max: int = 4, tolerance: float | None = None) -> Chec
     y = y[:, lam != 0]
     twice = helicity_apply(th, ph, helicity_apply(th, ph, y))
     resid = max(resid, float(np.abs(twice - y).max(initial=0.0)))
-    return _report("helicity_eigen", resid, tolerance,
-                   f"helicity eigen-equation up to j={l_max}")
+    return _report("helicity_eigen", resid, f"helicity eigen-equation up to j={l_max}")
 
 
-def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3,
-                                  tolerance: float | None = None) -> CheckReport:
+def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3) -> CheckReport:
     """E/M/L as fixed linear combinations of the coupled harmonics Y_jlm."""
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.05, np.pi - 0.05, n_dirs)
@@ -284,11 +247,10 @@ def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3,
             # radial/tangential structure
             resid = max(resid, float(np.abs((n * yl).sum(axis=0) - Y(j, m)).max()))
             resid = max(resid, float(np.abs((n * ye).sum(axis=0)).max()))
-    return _report("vsh_linear_combinations", resid, tolerance,
-                   f"{n_dirs} random directions, j <= 4")
+    return _report("vsh_linear_combinations", resid, f"{n_dirs} random directions, j <= 4")
 
 
-def check_cross_products(tolerance: float | None = None) -> CheckReport:
+def check_cross_products() -> CheckReport:
     """n x Y^E = i Y^M and Y^E = -i (n x Y^M), pointwise."""
     rng = np.random.default_rng(11)
     th = rng.uniform(0.05, np.pi - 0.05, 40)
@@ -300,15 +262,14 @@ def check_cross_products(tolerance: float | None = None) -> CheckReport:
     n = unit_radial(th, ph)[:, None]
     resid = float(np.abs(np.cross(n, ye, axis=0) - 1j * ym).max())
     resid = max(resid, float(np.abs(-1j * np.cross(n, ym, axis=0) - ye).max()))
-    return _report("cross_products", resid, tolerance,
-                   "n x Y^E = iY^M and Y^E = -i n x Y^M, j <= 4")
+    return _report("cross_products", resid, "n x Y^E = iY^M and Y^E = -i n x Y^M, j <= 4")
 
 
 # --------------------------------------------------------------------------
 # scalar-function identities
 
 
-def check_bessel_recurrences(tolerance: float | None = None) -> CheckReport:
+def check_bessel_recurrences() -> CheckReport:
     """Derivative recurrences j'_l = (l/x) j_l - j_{l+1} = j_{l-1} - ((l+1)/x) j_l,
     with j' from central finite differences."""
     x = np.linspace(0.5, 50.0, 199)
@@ -320,12 +281,10 @@ def check_bessel_recurrences(tolerance: float | None = None) -> CheckReport:
     l = np.arange(11)[:, None]
     resid = float(np.abs(deriv - (l / x) * at[:11] + at[1:]).max())
     resid = max(resid, float(np.abs(deriv[1:] - at[:10] + ((l[1:] + 1) / x) * at[1:11]).max()))
-    return _report("bessel_recurrences", resid, tolerance,
-                   "l <= 10 on x in [0.5, 50]")
+    return _report("bessel_recurrences", resid, "l <= 10 on x in [0.5, 50]")
 
 
-def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2,
-                          tolerance: float | None = None) -> CheckReport:
+def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2) -> CheckReport:
     """int_0^1 x J_nu(ax) J_nu(bx) dx = 0 (a != b) or J_{nu+1}(a)^2 / 2 (a = b)
     for a, b zeros of J_nu (half-integer nu), on ceil(max(a, b)) + 32
     Gauss-Legendre nodes (40 at the defaults)."""
@@ -340,12 +299,11 @@ def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2
     x, w = radial_quadrature(math.ceil(max(a, b)) + 32, 1.0)
     val = float(np.sum(w * x * bessel_j_halfint(two_nu, a * x) * bessel_j_halfint(two_nu, b * x)))
     expected = 0.0 if alpha_idx != beta_idx else 0.5 * bessel_j_halfint(two_nu + 2, a) ** 2
-    return _report("bessel_integral", abs(val - expected), tolerance,
+    return _report("bessel_integral", abs(val - expected),
                    f"nu={nu}, zeros #{alpha_idx}, #{beta_idx}")
 
 
-def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int,
-                               tolerance: float | None = None) -> CheckReport:
+def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int) -> CheckReport:
     """Partial-wave expansion of exp(i k.r) against the direct exponential."""
     thk, phk = dir_k
     thr, phr = dir_r
@@ -357,12 +315,10 @@ def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int,
         for m in range(-l, l + 1):
             total += 4 * np.pi * 1j**l * jl * np.conj(Y_k(l, m)) * Y_r(l, m)
     direct = np.exp(1j * kr * float((unit_radial(thk, phk) * unit_radial(thr, phr)).sum()))
-    return _report("plane_wave_expansion", abs(total - direct), tolerance,
-                   f"kr={kr}, l_max={l_max}")
+    return _report("plane_wave_expansion", abs(total - direct), f"kr={kr}, l_max={l_max}")
 
 
-def check_vsh_fourier(j: int, kind: str, kr: float,
-                      tolerance: float | None = None) -> CheckReport:
+def check_vsh_fourier(j: int, kind: str, kr: float) -> CheckReport:
     """Angular transform int Y(k^) e^{i k.r} dOmega_k = g_l(kr) Y(r^) with
     g_l = 4 pi i^l j_l; the E-type maps onto the shifted-degree pair."""
     if kind not in ("scalar", "coupled", "M", "E"):
@@ -396,16 +352,15 @@ def check_vsh_fourier(j: int, kind: str, kr: float,
     lhs = f.reshape(f.shape[:2] + (-1,)) @ kernel.T
     scale = np.maximum(1.0, np.abs(rhs).max(axis=1))
     resid = float((np.abs(lhs - rhs).max(axis=1) / scale).max())
-    return _report("vsh_fourier", resid, tolerance,
-                   f"kind={kind}, j={j}, kr={kr}")
+    return _report("vsh_fourier", resid, f"kind={kind}, j={j}, kr={kr}")
 
 
 # --------------------------------------------------------------------------
 # rotation checks
 
 
-def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9,
-                            tolerance: float | None = None) -> CheckReport:
+def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9) -> CheckReport:
+    """D^(j) D^(j)+ = 1 at random Euler angles and D^(j)(0, 0, 0) = 1, j <= j_max."""
     if not 0 <= j_max <= MAX_WIGNER_J:
         raise ValueError(f"j_max must be in [0, {MAX_WIGNER_J}]")
     rng = np.random.default_rng(seed)
@@ -416,8 +371,7 @@ def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9,
         resid = max(resid, float(np.abs(d @ d.conj().T - np.eye(2 * j + 1)).max()))
         d0 = wigner_d_matrix(j, 0.0, 0.0, 0.0)
         resid = max(resid, float(np.abs(d0 - np.eye(2 * j + 1)).max()))
-    return _report("dmatrix_unitarity", resid, tolerance,
-                   f"random angles, j <= {j_max}")
+    return _report("dmatrix_unitarity", resid, f"random angles, j <= {j_max}")
 
 
 _GOLDEN_D1 = np.array([
@@ -427,22 +381,21 @@ _GOLDEN_D1 = np.array([
 ])
 
 
-def check_dmatrix_golden(tolerance: float | None = None) -> CheckReport:
+def check_dmatrix_golden() -> CheckReport:
     """The j=1, beta=pi/2 matrix entry-for-entry, and the worked vector
     rotation x-axis -> z-axis under the quarter-turn frame rotation."""
     d = wigner_d_matrix(1, 0.0, math.pi / 2, 0.0)
     resid = float(np.abs(d - _GOLDEN_D1).max())
     rotated = rotate_cartesian([1.0, 0.0, 0.0], 0.0, math.pi / 2, 0.0)
     resid = max(resid, float(np.abs(rotated - np.array([0.0, 0.0, 1.0])).max()))
-    return _report("dmatrix_golden", resid, tolerance,
-                   "d^1(pi/2) matrix and (1,0,0)->(0,0,1) rotation")
+    return _report("dmatrix_golden", resid, "d^1(pi/2) matrix and (1,0,0)->(0,0,1) rotation")
 
 
 # --------------------------------------------------------------------------
 # mode checks
 
 
-def check_mode_tables(tolerance: float | None = None) -> CheckReport:
+def check_mode_tables() -> CheckReport:
     """Reproduce the reference frequency tables.
 
     Electric entries must match the computed sequence positionally
@@ -470,11 +423,10 @@ def check_mode_tables(tolerance: float | None = None) -> CheckReport:
     details = ("electric rows positional, magnetic rows by membership; "
                "roots absent from the magnetic reference rows were found at "
                + "; ".join(skipped_found))
-    return _report("mode_tables", resid, tolerance, details)
+    return _report("mode_tables", resid, details)
 
 
-def check_dual_condition(j_max: int = 6, n_each: int = 8,
-                         tolerance: float | None = None) -> CheckReport:
+def check_dual_condition(j_max: int = 6, n_each: int = 8) -> CheckReport:
     """Electric and magnetic root sets are disjoint and omega^E_{j,1} <
     omega^M_{j,1} for every j <= j_max."""
     min_dist = np.inf
@@ -485,7 +437,7 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8,
         min_dist = min(min_dist, min(abs(a - b) for a in re for b in rm))
         ok = ok and (re[0] < rm[0])
     resid = 0.0 if (ok and min_dist > 1e-6) else 1.0
-    return _report("dual_condition", resid, tolerance,
+    return _report("dual_condition", resid,
                    f"j <= {j_max}, min |x_E - x_M| = {min_dist:.4f}, "
                    f"lowest-root ordering {'holds' if ok else 'fails'}")
 
@@ -543,8 +495,7 @@ def _radial_rule(specs: list[md.ModeSpec],
     return radial_quadrature(math.ceil(specs[-1].x_root) + 24, config.radius)
 
 
-def check_mode_energy(j_max: int = 3, n_max: int = 3,
-                      tolerance: float | None = None) -> CheckReport:
+def check_mode_energy(j_max: int = 3, n_max: int = 3) -> CheckReport:
     """Quadrature energy of each normalized mode of spectrum(j_max, n_max)
     equals hbar omega.  The energy is (1/2) w^2 eps0 int |A|^2 d3r, twice
     the electric part of _mode_energies, summed in separable form on
@@ -557,12 +508,10 @@ def check_mode_energy(j_max: int = 3, n_max: int = 3,
     energy = 2.0 * _mode_energies(specs, config, radial, quads)[:, 0]
     omega = np.array([spec.omega for spec in specs])
     resid = np.abs(energy / (config.hbar * omega) - 1.0).max()
-    return _report("mode_energy", resid, tolerance,
-                   f"all modes with j <= {j_max}, n <= {n_max}")
+    return _report("mode_energy", resid, f"all modes with j <= {j_max}, n <= {n_max}")
 
 
-def check_mode_equipartition(j_max: int = 2, n_max: int = 2,
-                             tolerance: float | None = None) -> CheckReport:
+def check_mode_equipartition(j_max: int = 2, n_max: int = 2) -> CheckReport:
     """Electric-part and magnetic-part field energies of each mode of
     spectrum(j_max, n_max) agree: _mode_energies on _radial_rule (34 nodes
     at the defaults, 155 at (20, 32)) and a sphere rule of degree 2j + 8,
@@ -573,17 +522,17 @@ def check_mode_equipartition(j_max: int = 2, n_max: int = 2,
     quads = {j: sphere_quadrature(2 * (j + 2) + 4) for j in range(1, j_max + 1)}
     e_elec, e_mag = _mode_energies(specs, config, radial, quads).T
     resid = np.abs(e_mag / e_elec - 1.0).max()
-    return _report("mode_equipartition", resid, tolerance,
+    return _report("mode_equipartition", resid,
                    f"modes with j <= {j_max}, n <= {n_max}, closed-form curl")
 
 
-def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64,
-                        tolerance: float | None = None) -> CheckReport:
+def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64) -> CheckReport:
+    """Every mode of spectrum(j_max, n_max) has zero tangential E and normal B at r = R."""
     config = md.CavityConfig()
     resid = 0.0
     for spec in md.spectrum(j_max, n_max, config):
         resid = max(resid, md.boundary_residual(spec, config, n_dirs=n_dirs).max_residual)
-    return _report("mode_boundary", resid, tolerance,
+    return _report("mode_boundary", resid,
                    f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
                    f"({n_dirs} directions each)")
 
@@ -616,8 +565,7 @@ def vsh_project(field_fn, l_max: int,
     return coeffs, report
 
 
-def check_completeness(l_max: int = 8, seed: int = 7,
-                       tolerance: float | None = None) -> CheckReport:
+def check_completeness(l_max: int = 8, seed: int = 7) -> CheckReport:
     """A random band-limited vector field is reproduced by projection and
     resummation over {Y^L, Y^E, Y^M}."""
     rng = np.random.default_rng(seed)
@@ -639,11 +587,11 @@ def check_completeness(l_max: int = 8, seed: int = 7,
     resid = report.max_residual
     for kind, l, m, c in terms:
         resid = max(resid, abs(coeffs[(kind, l, m)] - c))
-    return _report("completeness", resid, tolerance,
+    return _report("completeness", resid,
                    f"{len(terms)} random components, projection through l={l_max}")
 
 
-def check_quadrature_convergence(tolerance: float | None = None) -> CheckReport:
+def check_quadrature_convergence() -> CheckReport:
     """Doubling the rule degree must not grow a representative residual by
     more than 10x (guards against accidental exactness)."""
 
@@ -658,7 +606,7 @@ def check_quadrature_convergence(tolerance: float | None = None) -> CheckReport:
 
     r1, r2 = gram_resid(14), gram_resid(28)
     ratio = r2 / (10.0 * r1 + 1e-15)
-    return _report("quadrature_convergence", ratio, tolerance,
+    return _report("quadrature_convergence", ratio,
                    f"residual {r1:.2e} at degree 14 vs {r2:.2e} at 28")
 
 
@@ -666,7 +614,8 @@ def check_quadrature_convergence(tolerance: float | None = None) -> CheckReport:
 # entanglement checks
 
 
-def check_entangle_catalog(tolerance: float | None = None) -> CheckReport:
+def check_entangle_catalog() -> CheckReport:
+    """10 partitions (4 of one field, 6 of two) and 40 distinct catalog entries."""
     parts = ent.enumerate_partitions()
     catalog = ent.enumerate_catalog()
     ids = [e.identifier for e in catalog]
@@ -674,11 +623,11 @@ def check_entangle_catalog(tolerance: float | None = None) -> CheckReport:
           and sum(1 for p in parts if len(p.alpha_fields) == 1) == 4
           and sum(1 for p in parts if len(p.alpha_fields) == 2) == 6
           and len(catalog) == 40 and len(set(ids)) == 40)
-    return _report("entangle_catalog", 0.0 if ok else 1.0, tolerance,
+    return _report("entangle_catalog", 0.0 if ok else 1.0,
                    f"{len(parts)} partitions, {len(catalog)} catalog entries")
 
 
-def check_entangle_factorization(tolerance: float | None = None) -> CheckReport:
+def check_entangle_factorization() -> CheckReport:
     """Every catalog entry built with distinct labels passes the Bell
     factorization and exchange-symmetry checks; the antisymmetric
     construction with equal spectator labels symmetrizes to zero."""
@@ -699,49 +648,50 @@ def check_entangle_factorization(tolerance: float | None = None) -> CheckReport:
         zero_note = "MISSED degenerate zero state"
     except ent.DegenerateStateError:
         zero_note = "degenerate psi-minus construction correctly reported as zero"
-    return _report("entangle_factorization", resid, tolerance,
-                   f"all 40 catalog entries; {zero_note}")
+    return _report("entangle_factorization", resid, f"all 40 catalog entries; {zero_note}")
 
 
 # --------------------------------------------------------------------------
 # suite driver
 
-_SUITE_BUILDERS = {
-    "bessel_integral": lambda tol, seed: check_bessel_integral(1.5, 1, 2, tolerance=tol),
-    "bessel_recurrences": lambda tol, seed: check_bessel_recurrences(tolerance=tol),
-    "completeness": lambda tol, seed: check_completeness(seed=seed, tolerance=tol),
-    "cross_products": lambda tol, seed: check_cross_products(tolerance=tol),
-    "dmatrix_golden": lambda tol, seed: check_dmatrix_golden(tolerance=tol),
-    "dmatrix_unitarity": lambda tol, seed: check_dmatrix_unitarity(seed=seed, tolerance=tol),
-    "dual_condition": lambda tol, seed: check_dual_condition(tolerance=tol),
-    "entangle_catalog": lambda tol, seed: check_entangle_catalog(tolerance=tol),
-    "entangle_factorization": lambda tol, seed: check_entangle_factorization(tolerance=tol),
-    "helicity_eigen": lambda tol, seed: check_helicity_eigen(tolerance=tol),
-    "mode_boundary": lambda tol, seed: check_mode_boundary(tolerance=tol),
-    "mode_energy": lambda tol, seed: check_mode_energy(tolerance=tol),
-    "mode_equipartition": lambda tol, seed: check_mode_equipartition(tolerance=tol),
-    "mode_tables": lambda tol, seed: check_mode_tables(tolerance=tol),
-    "orthonormality_coupled": lambda tol, seed: check_orthonormality("coupled", 4, tolerance=tol),
-    "orthonormality_eml": lambda tol, seed: check_orthonormality("eml", 4, tolerance=tol),
-    "orthonormality_helicity": lambda tol, seed: check_orthonormality("helicity", 4, tolerance=tol),
-    "orthonormality_scalar": lambda tol, seed: check_orthonormality("scalar", 6, tolerance=tol),
-    "orthonormality_spherical_wave": lambda tol, seed: check_orthonormality("spherical_wave", 4, tolerance=tol),
-    "parity": lambda tol, seed: check_parity(tolerance=tol),
-    "plane_wave_expansion": lambda tol, seed: check_plane_wave_expansion(
-        2.0, 1.0, (0.7, 1.3), (2.1, 5.0), 20, tolerance=tol),
-    "quadrature_convergence": lambda tol, seed: check_quadrature_convergence(tolerance=tol),
-    "vsh_fourier": lambda tol, seed: max(
-        (check_vsh_fourier(jj, kk, krkr, tolerance=tol)
-         for jj, kk, krkr in ((0, "scalar", 1.0), (1, "M", 2.5), (2, "E", 3.0),
-                              (2, "coupled", 2.0))),
-        key=lambda r: r.max_residual),
-    "vsh_linear_combinations": lambda tol, seed: check_vsh_linear_combinations(
-        seed=seed, tolerance=tol),
+# name: (default tolerance, the suite's call of the check given the suite seed)
+_SUITE = {
+    "bessel_integral": (1e-9, lambda seed: check_bessel_integral(1.5, 1, 2)),
+    "bessel_recurrences": (1e-8, lambda seed: check_bessel_recurrences()),
+    "completeness": (1e-10, lambda seed: check_completeness(seed=seed)),
+    "cross_products": (1e-13, lambda seed: check_cross_products()),
+    "dmatrix_golden": (1e-12, lambda seed: check_dmatrix_golden()),
+    "dmatrix_unitarity": (1e-12, lambda seed: check_dmatrix_unitarity(seed=seed)),
+    "dual_condition": (0.5, lambda seed: check_dual_condition()),
+    "entangle_catalog": (0.5, lambda seed: check_entangle_catalog()),
+    "entangle_factorization": (1e-14, lambda seed: check_entangle_factorization()),
+    "helicity_eigen": (1e-12, lambda seed: check_helicity_eigen()),
+    "mode_boundary": (1e-7, lambda seed: check_mode_boundary()),
+    "mode_energy": (1e-8, lambda seed: check_mode_energy()),
+    "mode_equipartition": (1e-6, lambda seed: check_mode_equipartition()),
+    "mode_tables": (5e-5, lambda seed: check_mode_tables()),
+    "orthonormality_coupled": (1e-11, lambda seed: check_orthonormality("coupled", 4)),
+    "orthonormality_eml": (1e-11, lambda seed: check_orthonormality("eml", 4)),
+    "orthonormality_helicity": (1e-11, lambda seed: check_orthonormality("helicity", 4)),
+    "orthonormality_scalar": (1e-12, lambda seed: check_orthonormality("scalar", 6)),
+    "orthonormality_spherical_wave": (
+        1e-11, lambda seed: check_orthonormality("spherical_wave", 4)),
+    "parity": (1e-12, lambda seed: check_parity()),
+    "plane_wave_expansion": (1e-10, lambda seed: check_plane_wave_expansion(
+        2.0, 1.0, (0.7, 1.3), (2.1, 5.0), 20)),
+    "quadrature_convergence": (1.0, lambda seed: check_quadrature_convergence()),
+    "vsh_fourier": (1e-9, lambda seed: max(
+        (check_vsh_fourier(*args) for args in (
+            (0, "scalar", 1.0), (1, "M", 2.5), (2, "E", 3.0), (2, "coupled", 2.0))),
+        key=lambda r: r.max_residual)),
+    "vsh_linear_combinations": (1e-12, lambda seed: check_vsh_linear_combinations(seed=seed)),
 }
+
+DEFAULT_TOLERANCES = {name: tol for name, (tol, _) in _SUITE.items()}
 
 
 def suite_check_names() -> list[str]:
-    return sorted(_SUITE_BUILDERS)
+    return sorted(_SUITE)
 
 
 def run_suite(only: list[str] | None = None,
@@ -750,17 +700,23 @@ def run_suite(only: list[str] | None = None,
     """Run the named checks (all by default) and return reports in name order.
 
     ``only`` filters by substring match against check names; ``tolerances``
-    overrides individual entries of DEFAULT_TOLERANCES.  A filter that
-    matches no check, or an override name that is not a check, raises
-    ValueError.
+    replaces a check's default tolerance with a finite number > 0.  A filter
+    that matches no check, or an override that names no check or is not
+    such a number, raises ValueError before any check runs.  ``seed`` feeds
+    only completeness, dmatrix_unitarity and vsh_linear_combinations.
     """
-    tolerances = tolerances or {}
-    unknown = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
+    tolerances = {name: float(tol) for name, tol in (tolerances or {}).items()}
+    unknown = sorted(set(tolerances) - set(_SUITE))
     if unknown:
         raise ValueError(f"unknown check name(s) in tolerances: {unknown}")
+    for name, tol in tolerances.items():
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tolerance for {name} must be a finite number > 0, got {tol}")
     names = suite_check_names()
     if only:
         names = [n for n in names if any(f in n for f in only)]
         if not names:
             raise ValueError(f"no checks match filters {only!r}")
-    return [_SUITE_BUILDERS[name](tolerances.get(name), seed) for name in names]
+    reports = {name: _SUITE[name][1](seed) for name in names}
+    return [replace(r, tolerance=tolerances.get(name, r.tolerance))
+            for name, r in reports.items()]

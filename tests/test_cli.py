@@ -297,6 +297,10 @@ EXIT_CODES = [
     (("field", "--tau", "E", "--j", "1", "--nr", "0"), 2, "--nr"),
     (("verify", "--tol", "x"), 2, "'x'"),
     (("verify", "--tol", "dmatrix_golden=abc"), 2, "abc"),
+    (("verify", "--only", "dmatrix_golden", "--tol", "dmatrix_golden=0"), 2, "0.0"),
+    (("verify", "--only", "dmatrix_golden", "--tol", "dmatrix_golden=-1"), 2, "-1.0"),
+    (("verify", "--only", "dmatrix_golden", "--tol", "dmatrix_golden=nan"), 2, "nan"),
+    (("verify", "--only", "dmatrix_golden", "--tol", "dmatrix_golden=inf"), 2, "inf"),
     (("verify", "--only", "zzz"), 2, "zzz"),
     (_BUILD + ("--partition", "nope", "--gamma1", "E,1,0", "--gamma2", "M,2,1"), 2, "nope"),
     (("rotate", "--vec", "1,0,0", "--euler", "1,2"), 2, "--euler"),

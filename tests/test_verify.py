@@ -72,7 +72,8 @@ class TestCheckReport:
         assert not CheckReport("x", 1e-8, 1e-10).passed
 
     def test_impossible_tolerance_fails(self):
-        report = check_orthonormality("scalar", 4, tolerance=1e-30)
+        report, = run_suite(only=["orthonormality_scalar"],
+                            tolerances={"orthonormality_scalar": 1e-30})
         assert not report.passed
 
     def test_as_dict(self):
@@ -368,7 +369,9 @@ class TestVshProject:
 class TestSuite:
     def test_default_suite_all_pass(self):
         reports = run_suite()
-        assert len(reports) == len(suite_check_names())
+        # the registry key and the name each check passes to its report agree
+        assert [r.name for r in reports] == suite_check_names()
+        assert all(r.tolerance == DEFAULT_TOLERANCES[r.name] for r in reports)
         failed = [r.name for r in reports if not r.passed]
         assert not failed, failed
 
