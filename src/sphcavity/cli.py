@@ -119,7 +119,7 @@ def cmd_field(args) -> int:
         raise ValueError("--nr and --ndirs must be >= 1")
     radii = np.linspace(0.0, config.radius, args.nr)
     th, ph = md.fibonacci_directions(args.ndirs)
-    sample = md.mode_field(spec, radii[:, None], th, ph, config)
+    sample = md.mode_field(spec, radii[:, None], th, ph)
     rows = []
     for i, r in enumerate(radii):
         for k in range(args.ndirs):

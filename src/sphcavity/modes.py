@@ -15,8 +15,9 @@ There are two distinct frequency conditions (x = omega R / c):
 
 The electric condition is equivalent to d/dx [x j_j(x)] = 0, so electric
 and magnetic roots strictly interlace and the two sets never coincide.
-All root finding happens in the dimensionless variable x; cavity
-dimensions and physical constants enter only through CavityConfig.
+All root finding happens in the dimensionless variable x.  A ModeSpec
+carries the CavityConfig (radius, constants) it was resolved in; fields,
+boundary checks and energies read the cavity from there.
 
 Roots come from one vectorized solver that takes a set of j for one tau
 in a single pass: an array scan from x = j for each j brackets the zeros
@@ -116,13 +117,17 @@ class ModeIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """A resolved cavity mode: label, dimensionless root, frequency and
-    normalization constant (identical for all m at fixed tau, j, n)."""
+    """A resolved cavity mode: label, dimensionless root, normalization constant
+    (identical for all m at fixed tau, j, n) and the cavity it was resolved in."""
 
     index: ModeIndex
     x_root: float
-    omega: float
     norm_const: float
+    config: CavityConfig
+
+    @property
+    def omega(self) -> float:
+        return self.config.wave_speed * self.x_root / self.config.radius
 
     @property
     def degeneracy(self) -> int:
@@ -191,8 +196,10 @@ def _electric(j, x):
     return (j + 1) * jj - x * jj1, (j * (j + 1) / (x * x) - 1.0) * x * jj
 
 
-def _scan_grid(start: float, hi: float) -> np.ndarray:
-    """Points from start to at least hi, _SCAN_STEP apart."""
+def _scan_grid(start: float, count: int) -> np.ndarray:
+    """Points _SCAN_STEP apart from start to past start + (count + start/2 + 2) pi,
+    which holds count zeros of each root function here (orders <= 59, count <= 64)."""
+    hi = start + (count + 0.5 * start + 2.0) * math.pi
     return start + _SCAN_STEP * np.arange(math.ceil((hi - start) / _SCAN_STEP) + 1)
 
 
@@ -222,32 +229,23 @@ def _newton_roots(fn, orders: list[int], starts: list[float], count: int) -> np.
     """First `count` zeros of fn(l, .) above start, for each l and start.
 
     Returns shape (len(orders), count).  Each order gets one scan on its
-    own grid of step _SCAN_STEP; the grids are evaluated together, and an
-    order with too few sign changes doubles its range and is scanned again.
-    A safeguarded Newton step then refines the brackets of every order at
+    own grid (_scan_grid); the grids are evaluated together, and an order
+    with fewer than count sign changes raises RootFindingError.  A
+    safeguarded Newton step then refines the brackets of every order at
     once: a lane whose step leaves its bracket bisects instead; a lane stops
     once its step is <= _NEWTON_RTOL * x, and one polishing step follows.
     Every lane's arithmetic is that of a batch holding its order alone.
     """
-    his = [s + (count + 0.5 * s + 2.0) * math.pi for s in starts]
-    brackets = [None] * len(orders)
-    todo = range(len(orders))
-    while todo:
-        grids = [_scan_grid(starts[i], his[i]) for i in todo]
-        xs, lanes, sizes = _join([orders[i] for i in todo], grids)
-        fs = fn(lanes, xs)[0]
-        retry = []
-        for i, idx in zip(todo, _sign_changes(fs, sizes)):
-            idx = idx[:count]
-            if len(idx) < count:
-                if his[i] > 1e4:
-                    raise RootFindingError(f"failed to bracket root {len(idx) + 1} "
-                                           f"below x = 1e4")
-                his[i] *= 2.0
-                retry.append(i)
-            else:
-                brackets[i] = xs[idx], xs[idx + 1], fs[idx], fs[idx + 1]
-        todo = retry
+    grids = [_scan_grid(s, count) for s in starts]
+    xs, lanes, sizes = _join(orders, grids)
+    fs = fn(lanes, xs)[0]
+    brackets = []
+    for l, grid, idx in zip(orders, grids, _sign_changes(fs, sizes)):
+        if len(idx) < count:
+            raise RootFindingError(f"failed to bracket root {len(idx) + 1} of order {l} "
+                                   f"below x = {grid[-1]:.6g}")
+        idx = idx[:count]
+        brackets.append((xs[idx], xs[idx + 1], fs[idx], fs[idx + 1]))
     if len(orders) == 1:
         (a, b, fa, fb), lanes = brackets[0], orders[0]
     else:
@@ -417,7 +415,7 @@ def _norm_consts(tau: str, j, x: np.ndarray, config: CavityConfig) -> np.ndarray
 
 def mode_spec(tau: str, j: int, m: int, n: int,
               config: CavityConfig = CavityConfig()) -> ModeSpec:
-    """Resolve a mode label to its root, frequency and normalization."""
+    """Resolve a mode label to its root and its normalization in config."""
     tau = _validate_tau(tau)
     if n < 1:
         raise ValueError("root ordinal n must be >= 1")
@@ -428,8 +426,8 @@ def mode_spec(tau: str, j: int, m: int, n: int,
     return ModeSpec(
         index=ModeIndex(tau, j, m, n),
         x_root=x,
-        omega=config.wave_speed * x / config.radius,
         norm_const=float(_norm_consts(tau, j, np.array([x]), config)[0]),
+        config=config,
     )
 
 
@@ -459,10 +457,9 @@ def spectrum(j_max: int, n_max: int,
     # position in taus, j - 1 and n - 1 of each entry
     rank, j0, n0 = (t.ravel() for t in np.indices((2, j_max, n_max)))
     order = np.lexsort((n0, j0, rank, omega))
-    return [ModeSpec(index=ModeIndex(taus[t], j + 1, 0, n + 1), x_root=xr, omega=w,
-                     norm_const=c)
-            for t, j, n, xr, w, c in zip(*(a[order].tolist()
-                                           for a in (rank, j0, n0, x, omega, norms)))]
+    return [ModeSpec(index=ModeIndex(taus[t], j + 1, 0, n + 1), x_root=xr, norm_const=c,
+                     config=config)
+            for t, j, n, xr, c in zip(*(a[order].tolist() for a in (rank, j0, n0, x, norms)))]
 
 
 def _multipole_terms(tau: str, j: int) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -481,8 +478,7 @@ def _multipole_terms(tau: str, j: int) -> tuple[tuple[tuple[int, float], ...], .
             ((j, math.sqrt(2 * j + 1)),))
 
 
-def _fields(spec: ModeSpec, r, theta, phi,
-            config: CavityConfig) -> tuple[np.ndarray, np.ndarray]:
+def _fields(spec: ModeSpec, r, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """A and B = curl A for one mode, each shape (3, ...); valid for any r >= 0.
 
     Both are sums of the terms T_l = j_l(kr) Y_{j,l,m}, l = j-1, j, j+1,
@@ -493,7 +489,7 @@ def _fields(spec: ModeSpec, r, theta, phi,
     terms, at n_theta * n_phi points.
     """
     tau, j, m, _ = spec.index
-    k = spec.omega / config.wave_speed
+    k = spec.omega / spec.config.wave_speed
     x = k * np.asarray(r, float)
     harmonics = _Harmonics(j + 1, theta, phi)
     ndim = max(x.ndim, len(harmonics.shape))
@@ -521,20 +517,19 @@ def _fields(spec: ModeSpec, r, theta, phi,
     return combine(a_terms, n), combine(b_terms, 1j * k * n)
 
 
-def mode_field(spec: ModeSpec, r, theta, phi,
-               config: CavityConfig = CavityConfig()) -> FieldSample:
+def mode_field(spec: ModeSpec, r, theta, phi) -> FieldSample:
     """Vector potential A, electric field E = i omega A, and B = curl A.
 
-    Positions broadcast together; 0 <= r <= R.  B is the closed-form
-    curl of the multipole expansion of A (see _fields), exact up to
-    rounding at every r including the origin.
+    Positions broadcast together; 0 <= r <= R of spec.config.  B is the
+    closed-form curl of the multipole expansion of A (see _fields), exact
+    up to rounding at every r including the origin.
     """
     rr, th, ph = np.broadcast_arrays(np.asarray(r, float),
                                      np.asarray(theta, float),
                                      np.asarray(phi, float))
-    if np.any(rr < 0) or np.any(rr > config.radius * (1 + 1e-12)):
+    if np.any(rr < 0) or np.any(rr > spec.config.radius * (1 + 1e-12)):
         raise ValueError("positions must satisfy 0 <= r <= R")
-    a, b = _fields(spec, r, theta, phi, config)
+    a, b = _fields(spec, r, theta, phi)
     return FieldSample(r=rr, theta=th, phi=ph, A=a, E=1j * spec.omega * a, B=b)
 
 
@@ -547,31 +542,31 @@ def fibonacci_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, phi
 
 
-def _peak_field_scales(spec: ModeSpec, config: CavityConfig) -> tuple[float, float]:
+def _peak_field_scales(spec: ModeSpec) -> tuple[float, float]:
     """Coarse-grid peak |E| and |B| used to normalize boundary residuals."""
     th, ph = fibonacci_directions(48)
-    radii = np.linspace(0.04, 1.0, 25) * config.radius
-    a, b = _fields(spec, radii[:, None], th, ph, config)
+    radii = np.linspace(0.04, 1.0, 25) * spec.config.radius
+    a, b = _fields(spec, radii[:, None], th, ph)
     peak_e = spec.omega * float(np.sqrt((np.abs(a) ** 2).sum(axis=0)).max())
     peak_b = float(np.sqrt((np.abs(b) ** 2).sum(axis=0)).max())
     return peak_e, peak_b
 
 
-def boundary_residual(spec: ModeSpec, config: CavityConfig = CavityConfig(),
-                      n_dirs: int = 64, tolerance: float = 1e-7) -> CheckReport:
-    """Perfect-conductor boundary check at r = R.
+def boundary_residual(spec: ModeSpec, n_dirs: int = 64,
+                      tolerance: float = 1e-7) -> CheckReport:
+    """Perfect-conductor boundary check at the wall r = R of spec.config.
 
     Maximum over n_dirs quasi-uniform directions of the tangential
     electric field |E.theta_hat|, |E.phi_hat| and the normal magnetic
     field |B.n|, each normalized by the mode's peak field magnitude.
     """
     th, ph = fibonacci_directions(n_dirs)
-    a, b = _fields(spec, config.radius, th, ph, config)
+    a, b = _fields(spec, spec.config.radius, th, ph)
     e = 1j * spec.omega * a
     e_th = np.abs((e * unit_theta(th, ph)).sum(axis=0))
     e_ph = np.abs((e * unit_phi(th, ph)).sum(axis=0))
     b_n = np.abs((b * unit_radial(th, ph)).sum(axis=0))
-    peak_e, peak_b = _peak_field_scales(spec, config)
+    peak_e, peak_b = _peak_field_scales(spec)
     resid = max(float(e_th.max() / peak_e), float(e_ph.max() / peak_e),
                 float(b_n.max() / peak_b))
     tau, j, m, n = spec.index

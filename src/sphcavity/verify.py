@@ -442,11 +442,11 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8) -> CheckReport:
                    f"lowest-root ordering {'holds' if ok else 'fails'}")
 
 
-def _mode_energies(specs: list[md.ModeSpec], config: md.CavityConfig,
-                   radial: tuple[np.ndarray, np.ndarray],
+def _mode_energies(specs: list[md.ModeSpec], radial: tuple[np.ndarray, np.ndarray],
                    quads: dict[int, SphereQuadrature]) -> np.ndarray:
     """Electric and magnetic field energies, (1/4) w^2 eps0 int |A|^2 d3r and
-    (1/4 mu0) int |B|^2 d3r, of each mode: shape (len(specs), 2).
+    (1/4 mu0) int |B|^2 d3r, of each mode of one cavity: shape (len(specs), 2).
+    As B carries k = w/c and 1/mu0 = eps0 c^2, both take the factor w^2 eps0 / 4.
 
     The 3-d product rule is the radial rule (nodes, weights) over [0, R]
     times the sphere rule quads[j], of degree at least 2 (j + 2) + 2.  A and
@@ -458,7 +458,7 @@ def _mode_energies(specs: list[md.ModeSpec], config: md.CavityConfig,
     modes from one spherical_bessel_j call per l.
     """
     r, wr = radial
-    mu0 = 1.0 / (config.epsilon0 * config.wave_speed**2)
+    config = specs[0].config
     groups: dict[tuple[int, int], list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault((spec.index.j, spec.index.m), []).append(i)
@@ -470,8 +470,7 @@ def _mode_energies(specs: list[md.ModeSpec], config: md.CavityConfig,
         w = np.broadcast_to(quad.weights, (3,) + quad.weights.shape).ravel()
         S = (t * w) @ t.conj().T
         omega = np.array([specs[i].omega for i in idx])
-        k = omega / config.wave_speed
-        x = k[:, None] * r
+        x = (omega / config.wave_speed)[:, None] * r
         J = np.stack([spherical_bessel_j(l, x) for l in ls], axis=1)
         R = np.einsum("i,mai,mbi->mab", wr * r * r, J, J)
         # the coefficients of each mode's terms in A / N (row 0) and B / (ikN)
@@ -482,17 +481,15 @@ def _mode_energies(specs: list[md.ModeSpec], config: md.CavityConfig,
                     c[row, part, l - j + 1] = cl
         q = np.einsum("mpa,mab,mpb->mp", c, R * S, c).real
         n2 = np.array([specs[i].norm_const for i in idx]) ** 2
-        out[idx, 0] = 0.25 * omega**2 * config.epsilon0 * n2 * q[:, 0]
-        out[idx, 1] = 0.25 / mu0 * k**2 * n2 * q[:, 1]
+        out[idx] = (0.25 * omega**2 * config.epsilon0 * n2)[:, None] * q
     return out
 
 
-def _radial_rule(specs: list[md.ModeSpec],
-                 config: md.CavityConfig) -> tuple[np.ndarray, np.ndarray]:
+def _radial_rule(specs: list[md.ModeSpec]) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [0, R] with ceil(x_max) + 24 nodes, x_max the
-    largest root kR of the frequency-sorted specs: products of the j_l(kr)
-    up to x_max integrate to rounding level."""
-    return radial_quadrature(math.ceil(specs[-1].x_root) + 24, config.radius)
+    largest root kR of the frequency-sorted specs of one cavity: products of
+    the j_l(kr) up to x_max integrate to rounding level."""
+    return radial_quadrature(math.ceil(specs[-1].x_root) + 24, specs[-1].config.radius)
 
 
 def check_mode_energy(j_max: int = 3, n_max: int = 3) -> CheckReport:
@@ -501,13 +498,11 @@ def check_mode_energy(j_max: int = 3, n_max: int = 3) -> CheckReport:
     the electric part of _mode_energies, summed in separable form on
     _radial_rule (38 nodes at the defaults, 155 at (20, 32)) and a sphere
     rule of degree 2j + 6; the range of j_max and n_max is spectrum's."""
-    config = md.CavityConfig()
-    specs = md.spectrum(j_max, n_max, config)
-    radial = _radial_rule(specs, config)
+    specs = md.spectrum(j_max, n_max)
     quads = {j: sphere_quadrature(2 * (j + 2) + 2) for j in range(1, j_max + 1)}
-    energy = 2.0 * _mode_energies(specs, config, radial, quads)[:, 0]
-    omega = np.array([spec.omega for spec in specs])
-    resid = np.abs(energy / (config.hbar * omega) - 1.0).max()
+    energy = 2.0 * _mode_energies(specs, _radial_rule(specs), quads)[:, 0]
+    hbar_omega = np.array([spec.config.hbar * spec.omega for spec in specs])
+    resid = np.abs(energy / hbar_omega - 1.0).max()
     return _report("mode_energy", resid, f"all modes with j <= {j_max}, n <= {n_max}")
 
 
@@ -516,11 +511,9 @@ def check_mode_equipartition(j_max: int = 2, n_max: int = 2) -> CheckReport:
     spectrum(j_max, n_max) agree: _mode_energies on _radial_rule (34 nodes
     at the defaults, 155 at (20, 32)) and a sphere rule of degree 2j + 8,
     with B the closed-form curl."""
-    config = md.CavityConfig()
-    specs = md.spectrum(j_max, n_max, config)
-    radial = _radial_rule(specs, config)
+    specs = md.spectrum(j_max, n_max)
     quads = {j: sphere_quadrature(2 * (j + 2) + 4) for j in range(1, j_max + 1)}
-    e_elec, e_mag = _mode_energies(specs, config, radial, quads).T
+    e_elec, e_mag = _mode_energies(specs, _radial_rule(specs), quads).T
     resid = np.abs(e_mag / e_elec - 1.0).max()
     return _report("mode_equipartition", resid,
                    f"modes with j <= {j_max}, n <= {n_max}, closed-form curl")
@@ -528,10 +521,9 @@ def check_mode_equipartition(j_max: int = 2, n_max: int = 2) -> CheckReport:
 
 def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64) -> CheckReport:
     """Every mode of spectrum(j_max, n_max) has zero tangential E and normal B at r = R."""
-    config = md.CavityConfig()
     resid = 0.0
-    for spec in md.spectrum(j_max, n_max, config):
-        resid = max(resid, md.boundary_residual(spec, config, n_dirs=n_dirs).max_residual)
+    for spec in md.spectrum(j_max, n_max):
+        resid = max(resid, md.boundary_residual(spec, n_dirs=n_dirs).max_residual)
     return _report("mode_boundary", resid,
                    f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
                    f"({n_dirs} directions each)")

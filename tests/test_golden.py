@@ -36,6 +36,8 @@ EXACT = {
     "modes_4_4.csv": ["modes", "--jmax", "4", "--nmax", "4", "--format", "csv"],
     "modes_4_4.json": ["modes", "--jmax", "4", "--nmax", "4", "--format", "json"],
     "modes_20_32.csv": ["modes", "--jmax", "20", "--nmax", "32", "--format", "csv"],
+    "modes_si.csv": ["modes", "--si", "--radius-m", "0.01", "--jmax", "2", "--nmax", "2",
+                     "--format", "csv"],
     "rotate_vec.csv": ["rotate", "--vec", "1,0,0", "--euler", "0,1.5707963,0",
                        "--format", "csv"],
     "rotate_coeffs.json": ["rotate", "--coeffs", "1,0.5,-0.25j", "--j", "1",
@@ -51,6 +53,8 @@ FIELD = {
                        "--nr", "5", "--ndirs", "16", "--format", "csv"],
     "field_M2m1n2.csv": ["field", "--tau", "M", "--j", "2", "--m", "1", "--n", "2",
                          "--nr", "4", "--ndirs", "8", "--format", "csv"],
+    "field_si.csv": ["field", "--si", "--radius-m", "0.01", "--tau", "E", "--j", "2",
+                     "--m", "1", "--n", "1", "--nr", "3", "--ndirs", "8", "--format", "csv"],
 }
 VERIFY = {"verify.json": ["verify", "--format", "json"]}
 GOLDEN = {**EXACT, **FIELD, **VERIFY}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,7 +16,6 @@ import sphcavity.modes as md
 from sphcavity.modes import (
     CavityConfig,
     ModeIndex,
-    ModeSpec,
     RootFindingError,
     boundary_residual,
     electric_root_equation,
@@ -243,6 +243,31 @@ class TestRootCache:
             spectrum(4, 6)
         assert cache == {}
 
+    def test_one_scan_brackets_every_root(self, cache):
+        # over the advertised range the count-th root lies at least one grid
+        # step before the end of the single bracketing scan (_scan_grid)
+        for tau in ("M", "E"):
+            for j in range(1, 60):
+                end = md._scan_grid(j, 64)[-1]
+                assert find_roots(tau, j, 64)[-1] <= end - md._SCAN_STEP, (tau, j)
+        for l in range(60):
+            end = md._scan_grid(max(l, md._SCAN_STEP), 64)[-1]
+            assert spherical_bessel_zeros(l, 64)[-1] <= end - md._SCAN_STEP, l
+
+    def test_unbracketed_order_raises_naming_it(self, cache, monkeypatch):
+        # a root function with no sign change at order 7, alone or in a batch
+        bessel_zero = md._bessel_zero
+
+        def flat_at_7(l, x):
+            f, df = bessel_zero(l, x)
+            return np.where(np.asarray(l) == 7, 1.0, f), df
+        monkeypatch.setattr(md, "_bessel_zero", flat_at_7)
+        with pytest.raises(RootFindingError, match="root 1 of order 7 below"):
+            spherical_bessel_zeros(7, 3)
+        with pytest.raises(RootFindingError, match="root 1 of order 7 below"):
+            spectrum(8, 2)
+        assert cache == {}
+
 
 def _fresh_python(code: str) -> str:
     src = str(Path(sphcavity.__file__).resolve().parents[1])
@@ -397,32 +422,39 @@ class TestClosedFormCurl:
 
     @pytest.mark.parametrize("tau,j,m", [("M", 1, 0), ("M", 3, -2), ("E", 1, 1), ("E", 4, 3)])
     def test_separable_grid_equals_broadcast(self, tau, j, m):
-        spec, config = mode_spec(tau, j, m, 2), CavityConfig()
+        spec = mode_spec(tau, j, m, 2)
         r = np.linspace(0.0, 1.0, 7)[:, None, None]
         tg, pg = np.meshgrid(np.linspace(0.0, np.pi, 5),
                              np.linspace(0.0, 2 * np.pi, 6, endpoint=False), indexing="ij")
-        sep = md._fields(spec, r, tg[None], pg[None], config)
-        full = md._fields(spec, *np.broadcast_arrays(r, tg[None], pg[None]), config)
+        sep = md._fields(spec, r, tg[None], pg[None])
+        full = md._fields(spec, *np.broadcast_arrays(r, tg[None], pg[None]))
         for got, want in zip(sep, full):
             assert got.shape == want.shape == (3, 7, 5, 6)
             assert np.array_equal(got, want)
 
 
 class TestBoundary:
-    # the spectrum edge (20, 32) and the find_roots edge (59, 64), at m = j
-    @pytest.mark.parametrize("tau,j,m,n", [
-        pytest.param("M", 1, 0, 1, id="M-1"), pytest.param("E", 2, 0, 1, id="E-2"),
-        ("E", 20, 20, 32), ("M", 20, 20, 32), ("E", 59, 59, 64), ("M", 59, 59, 64)])
-    def test_modes_pass(self, tau, j, m, n):
-        spec = mode_spec(tau, j, m, n)
+    # the spectrum edge (20, 32) and the find_roots edge (59, 64), at m = j;
+    # a mode resolved in a radius-2 and in an SI cavity is checked at its
+    # own wall, with its own constants
+    @pytest.mark.parametrize("tau,j,m,n,config", [
+        pytest.param("M", 1, 0, 1, CavityConfig(), id="M-1"),
+        pytest.param("E", 2, 0, 1, CavityConfig(), id="E-2"),
+        pytest.param("E", 20, 20, 32, CavityConfig(), id="E-20-20-32"),
+        pytest.param("M", 20, 20, 32, CavityConfig(), id="M-20-20-32"),
+        pytest.param("E", 59, 59, 64, CavityConfig(), id="E-59-59-64"),
+        pytest.param("M", 59, 59, 64, CavityConfig(), id="M-59-59-64"),
+        pytest.param("E", 2, 1, 1, CavityConfig(radius=2.0), id="E-2-1-1-R2"),
+        pytest.param("M", 1, 0, 1, CavityConfig.si(0.01), id="M-1-0-1-SI")])
+    def test_modes_pass(self, tau, j, m, n, config):
+        spec = mode_spec(tau, j, m, n, config)
         report = boundary_residual(spec, n_dirs=50)
         assert report.passed, report
         assert report.max_residual < 1e-13, report
 
     def test_perturbed_root_fails(self):
         good = mode_spec("E", 1, 0, 1)
-        bad = ModeSpec(index=good.index, x_root=good.x_root + 1e-3,
-                       omega=good.omega + 1e-3, norm_const=good.norm_const)
+        bad = dataclasses.replace(good, x_root=good.x_root + 1e-3)
         report = boundary_residual(bad, n_dirs=50)
         assert not report.passed
         assert report.max_residual > 1e-5

@@ -163,18 +163,19 @@ class TestIndividualChecks:
             call()
 
 
-def _full_field_energies(spec, config, radial, quad):
+def _full_field_energies(spec, radial, quad):
     """Electric and magnetic energies of one mode by the 3-d product rule on
     the full fields: one _fields call on the (r, theta, phi) grid, then the
     sum over each shell and over the radial nodes."""
     tg, pg = quad.grid
     r, wr = radial
-    a, b = md._fields(spec, r[:, None, None], tg, pg, config)
+    a, b = md._fields(spec, r[:, None, None], tg, pg)
 
     def integral(v):
         shell = quad.integrate((np.abs(v) ** 2).sum(axis=0)) * r * r
         return float(np.sum(wr * shell.real))
 
+    config = spec.config
     mu0 = 1.0 / (config.epsilon0 * config.wave_speed**2)
     return (0.25 * spec.omega**2 * config.epsilon0 * integral(a),
             0.25 / mu0 * integral(b))
@@ -193,9 +194,9 @@ class TestModeEnergies:
         specs = [mode_spec(tau, j, m, n) for tau in ("E", "M") for j in js
                  for m in (-j, 0, j) for n in (1, 3)]
         # one call over every (j, m) group; the members of a group are not adjacent
-        got = _mode_energies(specs, config, radial, quads)
+        got = _mode_energies(specs, radial, quads)
         for spec, energies in zip(specs, got):
-            want = _full_field_energies(spec, config, radial, quads[spec.index.j])
+            want = _full_field_energies(spec, radial, quads[spec.index.j])
             assert_allclose(energies, want, rtol=1e-13, atol=0, err_msg=str(spec.index))
 
     def test_spectrum_edge(self):
