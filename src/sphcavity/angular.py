@@ -91,11 +91,14 @@ def unit_phi(theta, phi):
     return np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(ph)])
 
 
-_E_SPH = {
-    +1: np.array([-1.0 / _SQ2, -1j / _SQ2, 0.0]),
-    0: np.array([0.0, 0.0, 1.0], dtype=complex),
-    -1: np.array([1.0 / _SQ2, -1j / _SQ2, 0.0]),
-}
+# The covariant spherical basis, Condon-Shortley phases: rows e_{+1}, e_0,
+# e_{-1} (the m = +1, 0, -1 order of D^(1)), columns x, y, z.  Every
+# conversion between Cartesian and spherical components reads this matrix.
+_U = np.array([
+    [-1.0 / _SQ2, -1j / _SQ2, 0.0],
+    [0.0, 0.0, 1.0],
+    [1.0 / _SQ2, -1j / _SQ2, 0.0],
+])
 
 
 def spherical_basis_vector(mu: int) -> np.ndarray:
@@ -107,25 +110,29 @@ def spherical_basis_vector(mu: int) -> np.ndarray:
     """
     if mu not in (+1, 0, -1):
         raise ValueError(f"mu must be +1, 0 or -1, got {mu}")
-    return _E_SPH[mu].copy()
+    return _U[1 - mu].copy()
+
+
+def _apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # mat @ v over v's leading axis, elementwise rather than by a BLAS
+    # contraction, so that a point's value does not depend on its batch
+    mat = mat.reshape((3, 3) + (1,) * (v.ndim - 1))
+    return mat[:, 0] * v[0] + mat[:, 1] * v[1] + mat[:, 2] * v[2]
 
 
 def cartesian_to_spherical_components(v) -> np.ndarray:
     """Covariant spherical components [V_{+1}, V_0, V_{-1}] of a vector.
 
-    V_{+1} = -(V_x + i V_y)/sqrt(2), V_0 = V_z, V_{-1} = (V_x - i V_y)/sqrt(2).
-    Accepts shape (3,) or (3, ...); norm-preserving.
+    V_mu = e_mu . V: V_{+1} = -(V_x + i V_y)/sqrt(2), V_0 = V_z,
+    V_{-1} = (V_x - i V_y)/sqrt(2).  Accepts shape (3,) or (3, ...);
+    norm-preserving, and each point is converted on its own.
     """
-    v = np.asarray(v, dtype=complex)
-    return np.stack([-(v[0] + 1j * v[1]) / _SQ2, v[2], (v[0] - 1j * v[1]) / _SQ2])
+    return _apply(_U, np.asarray(v, dtype=complex))
 
 
 def spherical_to_cartesian_components(c) -> np.ndarray:
     """Inverse of :func:`cartesian_to_spherical_components`."""
-    c = np.asarray(c, dtype=complex)
-    vx = (c[2] - c[0]) / _SQ2
-    vy = 1j * (c[2] + c[0]) / _SQ2
-    return np.stack([vx, vy, c[1]])
+    return _apply(_U.conj().T, np.asarray(c, dtype=complex))
 
 
 def cg_s1(l: int, j: int, mu: int, m: int) -> float:
@@ -167,7 +174,7 @@ def _coupled(Y: _Harmonics, j: int, l: int, m: int) -> np.ndarray:
     for mu in (+1, 0, -1):
         coef = cg_s1(l, j, mu, m)  # 0.0 when |m| > j or |m - mu| > l
         if coef != 0.0:
-            out += coef * _E_SPH[mu].reshape((3,) + (1,) * len(Y.shape)) * Y(l, m - mu)
+            out += coef * _U[1 - mu].reshape((3,) + (1,) * len(Y.shape)) * Y(l, m - mu)
     return out
 
 

@@ -26,11 +26,8 @@ import numpy as np
 from . import entangle as ent
 from . import modes as md
 from . import verify as vf
-from .rotations import (
-    cartesian_to_spherical_components,
-    rotate_cartesian,
-    rotate_jm_coefficients,
-)
+from .angular import cartesian_to_spherical_components
+from .rotations import rotate_cartesian, rotate_jm_coefficients
 from .selection_rules import RATIO_KINDS, scaling_ratio
 
 FORMATS = ("csv", "json", "pretty")

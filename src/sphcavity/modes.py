@@ -481,8 +481,9 @@ def _multipole_terms(tau: str, j: int) -> tuple[tuple[tuple[int, float], ...], .
 def _fields(spec: ModeSpec, r, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """A and B = curl A for one mode, each shape (3, ...); valid for any r >= 0.
 
-    Both are sums of the terms T_l = j_l(kr) Y_{j,l,m}, l = j-1, j, j+1,
-    with the coefficients of _multipole_terms.  r, theta and phi broadcast
+    Each is N (A) or i k N (B) times the sum of its terms c T_l, with
+    T_l = j_l(kr) Y_{j,l,m}, l = j-1, j, j+1, and the coefficients c of
+    _multipole_terms; each T_l enters one field only.  r, theta and phi broadcast
     together and are not expanded first: with r of shape (n_r, 1, 1) and
     angles of shape (1, n_theta, n_phi), each Bessel function is evaluated
     at n_r points and each harmonic, from one table shared by the three
@@ -493,28 +494,16 @@ def _fields(spec: ModeSpec, r, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     x = k * np.asarray(r, float)
     harmonics = _Harmonics(j + 1, theta, phi)
     ndim = max(x.ndim, len(harmonics.shape))
-
-    def term(l: int, c) -> np.ndarray:
-        y = _coupled(harmonics, j, l, m)
-        y = y.reshape((3,) + (1,) * (ndim + 1 - y.ndim) + y.shape[1:])
-        return (c * spherical_bessel_j(l, x)) * y
-
-    def combine(terms, scale) -> np.ndarray:
-        # a single term carries the scale in its coefficient; a sum is scaled
-        # once, after it is summed, and subtracts a term of negative
-        # coefficient: a complex product with -c differs from the negated
-        # product with c in the sign of its zeros
-        if len(terms) == 1:
-            (l, c), = terms
-            return term(l, scale * c)
-        total = term(*terms[0])
-        for l, c in terms[1:]:
-            total = total + term(l, c) if c > 0 else total - term(l, -c)
-        return scale * total
-
     n = spec.norm_const
-    a_terms, b_terms = _multipole_terms(tau, j)
-    return combine(a_terms, n), combine(b_terms, 1j * k * n)
+    fields = []
+    for terms, scale in zip(_multipole_terms(tau, j), (n, 1j * k * n)):
+        total = 0.0
+        for l, c in terms:
+            y = _coupled(harmonics, j, l, m)
+            y = y.reshape((3,) + (1,) * (ndim + 1 - y.ndim) + y.shape[1:])
+            total = total + (c * spherical_bessel_j(l, x)) * y
+        fields.append(scale * total)
+    return tuple(fields)
 
 
 def mode_field(spec: ModeSpec, r, theta, phi) -> FieldSample:

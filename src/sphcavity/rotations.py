@@ -37,11 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import (
-    cartesian_to_spherical_components,
-    spherical_basis_vector,
-    spherical_to_cartesian_components,
-)
+from .angular import _U, spherical_to_cartesian_components
 
 __all__ = [
     "MAX_WIGNER_J",
@@ -167,22 +163,14 @@ def inverse_angles(alpha: float, beta: float, gamma: float) -> tuple[float, floa
     return (-gamma, -beta, -alpha)
 
 
-_U_CART_TO_SPH = np.array([
-    [-1.0 / math.sqrt(2), -1j / math.sqrt(2), 0.0],
-    [0.0, 0.0, 1.0],
-    [1.0 / math.sqrt(2), -1j / math.sqrt(2), 0.0],
-])
-
-
 def euler_to_rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     """Real orthogonal matrix acting on Cartesian components, V' = R V.
 
-    Equivalent to conjugating the j=1 D-matrix by the Cartesian-to-
-    spherical component map; equals Rz(gamma) Ry(beta) Rz(alpha) with
-    passive single-axis blocks.
+    R = U^H D^(1) U, with U the matrix of the spherical basis whose rows are
+    e_{+1}, e_0, e_{-1} (angular._U); equals Rz(gamma) Ry(beta) Rz(alpha)
+    with passive single-axis blocks.
     """
-    d1 = wigner_d_matrix(1, alpha, beta, gamma)
-    return (_U_CART_TO_SPH.conj().T @ d1 @ _U_CART_TO_SPH).real
+    return (_U.conj().T @ wigner_d_matrix(1, alpha, beta, gamma) @ _U).real
 
 
 def rotation_matrix_to_euler(matrix: np.ndarray) -> tuple[float, float, float]:
@@ -216,9 +204,14 @@ def rotate_spherical(components, alpha: float, beta: float, gamma: float) -> np.
 
 
 def rotate_cartesian(v, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Rotate Cartesian vector components into the rotated frame."""
-    c = cartesian_to_spherical_components(np.asarray(v, dtype=complex))
-    return spherical_to_cartesian_components(rotate_spherical(c, alpha, beta, gamma))
+    """Rotate Cartesian vector components into the rotated frame.
+
+    V' = R V with R = :func:`euler_to_rotation_matrix`; v has shape (3,).
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (3,):
+        raise ValueError(f"expected 3 Cartesian components, got shape {v.shape}")
+    return euler_to_rotation_matrix(alpha, beta, gamma) @ v
 
 
 def rotate_jm_coefficients(j: int, coefficients, alpha: float, beta: float,
@@ -247,12 +240,10 @@ def helicity_polarization_vector(lam: int, theta, phi) -> np.ndarray:
     """
     if lam not in (+1, 0, -1):
         raise ValueError(f"helicity must be +1, 0 or -1, got {lam}")
+    # sum_s conj(D_{lam s}) e_s is the conjugate of the vector whose
+    # spherical components are the row D_{lam s}
     row = wigner_d_matrix(1, phi, theta, 0.0)[m_index(1, lam)]
-    expand = (3,) + (1,) * (row.ndim - 1)
-    out = np.zeros((3,) + row.shape[1:], dtype=complex)
-    for sig in (+1, 0, -1):
-        out += np.conj(row[m_index(1, sig)]) * spherical_basis_vector(sig).reshape(expand)
-    return out
+    return np.conj(spherical_to_cartesian_components(row))
 
 
 def _check_photon(j: int, m: int, lam: int) -> None:

@@ -174,12 +174,6 @@ def _plm_upward(m: int, l_max: int, x):
         yield p
 
 
-def _plm(l: int, m: int, x):
-    for p in _plm_upward(m, l, x):
-        pass
-    return p
-
-
 def legendre_plm(l: int, m: int, x):
     """Associated Legendre function P_l^m(x) (Ferrers, no phase factor).
 
@@ -191,7 +185,8 @@ def legendre_plm(l: int, m: int, x):
     xa = np.asarray(x, dtype=float)
     if not np.all(np.abs(xa) <= 1.0):
         raise ValueError("argument must be finite with |x| <= 1")
-    return _plm(l, m, xa)
+    *_, p = _plm_upward(m, l, xa)
+    return p
 
 
 class HarmonicConvention(enum.Enum):
@@ -216,9 +211,9 @@ def _norm_phase(l: int, m: int) -> float:
 class _Harmonics:
     """Condon-Shortley Y_lm, |m| <= l <= l_max (unvalidated), on one grid: Y(l, m).
 
-    Each order |m| runs the Legendre recurrence to l_max once, when first
-    asked for, and each Y_lm is formed once, with the arithmetic of
-    scalar_harmonic, so the two agree bit for bit.  Entries are shared, not copied.
+    The package's one definition of Y_lm; scalar_harmonic reads it too.  Each
+    order |m| runs the Legendre recurrence to l_max once, when first asked
+    for, and each Y_lm is formed once.  Entries are shared, not copied.
     """
 
     def __init__(self, l_max: int, theta, phi):
@@ -256,9 +251,7 @@ def scalar_harmonic(l: int, m: int, theta, phi,
     """
     if abs(m) > l:
         raise ValueError(f"|m| must not exceed l, got l={l}, m={m}")
-    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                 np.asarray(phi, dtype=float))
-    val = _norm_phase(l, m) * _plm(l, abs(m), np.cos(th)) * np.exp(1j * m * ph)
+    val = _Harmonics(l, theta, phi)(l, m)
     if convention is HarmonicConvention.LANDAU_LIFSHITZ:
         val = val * 1j**l
     return val[()] if np.isscalar(theta) and np.isscalar(phi) else val
