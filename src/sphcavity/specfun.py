@@ -155,12 +155,14 @@ def bessel_j_halfint(two_nu: int, x):
     return np.sqrt(2.0 * arr / np.pi) * spherical_bessel_j(l, arr)
 
 
-def _plm_upward(m: int, l_max: int, x):
+def _plm_upward(m: int, l_max: int, x, sin):
     # P_m^m(x), ..., P_{l_max}^m(x) by upward recurrence in l from the sectoral
-    # seed; stable for l <= ~64.  Unvalidated: callers guarantee
-    # 0 <= m <= l_max and |x| <= 1.  Each step works in place on its own
-    # fresh array, so a value once yielded is never modified.
-    p0 = _odd_double_factorial(2 * m - 1) * np.sqrt(np.maximum(0.0, 1.0 - x * x))**m
+    # seed (2m-1)!! sin^m, with sin = sqrt(1 - x^2) >= 0 from the caller (from
+    # theta, it keeps full relative accuracy near the poles); stable for
+    # l <= ~64.  Unvalidated: callers guarantee 0 <= m <= l_max and |x| <= 1.
+    # Each step works in place on its own fresh array, so a value once
+    # yielded is never modified.
+    p0 = _odd_double_factorial(2 * m - 1) * sin**m
     yield p0
     if l_max > m:
         p1 = (2 * m + 1) * x * p0
@@ -185,7 +187,7 @@ def legendre_plm(l: int, m: int, x):
     xa = np.asarray(x, dtype=float)
     if not np.all(np.abs(xa) <= 1.0):
         raise ValueError("argument must be finite with |x| <= 1")
-    *_, p = _plm_upward(m, l, xa)
+    *_, p = _plm_upward(m, l, xa, np.sqrt(np.maximum(0.0, 1.0 - xa * xa)))
     return p
 
 
@@ -220,14 +222,14 @@ class _Harmonics:
         th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(phi, dtype=float))
         self.l_max, self.shape = l_max, th.shape
-        self._x, self._phi = np.cos(th), ph
+        self._x, self._sin, self._phi = np.cos(th), np.abs(np.sin(th)), ph
         self._plm, self._y = {}, {}
 
     def __call__(self, l: int, m: int):
         if (l, m) not in self._y:
             am = abs(m)
             if am not in self._plm:
-                self._plm[am] = list(_plm_upward(am, self.l_max, self._x))
+                self._plm[am] = list(_plm_upward(am, self.l_max, self._x, self._sin))
             self._y[l, m] = _norm_phase(l, m) * self._plm[am][l - am] * np.exp(1j * m * self._phi)
         return self._y[l, m]
 

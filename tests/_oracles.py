@@ -208,6 +208,14 @@ def scipy_scalar_harmonic(l: int, m: int, theta, phi):
     return special.sph_harm(m, l, phi, theta)
 
 
+def mp_scalar_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
+    """Condon-Shortley Y_lm(theta, phi) in 40-digit mpmath, exact in the float angles."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return complex(mp.spherharm(l, m, theta, phi))
+
+
 def _dtheta_harmonic(l, m, theta, phi, harm):
     """Analytic theta-derivative of Y_lm via the order-ladder identity."""
     out = np.zeros(np.broadcast(np.asarray(theta), np.asarray(phi)).shape, dtype=complex)

@@ -19,6 +19,7 @@ from sphcavity.specfun import (
 )
 
 from _oracles import (
+    mp_scalar_harmonic,
     mp_spherical_jl,
     mp_spherical_jy,
     scipy_scalar_harmonic,
@@ -275,6 +276,18 @@ class TestScalarHarmonic:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             scalar_harmonic(2, 3, 0.5, 0.5)
+
+    def test_near_poles_against_mpmath(self):
+        # the sectoral seed sin(theta)^m keeps full relative accuracy within
+        # 1e-4 of either pole, where sqrt(1 - cos^2) loses about 8 digits
+        th = np.array([1e-4, 1e-3, 1e-2, np.pi - 1e-3, np.pi - 1e-4])
+        worst = 0.0
+        for l in range(1, 61):
+            for m in sorted({1, l // 2, l, -l}):
+                ours = scalar_harmonic(l, m, th, 0.3)
+                ref = np.array([mp_scalar_harmonic(l, m, t, 0.3) for t in th])
+                worst = max(worst, float(np.max(np.abs(ours - ref) / np.abs(ref))))
+        assert worst < 2e-13
 
 
 class TestHarmonicTable:
