@@ -58,7 +58,7 @@ class TransitionQuery:
             raise ValueError("ka must be > 0")
         if self.ka > 0.1:
             warnings.warn(f"ka = {self.ka} is not small; leading-order "
-                          "scalings are unreliable", stacklevel=2)
+                          "scalings are unreliable", stacklevel=3)
 
     @property
     def allowed(self) -> bool:

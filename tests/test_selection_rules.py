@@ -57,8 +57,10 @@ class TestTransitionQuery:
         assert q.allowed is True
 
     def test_warns_for_large_ka(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             TransitionQuery(+1, -1, "E", 1, ka=0.5)
+        # reported at the caller's line, not inside the generated __init__
+        assert record[0].filename == __file__
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -105,8 +107,9 @@ class TestScalingRatio:
             assert abs(approx / exact - 1.0) < 10 * ka * ka
 
     def test_warns_for_large_ka(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             scaling_ratio("M_over_E", 1, 0.2)
+        assert record[0].filename == __file__
 
     def test_validation(self):
         with pytest.raises(ValueError):
