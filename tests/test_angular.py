@@ -66,6 +66,18 @@ class TestComponentConversion:
         c = cartesian_to_spherical_components([1.0, 0.0, 0.0])
         assert_allclose(c, [-1 / SQ2, 0.0, 1 / SQ2], atol=1e-16)
 
+    def test_array_equals_point_calls(self, rng):
+        # a point converts the same bits alone as in an array, both ways
+        v = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+        c = cartesian_to_spherical_components(v)
+        back = spherical_to_cartesian_components(c)
+        assert c.shape == back.shape == (3, 4, 5)
+        for idx in np.ndindex(4, 5):
+            col = (slice(None),) + idx
+            assert np.array_equal(c[col], cartesian_to_spherical_components(v[col])), idx
+            assert np.array_equal(back[col], spherical_to_cartesian_components(c[col])), idx
+        assert np.abs(back - v).max() < 1e-14
+
 
 class TestClebschGordan:
     def test_single_path(self):

@@ -187,6 +187,10 @@ class TestRotateComponents:
         out = rotate_cartesian([1.0, 0.0, 0.0], 0.0, math.pi / 2, 0.0)
         assert np.abs(out - np.array([0.0, 0.0, 1.0])).max() < 1e-12
 
+    def test_cartesian_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="3 Cartesian components"):
+            rotate_cartesian([1.0, 0.0], 0.1, 0.2, 0.3)
+
     def test_identity(self, rng):
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         out = rotate_spherical(v, 0.0, 0.0, 0.0)
