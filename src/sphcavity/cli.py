@@ -138,11 +138,9 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--tol expects NAME=VALUE, got {spec!r}")
         overrides[name] = float(value)
     reports = vf.run_suite(only=args.only or None, tolerances=overrides, seed=args.seed)
-    rows = [{
-        "name": r.name, "max_residual": r.max_residual,
-        "tolerance": r.tolerance, "pass": r.passed,
-        **({"details": r.details} if args.format != "csv" else {}),
-    } for r in reports]
+    rows = [r.as_dict() for r in reports]
+    if args.format == "csv":  # details hold commas
+        rows = [{k: v for k, v in row.items() if k != "details"} for row in rows]
     _emit_table(rows, args.format)
     failed = [r for r in reports if not r.passed]
     if failed:
