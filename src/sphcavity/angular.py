@@ -91,9 +91,8 @@ def unit_phi(theta, phi):
     return np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(ph)])
 
 
-# The covariant spherical basis, Condon-Shortley phases: rows e_{+1}, e_0,
-# e_{-1} (the m = +1, 0, -1 order of D^(1)), columns x, y, z.  Every
-# conversion between Cartesian and spherical components reads this matrix.
+# the covariant spherical basis (Condon-Shortley phases), the package's only
+# copy: rows e_{+1}, e_0, e_{-1} (the m order of D^(1)), columns x, y, z
 _U = np.array([
     [-1.0 / _SQ2, -1j / _SQ2, 0.0],
     [0.0, 0.0, 1.0],
@@ -114,8 +113,8 @@ def spherical_basis_vector(mu: int) -> np.ndarray:
 
 
 def _apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # mat @ v over v's leading axis, elementwise rather than by a BLAS
-    # contraction, so that a point's value does not depend on its batch
+    # mat @ v over v's leading axis, elementwise (not a BLAS contraction) so
+    # that a point's value does not depend on its batch
     mat = mat.reshape((3, 3) + (1,) * (v.ndim - 1))
     return mat[:, 0] * v[0] + mat[:, 1] * v[1] + mat[:, 2] * v[2]
 
@@ -123,9 +122,8 @@ def _apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 def cartesian_to_spherical_components(v) -> np.ndarray:
     """Covariant spherical components [V_{+1}, V_0, V_{-1}] of a vector.
 
-    V_mu = e_mu . V: V_{+1} = -(V_x + i V_y)/sqrt(2), V_0 = V_z,
-    V_{-1} = (V_x - i V_y)/sqrt(2).  Accepts shape (3,) or (3, ...);
-    norm-preserving, and each point is converted on its own.
+    V_{+1} = -(V_x + i V_y)/sqrt(2), V_0 = V_z, V_{-1} = (V_x - i V_y)/sqrt(2).
+    Accepts shape (3,) or (3, ...); norm-preserving, point by point.
     """
     return _apply(_U, np.asarray(v, dtype=complex))
 

@@ -481,13 +481,12 @@ def _multipole_terms(tau: str, j: int) -> tuple[tuple[tuple[int, float], ...], .
 def _fields(spec: ModeSpec, r, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """A and B = curl A for one mode, each shape (3, ...); valid for any r >= 0.
 
-    Each is N (A) or i k N (B) times the sum of its terms c T_l, with
-    T_l = j_l(kr) Y_{j,l,m}, l = j-1, j, j+1, and the coefficients c of
-    _multipole_terms; each T_l enters one field only.  r, theta and phi broadcast
-    together and are not expanded first: with r of shape (n_r, 1, 1) and
-    angles of shape (1, n_theta, n_phi), each Bessel function is evaluated
-    at n_r points and each harmonic, from one table shared by the three
-    terms, at n_theta * n_phi points.
+    A / N and B / (i k N) are sums of c T_l, T_l = j_l(kr) Y_{j,l,m}, over the
+    (l, c) of _multipole_terms; each field is summed and then scaled once.
+    r, theta and phi broadcast together and are not expanded first: with r
+    of shape (n_r, 1, 1) and angles of shape (1, n_theta, n_phi), each
+    Bessel function is evaluated at n_r points and each harmonic, from one
+    table shared by the three terms, at n_theta * n_phi points.
     """
     tau, j, m, _ = spec.index
     k = spec.omega / spec.config.wave_speed

@@ -204,10 +204,7 @@ def rotate_spherical(components, alpha: float, beta: float, gamma: float) -> np.
 
 
 def rotate_cartesian(v, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Rotate Cartesian vector components into the rotated frame.
-
-    V' = R V with R = :func:`euler_to_rotation_matrix`; v has shape (3,).
-    """
+    """Rotate Cartesian components, shape (3,), into the rotated frame: V' = R V."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (3,):
         raise ValueError(f"expected 3 Cartesian components, got shape {v.shape}")

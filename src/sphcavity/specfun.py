@@ -4,8 +4,11 @@ Spherical Bessel functions of the first kind, half-integer-order Bessel
 functions, associated Legendre functions, and scalar spherical harmonics
 in the two phase conventions used throughout the package.
 
-Callers that need many harmonics on one grid of angles build one private
-_Harmonics table per grid and drop it after the call; no cache is kept.
+Y_lm has one definition, the private _Harmonics table, seeded with
+|sin theta|^m so that it keeps full relative accuracy at the poles.
+scalar_harmonic reads one entry of a table built for its call; callers that
+need many harmonics on one grid build one table per grid and drop it after
+the call.  No cache is kept.
 
 All evaluators are pure, accept scalars or numpy arrays, and are safe for
 unrestricted concurrent use.
@@ -156,12 +159,11 @@ def bessel_j_halfint(two_nu: int, x):
 
 
 def _plm_upward(m: int, l_max: int, x, sin):
-    # P_m^m(x), ..., P_{l_max}^m(x) by upward recurrence in l from the sectoral
-    # seed (2m-1)!! sin^m, with sin = sqrt(1 - x^2) >= 0 from the caller (from
-    # theta, it keeps full relative accuracy near the poles); stable for
-    # l <= ~64.  Unvalidated: callers guarantee 0 <= m <= l_max and |x| <= 1.
-    # Each step works in place on its own fresh array, so a value once
-    # yielded is never modified.
+    # P_m^m(x), ..., P_{l_max}^m(x) by upward recurrence in l, stable for
+    # l <= ~64, from the seed (2m-1)!! sin^m; the caller passes sin =
+    # sqrt(1 - x^2) >= 0 (from theta, exact near the poles).  Unvalidated:
+    # 0 <= m <= l_max and |x| <= 1.  Each step works in place on its own
+    # fresh array, so a value once yielded is never modified.
     p0 = _odd_double_factorial(2 * m - 1) * sin**m
     yield p0
     if l_max > m:
