@@ -161,7 +161,7 @@ def bessel_j_halfint(two_nu: int, x):
 def _plm_upward(m: int, l_max: int, x, sin):
     # P_m^m(x), ..., P_{l_max}^m(x) by upward recurrence in l, stable for
     # l <= ~64, from the seed (2m-1)!! sin^m; the caller passes sin =
-    # sqrt(1 - x^2) >= 0 (from theta, exact near the poles).  Unvalidated:
+    # sqrt(1 - x^2) >= 0 (from theta, accurate near the poles).  Unvalidated:
     # 0 <= m <= l_max and |x| <= 1.  Each step works in place on its own
     # fresh array, so a value once yielded is never modified.
     p0 = _odd_double_factorial(2 * m - 1) * sin**m
