@@ -11,7 +11,7 @@ import numpy as np
 from sphcavity import boundary_residual, mode_field, mode_spec
 from sphcavity.angular import unit_phi, unit_radial, unit_theta
 from sphcavity.modes import fibonacci_directions
-from sphcavity.verify import check_mode_energy
+from sphcavity.verify import DEFAULT_TOLERANCES, check_mode_energy
 
 print(__doc__)
 
@@ -31,12 +31,11 @@ for tau, j, n in (("E", 1, 1), ("M", 1, 1), ("E", 2, 1)):
     print(f"  interior |E| at r = R/2: up to "
           f"{np.sqrt((np.abs(interior.E) ** 2).sum(0)).max():.4f}")
 
-    report = boundary_residual(spec, n_dirs=64)
-    print(f"  boundary check: residual {report.max_residual:.2e} "
-          f"(tolerance {report.tolerance:.0e}) -> "
-          f"{'pass' if report.passed else 'FAIL'}")
+    resid, tol = boundary_residual(spec, n_dirs=64), DEFAULT_TOLERANCES["mode_boundary"]
+    print(f"  boundary check: residual {resid:.2e} (tolerance {tol:.0e}) -> "
+          f"{'pass' if resid < tol else 'FAIL'}")
 
 print("\nsingle-photon energy normalization, modes with j <= 3, n <= 3:")
-rep = check_mode_energy(j_max=3, n_max=3)
-print(f"  max |energy/(hbar omega) - 1| = {rep.max_residual:.2e} "
-      f"-> {'pass' if rep.passed else 'FAIL'}")
+resid, _ = check_mode_energy(j_max=3, n_max=3)
+print(f"  max |energy/(hbar omega) - 1| = {resid:.2e} "
+      f"-> {'pass' if resid < DEFAULT_TOLERANCES['mode_energy'] else 'FAIL'}")

@@ -53,7 +53,6 @@ from .modes import (
     spectrum,
     spherical_bessel_zeros,
 )
-from .reporting import CheckReport
 from .rotations import (
     euler_to_rotation_matrix,
     helicity_polarization_vector,
@@ -87,6 +86,7 @@ from .verify import (
     DEFAULT_TOLERANCES,
     ELECTRIC_REFERENCE_TABLE,
     MAGNETIC_REFERENCE_TABLE,
+    CheckReport,
     SphereQuadrature,
     radial_quadrature,
     run_suite,

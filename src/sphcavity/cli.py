@@ -94,8 +94,6 @@ def _listed(parse):
 
 
 def cmd_modes(args) -> int:
-    if args.jmax < 1 or args.nmax < 1:
-        raise ValueError("--jmax and --nmax must be >= 1 (j starts at 1)")
     specs = md.spectrum(args.jmax, args.nmax, _config_from(args))
     if args.tau:
         tau = args.tau.upper()
@@ -206,8 +204,6 @@ def cmd_rotate(args) -> int:
         raise ValueError(f"--euler expects three comma-separated radians, got "
                          f"{len(args.euler)}")
     if args.vec:
-        if len(args.vec) != 3:
-            raise ValueError(f"--vec expects three components, got {len(args.vec)}")
         rotated = rotate_cartesian(np.array(args.vec), *args.euler)
         sph = cartesian_to_spherical_components(rotated)
         rows = [{

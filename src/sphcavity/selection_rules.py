@@ -41,6 +41,16 @@ def transition_allowed(parity_initial: int, parity_final: int, tau: str, j: int)
     return parity_initial * parity_final == photon_parity(tau, j)
 
 
+def _check_ka(ka: float, stacklevel: int) -> None:
+    """Reject ka <= 0 and warn above 0.1, where the leading order is
+    unreliable; ``stacklevel`` counts from the caller, as in warnings.warn."""
+    if ka <= 0:
+        raise ValueError("ka must be > 0")
+    if ka > 0.1:
+        warnings.warn(f"ka = {ka} is not small; leading-order scalings are "
+                      "unreliable", stacklevel=stacklevel + 1)
+
+
 @dataclass(frozen=True)
 class TransitionQuery:
     """One transition: atomic parities, photon multipole, and size parameter ka."""
@@ -54,11 +64,7 @@ class TransitionQuery:
     def __post_init__(self):
         # validates the parities, tau and j
         transition_allowed(self.parity_initial, self.parity_final, self.tau, self.j)
-        if self.ka <= 0:
-            raise ValueError("ka must be > 0")
-        if self.ka > 0.1:
-            warnings.warn(f"ka = {self.ka} is not small; leading-order "
-                          "scalings are unreliable", stacklevel=3)
+        _check_ka(self.ka, stacklevel=3)  # past the generated __init__
 
     @property
     def allowed(self) -> bool:
@@ -79,11 +85,7 @@ def scaling_ratio(kind: str, j: int, ka: float) -> float:
         raise ValueError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
     if j < 1:
         raise ValueError("j must be >= 1")
-    if ka <= 0:
-        raise ValueError("ka must be > 0")
-    if ka > 0.1:
-        warnings.warn(f"ka = {ka} is not small; leading-order scalings are "
-                      "unreliable", stacklevel=2)
+    _check_ka(ka, stacklevel=2)
     ka2 = ka * ka
     if kind == "M_over_E":
         return ka2 / ((j + 1) * (2 * j + 1))

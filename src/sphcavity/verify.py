@@ -1,17 +1,19 @@
 """Quadrature engines and the cross-cutting property-check suite.
 
-Every check returns a :class:`CheckReport` at its default tolerance.  One
-registry entry per named check (orthonormality, parity, helicity, Bessel
-identities, plane-wave expansions, rotation algebra, mode and entanglement
-checks) holds that tolerance and the suite's call; ``DEFAULT_TOLERANCES`` is
-read from it.  :func:`run_suite` runs the checks in name order and applies
-per-name tolerance overrides, each a finite number > 0, in one place.
+Every ``check_*`` function returns ``(residual, details)`` and knows
+neither its name nor a tolerance.  One registry entry per named check
+(orthonormality, parity, helicity, Bessel identities, plane-wave
+expansions, rotation algebra, mode and entanglement checks) holds its
+default tolerance and the suite's call; ``DEFAULT_TOLERANCES`` is read from
+it, and is the only place a check's tolerance lives.
+:func:`run_suite` runs the checks in name order, applies per-name tolerance
+overrides, each a finite number > 0, and builds every :class:`CheckReport`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -20,7 +22,6 @@ from numpy.polynomial.legendre import leggauss
 from . import entangle as ent
 from . import modes as md
 from .angular import _coupled, _helicity, _vsh, antipode, helicity_apply, unit_radial
-from .reporting import CheckReport
 from .rotations import (
     MAX_WIGNER_J,
     _spherical_waves,
@@ -51,7 +52,7 @@ __all__ = [
 # The magnetic reference list is reproduced as published even though its
 # j = 1, 2, 3 rows each skip one true root of the defining equation; the
 # solver finds the complete sequences and the skipped values are recorded
-# below and surfaced in the mode_tables check report.
+# below and named in the details of the frequency-table check.
 MAGNETIC_REFERENCE_TABLE = {
     1: (4.49341, 7.72525, 10.9041, 17.2208),
     2: (5.76346, 12.3229, 15.5146, 18.689),
@@ -130,11 +131,6 @@ def radial_quadrature(n: int, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * r_max * (nodes + 1.0), 0.5 * r_max * weights
 
 
-def _report(name: str, residual: float, details: str) -> CheckReport:
-    """The named check's report, at its default tolerance."""
-    return CheckReport(name, float(residual), DEFAULT_TOLERANCES[name], details=details)
-
-
 # --------------------------------------------------------------------------
 # angular-algebra checks
 
@@ -167,7 +163,7 @@ def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], list[np.ndarr
                     for w in _spherical_waves(j, lam, tg, pg)[::-1]]
 
 
-def check_orthonormality(family: str, l_max: int) -> CheckReport:
+def check_orthonormality(family: str, l_max: int) -> tuple[float, str]:
     """Max |Gram - identity| entry over one basis family (sphere quadrature)."""
     if l_max > 8:
         raise ValueError("l_max must be <= 8")
@@ -179,10 +175,10 @@ def check_orthonormality(family: str, l_max: int) -> CheckReport:
     s = samples.reshape(len(samples), -1)
     gram = s.conj() @ (s * w).T
     resid = np.abs(gram - np.eye(len(s))).max()
-    return _report(f"orthonormality_{family}", resid, f"{len(s)} functions, l_max={l_max}")
+    return resid, f"{len(s)} functions, l_max={l_max}"
 
 
-def check_parity(l_max: int = 4) -> CheckReport:
+def check_parity(l_max: int = 4) -> tuple[float, str]:
     """Parity eigenvalues: scalar (-1)^l; E and L carry (-1)^j, M carries
     (-1)^(j+1) under the vector parity operation (P V)(n) = -V(-n)."""
     rng = np.random.default_rng(20260810)
@@ -204,10 +200,10 @@ def check_parity(l_max: int = 4) -> CheckReport:
     sign = np.array([(-1.0) ** (j + (kind == "M")) for kind, j, _ in labels])[:, None, None]
     expected = sign * np.stack(_family("eml", l_max, th, ph)[1])
     resid = max(resid, float(np.abs(-np.stack(flipped) - expected).max()))
-    return _report("parity", resid, "scalar and E/M/L vector parity eigenvalues")
+    return resid, "scalar and E/M/L vector parity eigenvalues"
 
 
-def check_helicity_eigen(l_max: int = 4) -> CheckReport:
+def check_helicity_eigen(l_max: int = 4) -> tuple[float, str]:
     """(S.n) Y^(lam) = lam Y^(lam) pointwise, and (S.n)^2 = 1 on transverse."""
     rng = np.random.default_rng(20260811)
     th = rng.uniform(0.1, np.pi - 0.1, 16)
@@ -220,10 +216,10 @@ def check_helicity_eigen(l_max: int = 4) -> CheckReport:
     y = y[:, lam != 0]
     twice = helicity_apply(th, ph, helicity_apply(th, ph, y))
     resid = max(resid, float(np.abs(twice - y).max(initial=0.0)))
-    return _report("helicity_eigen", resid, f"helicity eigen-equation up to j={l_max}")
+    return resid, f"helicity eigen-equation up to j={l_max}"
 
 
-def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3) -> CheckReport:
+def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3) -> tuple[float, str]:
     """E/M/L as fixed linear combinations of the coupled harmonics Y_jlm."""
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.05, np.pi - 0.05, n_dirs)
@@ -247,10 +243,10 @@ def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3) -> CheckRepo
             # radial/tangential structure
             resid = max(resid, float(np.abs((n * yl).sum(axis=0) - Y(j, m)).max()))
             resid = max(resid, float(np.abs((n * ye).sum(axis=0)).max()))
-    return _report("vsh_linear_combinations", resid, f"{n_dirs} random directions, j <= 4")
+    return resid, f"{n_dirs} random directions, j <= 4"
 
 
-def check_cross_products() -> CheckReport:
+def check_cross_products() -> tuple[float, str]:
     """n x Y^E = i Y^M and Y^E = -i (n x Y^M), pointwise."""
     rng = np.random.default_rng(11)
     th = rng.uniform(0.05, np.pi - 0.05, 40)
@@ -262,14 +258,14 @@ def check_cross_products() -> CheckReport:
     n = unit_radial(th, ph)[:, None]
     resid = float(np.abs(np.cross(n, ye, axis=0) - 1j * ym).max())
     resid = max(resid, float(np.abs(-1j * np.cross(n, ym, axis=0) - ye).max()))
-    return _report("cross_products", resid, "n x Y^E = iY^M and Y^E = -i n x Y^M, j <= 4")
+    return resid, "n x Y^E = iY^M and Y^E = -i n x Y^M, j <= 4"
 
 
 # --------------------------------------------------------------------------
 # scalar-function identities
 
 
-def check_bessel_recurrences() -> CheckReport:
+def check_bessel_recurrences() -> tuple[float, str]:
     """Derivative recurrences j'_l = (l/x) j_l - j_{l+1} = j_{l-1} - ((l+1)/x) j_l,
     with j' from central finite differences."""
     x = np.linspace(0.5, 50.0, 199)
@@ -281,10 +277,11 @@ def check_bessel_recurrences() -> CheckReport:
     l = np.arange(11)[:, None]
     resid = float(np.abs(deriv - (l / x) * at[:11] + at[1:]).max())
     resid = max(resid, float(np.abs(deriv[1:] - at[:10] + ((l[1:] + 1) / x) * at[1:11]).max()))
-    return _report("bessel_recurrences", resid, "l <= 10 on x in [0.5, 50]")
+    return resid, "l <= 10 on x in [0.5, 50]"
 
 
-def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2) -> CheckReport:
+def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1,
+                          beta_idx: int = 2) -> tuple[float, str]:
     """int_0^1 x J_nu(ax) J_nu(bx) dx = 0 (a != b) or J_{nu+1}(a)^2 / 2 (a = b)
     for a, b zeros of J_nu (half-integer nu), on ceil(max(a, b)) + 32
     Gauss-Legendre nodes (40 at the defaults)."""
@@ -299,11 +296,10 @@ def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1, beta_idx: int = 2
     x, w = radial_quadrature(math.ceil(max(a, b)) + 32, 1.0)
     val = float(np.sum(w * x * bessel_j_halfint(two_nu, a * x) * bessel_j_halfint(two_nu, b * x)))
     expected = 0.0 if alpha_idx != beta_idx else 0.5 * bessel_j_halfint(two_nu + 2, a) ** 2
-    return _report("bessel_integral", abs(val - expected),
-                   f"nu={nu}, zeros #{alpha_idx}, #{beta_idx}")
+    return abs(val - expected), f"nu={nu}, zeros #{alpha_idx}, #{beta_idx}"
 
 
-def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int) -> CheckReport:
+def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int) -> tuple[float, str]:
     """Partial-wave expansion of exp(i k.r) against the direct exponential."""
     thk, phk = dir_k
     thr, phr = dir_r
@@ -315,10 +311,10 @@ def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int) -> 
         for m in range(-l, l + 1):
             total += 4 * np.pi * 1j**l * jl * np.conj(Y_k(l, m)) * Y_r(l, m)
     direct = np.exp(1j * kr * float((unit_radial(thk, phk) * unit_radial(thr, phr)).sum()))
-    return _report("plane_wave_expansion", abs(total - direct), f"kr={kr}, l_max={l_max}")
+    return abs(total - direct), f"kr={kr}, l_max={l_max}"
 
 
-def check_vsh_fourier(j: int, kind: str, kr: float) -> CheckReport:
+def check_vsh_fourier(j: int, kind: str, kr: float) -> tuple[float, str]:
     """Angular transform int Y(k^) e^{i k.r} dOmega_k = g_l(kr) Y(r^) with
     g_l = 4 pi i^l j_l; the E-type maps onto the shifted-degree pair."""
     if kind not in ("scalar", "coupled", "M", "E"):
@@ -352,14 +348,14 @@ def check_vsh_fourier(j: int, kind: str, kr: float) -> CheckReport:
     lhs = f.reshape(f.shape[:2] + (-1,)) @ kernel.T
     scale = np.maximum(1.0, np.abs(rhs).max(axis=1))
     resid = float((np.abs(lhs - rhs).max(axis=1) / scale).max())
-    return _report("vsh_fourier", resid, f"kind={kind}, j={j}, kr={kr}")
+    return resid, f"kind={kind}, j={j}, kr={kr}"
 
 
 # --------------------------------------------------------------------------
 # rotation checks
 
 
-def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9) -> CheckReport:
+def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9) -> tuple[float, str]:
     """D^(j) D^(j)+ = 1 at random Euler angles and D^(j)(0, 0, 0) = 1, j <= j_max."""
     if not 0 <= j_max <= MAX_WIGNER_J:
         raise ValueError(f"j_max must be in [0, {MAX_WIGNER_J}]")
@@ -371,7 +367,7 @@ def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9) -> CheckRe
         resid = max(resid, float(np.abs(d @ d.conj().T - np.eye(2 * j + 1)).max()))
         d0 = wigner_d_matrix(j, 0.0, 0.0, 0.0)
         resid = max(resid, float(np.abs(d0 - np.eye(2 * j + 1)).max()))
-    return _report("dmatrix_unitarity", resid, f"random angles, j <= {j_max}")
+    return resid, f"random angles, j <= {j_max}"
 
 
 _GOLDEN_D1 = np.array([
@@ -381,21 +377,21 @@ _GOLDEN_D1 = np.array([
 ])
 
 
-def check_dmatrix_golden() -> CheckReport:
+def check_dmatrix_golden() -> tuple[float, str]:
     """The j=1, beta=pi/2 matrix entry-for-entry, and the worked vector
     rotation x-axis -> z-axis under the quarter-turn frame rotation."""
     d = wigner_d_matrix(1, 0.0, math.pi / 2, 0.0)
     resid = float(np.abs(d - _GOLDEN_D1).max())
     rotated = rotate_cartesian([1.0, 0.0, 0.0], 0.0, math.pi / 2, 0.0)
     resid = max(resid, float(np.abs(rotated - np.array([0.0, 0.0, 1.0])).max()))
-    return _report("dmatrix_golden", resid, "d^1(pi/2) matrix and (1,0,0)->(0,0,1) rotation")
+    return resid, "d^1(pi/2) matrix and (1,0,0)->(0,0,1) rotation"
 
 
 # --------------------------------------------------------------------------
 # mode checks
 
 
-def check_mode_tables() -> CheckReport:
+def check_mode_tables() -> tuple[float, str]:
     """Reproduce the reference frequency tables.
 
     Electric entries must match the computed sequence positionally
@@ -423,10 +419,10 @@ def check_mode_tables() -> CheckReport:
     details = ("electric rows positional, magnetic rows by membership; "
                "roots absent from the magnetic reference rows were found at "
                + "; ".join(skipped_found))
-    return _report("mode_tables", resid, details)
+    return resid, details
 
 
-def check_dual_condition(j_max: int = 6, n_each: int = 8) -> CheckReport:
+def check_dual_condition(j_max: int = 6, n_each: int = 8) -> tuple[float, str]:
     """Electric and magnetic root sets are disjoint and omega^E_{j,1} <
     omega^M_{j,1} for every j <= j_max."""
     min_dist = np.inf
@@ -437,8 +433,7 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8) -> CheckReport:
         min_dist = min(min_dist, min(abs(a - b) for a in re for b in rm))
         ok = ok and (re[0] < rm[0])
     resid = 0.0 if (ok and min_dist > 1e-6) else 1.0
-    return _report("dual_condition", resid,
-                   f"j <= {j_max}, min |x_E - x_M| = {min_dist:.4f}, "
+    return resid, (f"j <= {j_max}, min |x_E - x_M| = {min_dist:.4f}, "
                    f"lowest-root ordering {'holds' if ok else 'fails'}")
 
 
@@ -492,7 +487,7 @@ def _radial_rule(specs: list[md.ModeSpec]) -> tuple[np.ndarray, np.ndarray]:
     return radial_quadrature(math.ceil(specs[-1].x_root) + 24, specs[-1].config.radius)
 
 
-def check_mode_energy(j_max: int = 3, n_max: int = 3) -> CheckReport:
+def check_mode_energy(j_max: int = 3, n_max: int = 3) -> tuple[float, str]:
     """Quadrature energy of each normalized mode of spectrum(j_max, n_max)
     equals hbar omega.  The energy is (1/2) w^2 eps0 int |A|^2 d3r, twice
     the electric part of _mode_energies, summed in separable form on
@@ -503,10 +498,10 @@ def check_mode_energy(j_max: int = 3, n_max: int = 3) -> CheckReport:
     energy = 2.0 * _mode_energies(specs, _radial_rule(specs), quads)[:, 0]
     hbar_omega = np.array([spec.config.hbar * spec.omega for spec in specs])
     resid = np.abs(energy / hbar_omega - 1.0).max()
-    return _report("mode_energy", resid, f"all modes with j <= {j_max}, n <= {n_max}")
+    return resid, f"all modes with j <= {j_max}, n <= {n_max}"
 
 
-def check_mode_equipartition(j_max: int = 2, n_max: int = 2) -> CheckReport:
+def check_mode_equipartition(j_max: int = 2, n_max: int = 2) -> tuple[float, str]:
     """Electric-part and magnetic-part field energies of each mode of
     spectrum(j_max, n_max) agree: _mode_energies on _radial_rule (34 nodes
     at the defaults, 155 at (20, 32)) and a sphere rule of degree 2j + 8,
@@ -515,17 +510,15 @@ def check_mode_equipartition(j_max: int = 2, n_max: int = 2) -> CheckReport:
     quads = {j: sphere_quadrature(2 * (j + 2) + 4) for j in range(1, j_max + 1)}
     e_elec, e_mag = _mode_energies(specs, _radial_rule(specs), quads).T
     resid = np.abs(e_mag / e_elec - 1.0).max()
-    return _report("mode_equipartition", resid,
-                   f"modes with j <= {j_max}, n <= {n_max}, closed-form curl")
+    return resid, f"modes with j <= {j_max}, n <= {n_max}, closed-form curl"
 
 
-def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64) -> CheckReport:
+def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64) -> tuple[float, str]:
     """Every mode of spectrum(j_max, n_max) has zero tangential E and normal B at r = R."""
     resid = 0.0
     for spec in md.spectrum(j_max, n_max):
-        resid = max(resid, md.boundary_residual(spec, n_dirs=n_dirs).max_residual)
-    return _report("mode_boundary", resid,
-                   f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
+        resid = max(resid, md.boundary_residual(spec, n_dirs=n_dirs))
+    return resid, (f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
                    f"({n_dirs} directions each)")
 
 
@@ -537,9 +530,9 @@ def vsh_project(field_fn, l_max: int,
                 quadrature: SphereQuadrature | None = None):
     """Project a tangential+radial vector field onto the E/M/L basis.
 
-    Returns (coefficients, CheckReport): a dict keyed by (kind, l, m) of
-    inner products <Y^kind_lm, field>, and the reconstruction residual of
-    the resummed expansion on the quadrature grid.
+    Returns (coefficients, residual): a dict keyed by (kind, l, m) of inner
+    products <Y^kind_lm, field>, and the largest error of the resummed
+    expansion on the quadrature grid, relative to max(1, max |field|).
     """
     quad = quadrature or sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
@@ -551,13 +544,10 @@ def vsh_project(field_fn, l_max: int,
         coeffs[label] = complex(c)
         recon = recon + c * basis
     scale = max(1.0, float(np.abs(field).max()))
-    resid = float(np.abs(recon - field).max()) / scale
-    report = CheckReport("vsh_projection", resid, DEFAULT_TOLERANCES["completeness"],
-                         details=f"reconstruction through l={l_max}")
-    return coeffs, report
+    return coeffs, float(np.abs(recon - field).max()) / scale
 
 
-def check_completeness(l_max: int = 8, seed: int = 7) -> CheckReport:
+def check_completeness(l_max: int = 8, seed: int = 7) -> tuple[float, str]:
     """A random band-limited vector field is reproduced by projection and
     resummation over {Y^L, Y^E, Y^M}."""
     rng = np.random.default_rng(seed)
@@ -575,15 +565,13 @@ def check_completeness(l_max: int = 8, seed: int = 7) -> CheckReport:
             out += c * _vsh(Y, kind, l, m)
         return out
 
-    coeffs, report = vsh_project(field, l_max)
-    resid = report.max_residual
+    coeffs, resid = vsh_project(field, l_max)
     for kind, l, m, c in terms:
         resid = max(resid, abs(coeffs[(kind, l, m)] - c))
-    return _report("completeness", resid,
-                   f"{len(terms)} random components, projection through l={l_max}")
+    return resid, f"{len(terms)} random components, projection through l={l_max}"
 
 
-def check_quadrature_convergence() -> CheckReport:
+def check_quadrature_convergence() -> tuple[float, str]:
     """Doubling the rule degree must not grow a representative residual by
     more than 10x (guards against accidental exactness)."""
 
@@ -598,15 +586,14 @@ def check_quadrature_convergence() -> CheckReport:
 
     r1, r2 = gram_resid(14), gram_resid(28)
     ratio = r2 / (10.0 * r1 + 1e-15)
-    return _report("quadrature_convergence", ratio,
-                   f"residual {r1:.2e} at degree 14 vs {r2:.2e} at 28")
+    return ratio, f"residual {r1:.2e} at degree 14 vs {r2:.2e} at 28"
 
 
 # --------------------------------------------------------------------------
 # entanglement checks
 
 
-def check_entangle_catalog() -> CheckReport:
+def check_entangle_catalog() -> tuple[float, str]:
     """10 partitions (4 of one field, 6 of two) and 40 distinct catalog entries."""
     parts = ent.enumerate_partitions()
     catalog = ent.enumerate_catalog()
@@ -615,11 +602,10 @@ def check_entangle_catalog() -> CheckReport:
           and sum(1 for p in parts if len(p.alpha_fields) == 1) == 4
           and sum(1 for p in parts if len(p.alpha_fields) == 2) == 6
           and len(catalog) == 40 and len(set(ids)) == 40)
-    return _report("entangle_catalog", 0.0 if ok else 1.0,
-                   f"{len(parts)} partitions, {len(catalog)} catalog entries")
+    return 0.0 if ok else 1.0, f"{len(parts)} partitions, {len(catalog)} catalog entries"
 
 
-def check_entangle_factorization() -> CheckReport:
+def check_entangle_factorization() -> tuple[float, str]:
     """Every catalog entry built with distinct labels passes the Bell
     factorization and exchange-symmetry checks; the antisymmetric
     construction with equal spectator labels symmetrizes to zero."""
@@ -630,8 +616,7 @@ def check_entangle_factorization() -> CheckReport:
         alpha = tuple(tuple(values[f][i] for f in p.alpha_fields) for i in (0, 1))
         gamma = tuple(tuple(values[f][i] for f in p.gamma_fields) for i in (0, 1))
         state = ent.build_state(p, entry.bell, alpha, gamma)
-        rep = ent.factorization_check(state, p, entry.bell, alpha, gamma)
-        resid = max(resid, rep.max_residual)
+        resid = max(resid, ent.factorization_check(state, p, entry.bell, alpha, gamma))
     # degenerate antisymmetric construction must vanish
     p0 = ent.partition_by_id("omega")
     try:
@@ -640,11 +625,35 @@ def check_entangle_factorization() -> CheckReport:
         zero_note = "MISSED degenerate zero state"
     except ent.DegenerateStateError:
         zero_note = "degenerate psi-minus construction correctly reported as zero"
-    return _report("entangle_factorization", resid, f"all 40 catalog entries; {zero_note}")
+    return resid, f"all 40 catalog entries; {zero_note}"
 
 
 # --------------------------------------------------------------------------
 # suite driver
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one named check: ``passed`` iff ``max_residual < tolerance``."""
+
+    name: str
+    max_residual: float
+    tolerance: float
+    details: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_residual < self.tolerance)
+
+    def as_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "max_residual": self.max_residual,
+            "tolerance": self.tolerance,
+            "pass": self.passed,
+            "details": self.details,
+        }
+
 
 # name: (default tolerance, the suite's call of the check given the suite seed)
 _SUITE = {
@@ -675,7 +684,7 @@ _SUITE = {
     "vsh_fourier": (1e-9, lambda seed: max(
         (check_vsh_fourier(*args) for args in (
             (0, "scalar", 1.0), (1, "M", 2.5), (2, "E", 3.0), (2, "coupled", 2.0))),
-        key=lambda r: r.max_residual)),
+        key=lambda r: r[0])),
     "vsh_linear_combinations": (1e-12, lambda seed: check_vsh_linear_combinations(seed=seed)),
 }
 
@@ -694,8 +703,9 @@ def run_suite(only: list[str] | None = None,
     ``only`` filters by substring match against check names; ``tolerances``
     replaces a check's default tolerance with a finite number > 0.  A filter
     that matches no check, or an override that names no check or is not
-    such a number, raises ValueError before any check runs.  ``seed`` feeds
-    only completeness, dmatrix_unitarity and vsh_linear_combinations.
+    such a number, raises ValueError before any check runs.  ``seed`` reaches
+    only the checks whose registry call passes it on.  Each report holds the
+    check's residual and details, and the override or the default tolerance.
     """
     tolerances = {name: float(tol) for name, tol in (tolerances or {}).items()}
     unknown = sorted(set(tolerances) - set(_SUITE))
@@ -709,6 +719,9 @@ def run_suite(only: list[str] | None = None,
         names = [n for n in names if any(f in n for f in only)]
         if not names:
             raise ValueError(f"no checks match filters {only!r}")
-    reports = {name: _SUITE[name][1](seed) for name in names}
-    return [replace(r, tolerance=tolerances.get(name, r.tolerance))
-            for name, r in reports.items()]
+    reports = []
+    for name in names:
+        default, run = _SUITE[name]
+        residual, details = run(seed)
+        reports.append(CheckReport(name, float(residual), tolerances.get(name, default), details))
+    return reports

@@ -37,9 +37,10 @@ class TestModesCommand:
         assert abs(float(rows[0].split(",")[3]) - 2.74371) / 2.74371 < 5e-5
 
     def test_invalid_jmax_exits_2(self, capsys):
+        # spectrum's range check names the bad input
         code, _, err = run_cli(capsys, "modes", "--jmax", "0")
         assert code == 2
-        assert "jmax" in err
+        assert "j_max" in err
 
     def test_byte_stable(self, capsys):
         _, out1, _ = run_cli(capsys, "modes", "--jmax", "2", "--nmax", "2",
@@ -227,10 +228,11 @@ class TestRotateCommand:
         assert abs(norm - 1.0) < 1e-8  # 9-significant-digit output
 
     def test_malformed_vector_exits_2(self, capsys):
+        # rotate_cartesian names the shape it rejects
         code, _, err = run_cli(capsys, "rotate", "--vec", "1,2",
                                "--euler", "0,0,0")
         assert code == 2
-        assert "--vec" in err
+        assert "(2,)" in err
 
 
 class TestRatiosCommand:
@@ -293,6 +295,7 @@ _BUILD = ("entangle", "build", "--bell", "psi-minus", "--alpha1", "1", "--alpha2
 # cases the command classes above already test are not repeated here
 EXIT_CODES = [
     (("modes", "--jmax", "21"), 2, "j_max"),
+    (("modes", "--nmax", "0"), 2, "n_max"),
     (("modes", "--radius-m", "0", "--jmax", "1", "--nmax", "1"), 2, "radius"),
     (("field", "--tau", "E", "--j", "1", "--nr", "0"), 2, "--nr"),
     (("verify", "--tol", "x"), 2, "'x'"),
@@ -304,6 +307,7 @@ EXIT_CODES = [
     (("verify", "--only", "zzz"), 2, "zzz"),
     (_BUILD + ("--partition", "nope", "--gamma1", "E,1,0", "--gamma2", "M,2,1"), 2, "nope"),
     (("rotate", "--vec", "1,0,0", "--euler", "1,2"), 2, "--euler"),
+    (("rotate", "--vec", "1,0", "--euler", "0,0,0"), 2, "(2,)"),
     (("rotate", "--euler", "0,0,0"), 2, "--vec"),
     (("rotate", "--coeffs", "1,0,0", "--euler", "0,0,0"), 2, "--j"),
     (("ratios", "--ka", "1e-3", "--jmax", "0"), 2, "jmax"),

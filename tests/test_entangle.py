@@ -17,6 +17,7 @@ from sphcavity.entangle import (
     factorization_check,
     partition_by_id,
 )
+from sphcavity.verify import DEFAULT_TOLERANCES
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -180,9 +181,9 @@ class TestFactorization:
             alpha = tuple(tuple(values[f][i] for f in p.alpha_fields) for i in (0, 1))
             gamma = tuple(tuple(values[f][i] for f in p.gamma_fields) for i in (0, 1))
             state = build_state(p, entry.bell, alpha, gamma)
-            report = factorization_check(state, p, entry.bell, alpha, gamma)
-            assert report.passed, (entry.identifier, report.max_residual)
-            assert report.max_residual < 1e-14
+            resid = factorization_check(state, p, entry.bell, alpha, gamma)
+            assert resid < DEFAULT_TOLERANCES["entangle_factorization"], (entry.identifier, resid)
+            assert resid < 1e-14
 
     def test_perturbed_amplitude_fails(self):
         p = partition_by_id("omega")
@@ -190,8 +191,8 @@ class TestFactorization:
         state = build_state(p, "psi-minus", alpha, gamma)
         key = next(iter(state.amplitudes))
         state.amplitudes[key] += 1e-6
-        report = factorization_check(state, p, "psi-minus", alpha, gamma)
-        assert not report.passed
+        resid = factorization_check(state, p, "psi-minus", alpha, gamma)
+        assert resid >= DEFAULT_TOLERANCES["entangle_factorization"]
 
     def test_exchange_symmetry_explicit(self):
         p = partition_by_id("tau+omega")

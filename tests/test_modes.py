@@ -29,7 +29,8 @@ from sphcavity.modes import (
     spectrum,
     spherical_bessel_zeros,
 )
-from sphcavity.verify import ELECTRIC_REFERENCE_TABLE, MAGNETIC_REFERENCE_TABLE
+from sphcavity.verify import (DEFAULT_TOLERANCES, ELECTRIC_REFERENCE_TABLE,
+                              MAGNETIC_REFERENCE_TABLE)
 
 from _oracles import energy_normalization_constant, fd_curl, scan_roots_bisection
 
@@ -448,16 +449,16 @@ class TestBoundary:
         pytest.param("M", 1, 0, 1, CavityConfig.si(0.01), id="M-1-0-1-SI")])
     def test_modes_pass(self, tau, j, m, n, config):
         spec = mode_spec(tau, j, m, n, config)
-        report = boundary_residual(spec, n_dirs=50)
-        assert report.passed, report
-        assert report.max_residual < 1e-13, report
+        resid = boundary_residual(spec, n_dirs=50)
+        assert resid < DEFAULT_TOLERANCES["mode_boundary"], resid
+        assert resid < 1e-13, resid
 
     def test_perturbed_root_fails(self):
         good = mode_spec("E", 1, 0, 1)
         bad = dataclasses.replace(good, x_root=good.x_root + 1e-3)
-        report = boundary_residual(bad, n_dirs=50)
-        assert not report.passed
-        assert report.max_residual > 1e-5
+        resid = boundary_residual(bad, n_dirs=50)
+        assert resid >= DEFAULT_TOLERANCES["mode_boundary"]
+        assert resid > 1e-5
 
 
 class TestSpectrum:
