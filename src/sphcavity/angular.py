@@ -32,6 +32,7 @@ needs many of these on one grid builds them from one harmonic table.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 _SQ2 = math.sqrt(2.0)
+_INV_SQ2 = 1.0 / _SQ2
 
 
 class Direction(NamedTuple):
@@ -133,6 +135,7 @@ def spherical_to_cartesian_components(c) -> np.ndarray:
     return _apply(_U.conj().T, np.asarray(c, dtype=complex))
 
 
+@lru_cache(maxsize=4096)
 def cg_s1(l: int, j: int, mu: int, m: int) -> float:
     """Clebsch-Gordan coefficient <l, 1; m-mu, mu | j, m> for spin-1 coupling.
 
@@ -167,12 +170,17 @@ def cg_s1(l: int, j: int, mu: int, m: int) -> float:
 
 
 def _coupled(Y: _Harmonics, j: int, l: int, m: int) -> np.ndarray:
-    # Y_jlm on the table's grid; the caller has validated (j, l)
-    out = np.zeros((3,) + Y.shape, dtype=complex)
-    for mu in (+1, 0, -1):
-        coef = cg_s1(l, j, mu, m)  # 0.0 when |m| > j or |m - mu| > l
-        if coef != 0.0:
-            out += coef * _U[1 - mu].reshape((3,) + (1,) * len(Y.shape)) * Y(l, m - mu)
+    # Y_jlm on the table's grid; the caller has validated (j, l).  e_{+1} and
+    # e_{-1} have no z component and e_0 has only z, so with a_mu = c_mu / sqrt(2):
+    # x = a_- Y_{l,m+1} - a_+ Y_{l,m-1}, y = -i (a_+ Y_{l,m-1} + a_- Y_{l,m+1}),
+    # z = c_0 Y_{l,m}.  A coefficient is 0.0 when |m| > j or |m - mu| > l.
+    cp, c0, cm = (cg_s1(l, j, mu, m) for mu in (+1, 0, -1))
+    lo = cp * _INV_SQ2 * Y(l, m - 1) if cp else 0.0
+    hi = cm * _INV_SQ2 * Y(l, m + 1) if cm else 0.0
+    out = np.empty((3,) + Y.shape, dtype=complex)
+    out[0] = hi - lo
+    out[1] = -1j * (lo + hi)
+    out[2] = c0 * Y(l, m) if c0 else 0.0
     return out
 
 
@@ -189,21 +197,26 @@ def vsh_coupled(j: int, l: int, m: int, theta, phi) -> np.ndarray:
     return _coupled(_Harmonics(l, theta, phi), j, l, m)
 
 
+def _eml_terms(kind: str, j: int) -> tuple[tuple[int, float], ...]:
+    # (l, w): Y^kind_jm = sum w Y_{j,l,m}; for j = 0 only Y^L, with its l = j+1 term
+    if kind == "M":
+        return ((j, 1.0),)
+    a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
+    if kind == "E":
+        return ((j + 1, a), (j - 1, b))
+    return ((j + 1, -b), (j - 1, a)) if j >= 1 else ((j + 1, -b),)
+
+
 def _vsh(Y: _Harmonics, kind: str, j: int, m: int) -> np.ndarray:
     # Y^E, Y^M or Y^L (kind already upper case) from the coupled harmonics
     if kind in ("E", "M") and j < 1:
         raise ValueError(f"the {kind}-type harmonic vanishes identically for j={j}; need j >= 1")
     if j < 0 or abs(m) > j:
         raise ValueError(f"need j >= 0 and |m| <= j, got j={j}, m={m}")
-    if kind == "M":
-        return _coupled(Y, j, j, m)
-    a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
-    if kind == "E":
-        return a * _coupled(Y, j, j + 1, m) + b * _coupled(Y, j, j - 1, m)
-    # longitudinal; for j = 0 only the l = j+1 term contributes
-    out = -b * _coupled(Y, j, j + 1, m)
-    if j >= 1:
-        out += a * _coupled(Y, j, j - 1, m)
+    (l, w), *rest = _eml_terms(kind, j)
+    out = w * _coupled(Y, j, l, m)
+    for l, w in rest:
+        out += w * _coupled(Y, j, l, m)
     return out
 
 

@@ -8,7 +8,7 @@ Y_lm has one definition, the private _Harmonics table, seeded with
 |sin theta|^m so that it keeps full relative accuracy at the poles.
 scalar_harmonic reads one entry of a table built for its call; callers that
 need many harmonics on one grid build one table per grid and drop it after
-the call.  No cache is kept.
+the call.  No table is cached; only the scalar normalisation factors are.
 
 All evaluators are pure, accept scalars or numpy arrays, and are safe for
 unrestricted concurrent use.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -204,6 +205,7 @@ class HarmonicConvention(enum.Enum):
     LANDAU_LIFSHITZ = "landau-lifshitz"
 
 
+@lru_cache(maxsize=4096)
 def _norm_phase(l: int, m: int) -> float:
     # sqrt((2l+1)/(4 pi) (l-|m|)!/(l+|m|)!) times the Condon-Shortley phase
     am = abs(m)
@@ -216,8 +218,9 @@ class _Harmonics:
     """Condon-Shortley Y_lm, |m| <= l <= l_max (unvalidated), on one grid: Y(l, m).
 
     The package's one definition of Y_lm; scalar_harmonic reads it too.  Each
-    order |m| runs the Legendre recurrence to l_max once, when first asked
-    for, and each Y_lm is formed once.  Entries are shared, not copied.
+    order |m| runs the Legendre recurrence to l_max once, and each e^{im phi}
+    is formed once per m, both when first asked for; each Y_lm is formed
+    once.  Entries are shared, not copied.
     """
 
     def __init__(self, l_max: int, theta, phi):
@@ -225,14 +228,16 @@ class _Harmonics:
                                      np.asarray(phi, dtype=float))
         self.l_max, self.shape = l_max, th.shape
         self._x, self._sin, self._phi = np.cos(th), np.abs(np.sin(th)), ph
-        self._plm, self._y = {}, {}
+        self._plm, self._eimp, self._y = {}, {}, {}
 
     def __call__(self, l: int, m: int):
         if (l, m) not in self._y:
             am = abs(m)
             if am not in self._plm:
                 self._plm[am] = list(_plm_upward(am, self.l_max, self._x, self._sin))
-            self._y[l, m] = _norm_phase(l, m) * self._plm[am][l - am] * np.exp(1j * m * self._phi)
+            if m not in self._eimp:
+                self._eimp[m] = np.exp(1j * m * self._phi)
+            self._y[l, m] = _norm_phase(l, m) * self._plm[am][l - am] * self._eimp[m]
         return self._y[l, m]
 
 

@@ -21,7 +21,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import entangle as ent
 from . import modes as md
-from .angular import _coupled, _helicity, _vsh, antipode, helicity_apply, unit_radial
+from .angular import (_U, _apply, _coupled, _eml_terms, _helicity, _vsh, antipode, cg_s1,
+                      helicity_apply, unit_radial)
 from .rotations import (
     MAX_WIGNER_J,
     _spherical_waves,
@@ -135,31 +136,40 @@ def radial_quadrature(n: int, r_max: float) -> tuple[np.ndarray, np.ndarray]:
 # angular-algebra checks
 
 
-def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], list[np.ndarray]]:
+_KINDS = {"eml": ("L", "E", "M"), "helicity": (+1, 0, -1), "spherical_wave": (+1, -1)}
+
+
+def _labels(family: str, l_max: int) -> list[tuple]:
     """Labels of every member of a basis family through l_max, in one fixed
-    order, and each member sampled on the grid: scalar (l, m), coupled
+    order: scalar (l, m), with (l, m) at position l^2 + l + m, coupled
     (j, l, m), eml (kind, j, m) in kind order L, E, M, helicity and
     spherical_wave (lam, j, m)."""
-    Y = _Harmonics(l_max + 1, tg, pg)
     if family == "scalar":
-        labels = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
-        return labels, [Y(l, m) for l, m in labels]
+        return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
     if family == "coupled":
-        labels = [(j, l, m) for j in range(l_max + 1) for l in (j - 1, j, j + 1)
-                  if l >= 0 and (j, l) != (0, 0) for m in range(-j, j + 1)]
-        return labels, [_coupled(Y, *label) for label in labels]
-    kinds = {"eml": ("L", "E", "M"), "helicity": (+1, 0, -1), "spherical_wave": (+1, -1)}
-    if family not in kinds:
+        return [(j, l, m) for j in range(l_max + 1) for l in (j - 1, j, j + 1)
+                if l >= 0 and (j, l) != (0, 0) for m in range(-j, j + 1)]
+    if family not in _KINDS:
         raise ValueError(f"unknown family {family!r}")
     # only Y^L and helicity 0 start at j = 0
-    labels = [(k, j, m) for k in kinds[family]
-              for j in range(0 if k in ("L", 0) else 1, l_max + 1) for m in range(-j, j + 1)]
+    return [(k, j, m) for k in _KINDS[family]
+            for j in range(0 if k in ("L", 0) else 1, l_max + 1) for m in range(-j, j + 1)]
+
+
+def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], list[np.ndarray]]:
+    """The _labels of a family and each member sampled on the grid."""
+    labels = _labels(family, l_max)
+    Y = _Harmonics(l_max + 1, tg, pg)
+    if family == "scalar":
+        return labels, [Y(l, m) for l, m in labels]
+    if family == "coupled":
+        return labels, [_coupled(Y, *label) for label in labels]
     if family == "eml":
         return labels, [_vsh(Y, *label) for label in labels]
     if family == "helicity":
         return labels, [_helicity(Y, *label) for label in labels]
     # one D^(j) row per (lam, j) gives every m, in the order m = j..-j
-    return labels, [w for lam in kinds[family] for j in range(1, l_max + 1)
+    return labels, [w for lam in _KINDS[family] for j in range(1, l_max + 1)
                     for w in _spherical_waves(j, lam, tg, pg)[::-1]]
 
 
@@ -362,10 +372,11 @@ def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9) -> tuple[f
     rng = np.random.default_rng(seed)
     resid = 0.0
     for j in range(0, j_max + 1):
-        a, b, g = rng.uniform(0, 2 * np.pi, 3)
-        d = wigner_d_matrix(j, a, b, g)
+        # one call for both angle sets, the random ones and (0, 0, 0)
+        angles = np.zeros((3, 2))
+        angles[:, 0] = rng.uniform(0, 2 * np.pi, 3)
+        d, d0 = np.moveaxis(wigner_d_matrix(j, *angles), -1, 0).copy()
         resid = max(resid, float(np.abs(d @ d.conj().T - np.eye(2 * j + 1)).max()))
-        d0 = wigner_d_matrix(j, 0.0, 0.0, 0.0)
         resid = max(resid, float(np.abs(d0 - np.eye(2 * j + 1)).max()))
     return resid, f"random angles, j <= {j_max}"
 
@@ -468,12 +479,7 @@ def _mode_energies(specs: list[md.ModeSpec], radial: tuple[np.ndarray, np.ndarra
         x = (omega / config.wave_speed)[:, None] * r
         J = np.stack([spherical_bessel_j(l, x) for l in ls], axis=1)
         R = np.einsum("i,mai,mbi->mab", wr * r * r, J, J)
-        # the coefficients of each mode's terms in A / N (row 0) and B / (ikN)
-        c = np.zeros((len(idx), 2, 3))
-        for row, i in enumerate(idx):
-            for part, terms in enumerate(md._multipole_terms(specs[i].index.tau, j)):
-                for l, cl in terms:
-                    c[row, part, l - j + 1] = cl
+        c = md._term_coefficients([specs[i].index.tau for i in idx], j)
         q = np.einsum("mpa,mab,mpb->mp", c, R * S, c).real
         n2 = np.array([specs[i].norm_const for i in idx]) ** 2
         out[idx] = (0.25 * omega**2 * config.epsilon0 * n2)[:, None] * q
@@ -515,9 +521,7 @@ def check_mode_equipartition(j_max: int = 2, n_max: int = 2) -> tuple[float, str
 
 def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64) -> tuple[float, str]:
     """Every mode of spectrum(j_max, n_max) has zero tangential E and normal B at r = R."""
-    resid = 0.0
-    for spec in md.spectrum(j_max, n_max):
-        resid = max(resid, md.boundary_residual(spec, n_dirs=n_dirs))
+    resid = md._boundary_residuals(md.spectrum(j_max, n_max), n_dirs).max()
     return resid, (f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
                    f"({n_dirs} directions each)")
 
@@ -533,18 +537,37 @@ def vsh_project(field_fn, l_max: int,
     Returns (coefficients, residual): a dict keyed by (kind, l, m) of inner
     products <Y^kind_lm, field>, and the largest error of the resummed
     expansion on the quadrature grid, relative to max(1, max |field|).
+
+    Both directions go through one table of scalar Y_lm, l <= l_max + 1.
+    Analysis: one matmul gives a_mu(l, m') = <Y_lm', e_mu* . field> for
+    mu = +1, 0, -1.  As Y^kind_jm = sum_l w_l Y_jlm and
+    Y_jlm = sum_mu <l, 1; m-mu, mu | j, m> e_mu Y_{l,m-mu}, each member's
+    coefficient is a sparse Clebsch-Gordan recoupling of a, at most six
+    terms.  Synthesis applies the transposed recoupling to the
+    coefficients, one matmul back to the grid, and then the e_mu.
     """
     quad = quadrature or sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
     field = np.asarray(field_fn(tg, pg), dtype=complex)
-    coeffs: dict[tuple, complex] = {}
-    recon = np.zeros_like(field)
-    for label, basis in zip(*_family("eml", l_max, tg, pg)):
-        c = quad.integrate((np.conj(basis) * field).sum(axis=0))
-        coeffs[label] = complex(c)
-        recon = recon + c * basis
+    Y, scalars = _Harmonics(l_max + 1, tg, pg), _labels("scalar", l_max + 1)
+    table = np.stack([Y(l, m) for l, m in scalars]).reshape(len(scalars), -1)
+    f = _apply(_U.conj(), field).reshape(3, -1)
+    a = (f * quad.weights.ravel()) @ table.conj().T
+    labels = _labels("eml", l_max)
+    # recouple[i, mu, s]: the weight of a_mu(scalar s) in member i
+    recouple = np.zeros((len(labels), 3, len(scalars)))
+    for i, (kind, j, m) in enumerate(labels):
+        for l, w in _eml_terms(kind, j):
+            for k, mu in enumerate((+1, 0, -1)):
+                cg = cg_s1(l, j, mu, m)  # 0.0 when |m - mu| > l
+                if cg:
+                    recouple[i, k, l * l + l + m - mu] = w * cg
+    recouple = recouple.reshape(len(labels), -1)
+    c = recouple @ a.ravel()
+    recon = _apply(_U.T, (c @ recouple).reshape(3, -1) @ table)
     scale = max(1.0, float(np.abs(field).max()))
-    return coeffs, float(np.abs(recon - field).max()) / scale
+    resid = float(np.abs(recon - field.reshape(3, -1)).max()) / scale
+    return dict(zip(labels, c.tolist())), resid
 
 
 def check_completeness(l_max: int = 8, seed: int = 7) -> tuple[float, str]:

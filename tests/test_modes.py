@@ -460,6 +460,22 @@ class TestBoundary:
         assert resid >= DEFAULT_TOLERANCES["mode_boundary"]
         assert resid > 1e-5
 
+    def test_batch_equals_single_bitwise(self):
+        # one call over both tau, j <= 3, m != 0, and a unit and an SI cavity,
+        # so each (j, m) group mixes tau and cavities; one mode is read at a
+        # root off by 1e-3, so its wall is not where its field vanishes
+        specs = [mode_spec(tau, j, m, n, config)
+                 for config in (CavityConfig(), CavityConfig.si(0.01))
+                 for tau in ("E", "M") for j in (1, 2, 3) for m in (-j, 1) for n in (1, 2)]
+        bad = dataclasses.replace(specs[5], x_root=specs[5].x_root + 1e-3)
+        specs.insert(3, bad)
+        batch = md._boundary_residuals(specs, 50)
+        single = np.array([boundary_residual(spec, n_dirs=50) for spec in specs])
+        assert batch.shape == (len(specs),)
+        assert np.array_equal(batch, single)
+        assert batch[3] > 1e-5
+        assert np.delete(batch, 3).max() < 1e-13
+
 
 class TestSpectrum:
     def test_lowest_mode_is_electric_dipole(self):

@@ -368,6 +368,56 @@ class TestVshProject:
         others = [abs(v) for k, v in coeffs.items() if k != ("L", 0, 0)]
         assert max(others) < 1e-13
 
+    @staticmethod
+    def member_by_member(field_fn, l_max, quad):
+        # the oracle: each E/M/L member integrated on its own with the public vsh
+        tg, pg = quad.grid
+        f = field_fn(tg, pg)
+        return {(kind, j, m): complex(quad.integrate((np.conj(vsh(kind, j, m, tg, pg)) * f)
+                                                     .sum(axis=0)))
+                for kind in "LEM" for j in range(0 if kind == "L" else 1, l_max + 1)
+                for m in range(-j, j + 1)}
+
+    @pytest.mark.parametrize("degree", [None, 26])
+    def test_matches_member_by_member_oracle(self, rng, degree):
+        # a random field of l <= 6 projected through l_max = 8, on the default
+        # rule and on an explicit one of higher degree
+        terms = [(kind, j, m, complex(*rng.normal(size=2)))
+                 for kind in "LEM" for j in range(0 if kind == "L" else 1, 7)
+                 for m in range(-j, j + 1)]
+
+        def field(t, p):
+            return sum(c * vsh(kind, j, m, t, p) for kind, j, m, c in terms)
+
+        quad = None if degree is None else sphere_quadrature(degree)
+        coeffs, resid = vsh_project(field, 8, quadrature=quad)
+        want = self.member_by_member(field, 8, quad or sphere_quadrature(2 * (8 + 2) + 2))
+        assert list(coeffs) == list(want)
+        assert max(abs(coeffs[k] - want[k]) for k in want) < 1e-13
+        assert max(abs(coeffs[kind, j, m] - c) for kind, j, m, c in terms) < 1e-13
+        assert resid < 1e-13
+
+
+def test_swapped_electric_weights_fail_completeness(monkeypatch):
+    # planted defect: Y^E = b Y_{j,j+1,m} + a Y_{j,j-1,m} with a and b swapped,
+    # in the test field (angular) and in the projection (verify's name)
+    import sphcavity.angular as ang
+    import sphcavity.verify as vf
+
+    right = ang._eml_terms
+
+    def swapped(kind, j):
+        if kind != "E":
+            return right(kind, j)
+        (lp, a), (lm, b) = right(kind, j)
+        return ((lp, b), (lm, a))
+
+    monkeypatch.setattr(ang, "_eml_terms", swapped)
+    monkeypatch.setattr(vf, "_eml_terms", swapped)
+    resid, _ = vf.check_completeness()
+    assert resid >= DEFAULT_TOLERANCES["completeness"]
+    assert resid > 1e-3
+
 
 class TestSuite:
     def test_default_suite_all_pass(self):
