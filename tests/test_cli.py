@@ -221,6 +221,13 @@ class TestRotateCommand:
         norm = math.sqrt(sum(row["re"] ** 2 + row["im"] ** 2 for row in payload))
         assert abs(norm - 1.0) < 1e-8  # 9-significant-digit output
 
+    def test_malformed_vector_exits_2(self, capsys):
+        # rotate_cartesian names the shape it rejects
+        code, _, err = run_cli(capsys, "rotate", "--vec", "1,2",
+                               "--euler", "0,0,0")
+        assert code == 2
+        assert "(2,)" in err
+
 
 class TestRatiosCommand:
     def test_reference_value(self, capsys):
