@@ -169,19 +169,34 @@ def cg_s1(l: int, j: int, mu: int, m: int) -> float:
     return math.sqrt((l + m) * (l + m + 1) / (2 * l * (2 * l + 1)))
 
 
-def _coupled(Y: _Harmonics, j: int, l: int, m: int) -> np.ndarray:
-    # Y_jlm on the table's grid; the caller has validated (j, l).  e_{+1} and
-    # e_{-1} have no z component and e_0 has only z, so with a_mu = c_mu / sqrt(2):
-    # x = a_- Y_{l,m+1} - a_+ Y_{l,m-1}, y = -i (a_+ Y_{l,m-1} + a_- Y_{l,m+1}),
-    # z = c_0 Y_{l,m}.  A coefficient is 0.0 when |m| > j or |m - mu| > l.
-    cp, c0, cm = (cg_s1(l, j, mu, m) for mu in (+1, 0, -1))
-    lo = cp * _INV_SQ2 * Y(l, m - 1) if cp else 0.0
-    hi = cm * _INV_SQ2 * Y(l, m + 1) if cm else 0.0
-    out = np.empty((3,) + Y.shape, dtype=complex)
-    out[0] = hi - lo
-    out[1] = -1j * (lo + hi)
-    out[2] = c0 * Y(l, m) if c0 else 0.0
+def _coupled_stack(Y: _Harmonics, labels) -> np.ndarray:
+    # Y_jlm for every (j, l, m) of labels, the caller having validated each
+    # (j, l), stacked on a leading member axis: shape (len(labels), 3) + Y.shape.
+    # e_{+1} and e_{-1} have no z component and e_0 has only z, so with
+    # a_mu = c_mu / sqrt(2), lo = a_+ Y_{l,m-1} and hi = a_- Y_{l,m+1}:
+    # x = hi - lo, y = -i (lo + hi) and z = c_0 Y_{l,m}.  The rows Y_{l,m-mu}
+    # of all members are stacked into one table (a zero row where the
+    # coefficient is 0.0: |m| > j or |m - mu| > l), scaled by one coefficient
+    # array, and turned into x, y, z in place.
+    zero = np.zeros(Y.shape, dtype=complex)
+    coef, rows = [], []  # a_+, a_-, c_0 and their Y_{l,m-mu}, per member
+    for j, l, m in labels:
+        for mu, scale in ((+1, _INV_SQ2), (-1, _INV_SQ2), (0, 1.0)):
+            c = cg_s1(l, j, mu, m)
+            coef.append(c * scale)
+            rows.append(Y(l, m - mu) if c else zero)
+    out = np.array(rows).reshape((len(labels), 3) + Y.shape)
+    np.multiply(np.array(coef).reshape(out.shape[:2] + (1,) * len(Y.shape)), out, out=out)
+    lo, hi = out[:, 0], out[:, 1]
+    x = hi - lo
+    np.add(lo, hi, out=hi)
+    np.multiply(-1j, hi, out=hi)
+    lo[...] = x
     return out
+
+
+def _coupled(Y: _Harmonics, j: int, l: int, m: int) -> np.ndarray:
+    return _coupled_stack(Y, [(j, l, m)])[0]
 
 
 def vsh_coupled(j: int, l: int, m: int, theta, phi) -> np.ndarray:
@@ -207,17 +222,33 @@ def _eml_terms(kind: str, j: int) -> tuple[tuple[int, float], ...]:
     return ((j + 1, -b), (j - 1, a)) if j >= 1 else ((j + 1, -b),)
 
 
-def _vsh(Y: _Harmonics, kind: str, j: int, m: int) -> np.ndarray:
-    # Y^E, Y^M or Y^L (kind already upper case) from the coupled harmonics
-    if kind in ("E", "M") and j < 1:
-        raise ValueError(f"the {kind}-type harmonic vanishes identically for j={j}; need j >= 1")
-    if j < 0 or abs(m) > j:
-        raise ValueError(f"need j >= 0 and |m| <= j, got j={j}, m={m}")
-    (l, w), *rest = _eml_terms(kind, j)
-    out = w * _coupled(Y, j, l, m)
-    for l, w in rest:
-        out += w * _coupled(Y, j, l, m)
+def _vsh_stack(Y: _Harmonics, labels) -> np.ndarray:
+    # Y^E, Y^M or Y^L for every (kind, j, m) of labels (kind already upper
+    # case), stacked like _coupled_stack: each member's w_1 Y_{j,l_1,m}, plus
+    # w_2 Y_{j,l_2,m} for the members with a second term, from one
+    # _coupled_stack call over the first terms and then the second terms
+    terms, seconds = [], []  # (j, l, m, w) of each first term; (member, term) of each second
+    for i, (kind, j, m) in enumerate(labels):
+        if kind in ("E", "M") and j < 1:
+            raise ValueError(f"the {kind}-type harmonic vanishes identically for j={j}; "
+                             "need j >= 1")
+        if j < 0 or abs(m) > j:
+            raise ValueError(f"need j >= 0 and |m| <= j, got j={j}, m={m}")
+        (l, w), *rest = _eml_terms(kind, j)
+        terms.append((j, l, m, w))
+        seconds += [(i, (j, l, m, w)) for l, w in rest]
+    two = [i for i, _ in seconds]
+    terms += [t for _, t in seconds]
+    c = _coupled_stack(Y, [t[:3] for t in terms])
+    np.multiply(np.array([t[3] for t in terms]).reshape((-1, 1) + (1,) * len(Y.shape)), c, out=c)
+    out = c[:len(labels)]
+    if two:
+        out[two] += c[len(labels):]
     return out
+
+
+def _vsh(Y: _Harmonics, kind: str, j: int, m: int) -> np.ndarray:
+    return _vsh_stack(Y, [(kind, j, m)])[0]
 
 
 def vsh(kind: str, j: int, m: int, theta, phi) -> np.ndarray:
@@ -243,14 +274,29 @@ def vsh(kind: str, j: int, m: int, theta, phi) -> np.ndarray:
     return _vsh(_Harmonics(j + 1, theta, phi), kind, j, m)
 
 
+def _helicity_stack(Y: _Harmonics, labels) -> np.ndarray:
+    # Y^(lam) for every (lam, j, m) of labels, stacked like _coupled_stack:
+    # -(Y^E - Y^M)/sqrt(2) for lam = +1, (Y^E + Y^M)/sqrt(2) for lam = -1 and
+    # Y^L for lam = 0, from one _vsh_stack call that builds the Y^E and Y^M of
+    # each (j, m) once for both helicities
+    lam = np.array([label[0] for label in labels], dtype=int)
+    row: dict[tuple[int, int], int] = {}  # (j, m) of lam = +-1 -> its Y^E and Y^M row
+    for lam_, j, m in labels:
+        if lam_:
+            row.setdefault((j, m), len(row))
+    v = _vsh_stack(Y, [(kind, j, m) for kind in "EM" for j, m in row]
+                   + [("L", j, m) for lam_, j, m in labels if not lam_])
+    ye, ym = v[:len(row)], v[len(row):2 * len(row)]
+    plus, minus = ([row[j, m] for lam_, j, m in labels if lam_ == h] for h in (+1, -1))
+    out = np.empty((len(labels), 3) + Y.shape, dtype=complex)
+    out[lam == +1] = -(ye[plus] - ym[plus]) / _SQ2
+    out[lam == -1] = (ye[minus] + ym[minus]) / _SQ2
+    out[lam == 0] = v[2 * len(row):]
+    return out
+
+
 def _helicity(Y: _Harmonics, lam: int, j: int, m: int) -> np.ndarray:
-    # Y^(lam) from Y^E and Y^M (Y^L for lam = 0)
-    if lam == 0:
-        return _vsh(Y, "L", j, m)
-    ye, ym = _vsh(Y, "E", j, m), _vsh(Y, "M", j, m)
-    if lam == +1:
-        return -(ye - ym) / _SQ2
-    return (ye + ym) / _SQ2
+    return _helicity_stack(Y, [(lam, j, m)])[0]
 
 
 def helicity_vsh(lam: int, j: int, m: int, theta, phi) -> np.ndarray:

@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="substring filter on check names (repeatable)")
     p.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
                    help="tolerance override (repeatable)")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=int, default=12345,
+                   help="seed of the random.Random sample points of the checks that take one")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -306,14 +306,15 @@ def factorization_check(state: TwoPhotonState, partition: Partition | str,
     sign, gamma_bell, alpha_bell = _FACTORED_FORM[bell]
 
     reference = TwoPhotonState()
+    # each of the four single-photon labels is assembled once
+    labels = {(ax, gx): partition.combine(ax, gx) for gx in (g1, g2) for ax in (a1, a2)}
     for gx in (g1, g2):
         for ax in (a1, a2):
             for gy in (g1, g2):
                 for ay in (a1, a2):
                     amp = sign * (_bell_wavefunction(gamma_bell, g1, g2, gx, gy)
                                   * _bell_wavefunction(alpha_bell, a1, a2, ax, ay))
-                    key = TwoPhotonState._key(partition.combine(ax, gx),
-                                              partition.combine(ay, gy))
+                    key = TwoPhotonState._key(labels[ax, gx], labels[ay, gy])
                     if amp != 0.0:
                         reference.amplitudes[key] = amp  # ordered pairs agree by symmetry
     if reference.is_zero():

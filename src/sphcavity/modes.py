@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .angular import _coupled, unit_phi, unit_radial, unit_theta
+from .angular import _coupled_stack, unit_phi, unit_radial, unit_theta
 from .specfun import (MAX_BESSEL_ORDER, _Harmonics, _upward_pair, bessel_j_halfint,
                       spherical_bessel_j)
 
@@ -505,11 +505,13 @@ def _fields(spec: ModeSpec, r, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     harmonics = _Harmonics(j + 1, theta, phi)
     ndim = max(x.ndim, len(harmonics.shape))
     n = spec.norm_const
+    ls = (j - 1, j, j + 1)
+    ys = dict(zip(ls, _coupled_stack(harmonics, [(j, l, m) for l in ls])))
     fields = []
     for terms, scale in zip(_multipole_terms(tau, j), (n, 1j * k * n)):
         total = 0.0
         for l, c in terms:
-            y = _coupled(harmonics, j, l, m)
+            y = ys[l]
             y = y.reshape((3,) + (1,) * (ndim + 1 - y.ndim) + y.shape[1:])
             total = total + (c * spherical_bessel_j(l, x)) * y
         fields.append(scale * total)
@@ -588,7 +590,7 @@ def _boundary_residuals(specs: list[ModeSpec], n_dirs: int) -> np.ndarray:
         fields = []  # (A, B) at the wall, then on the peak grid: (3, modes, radii, dirs)
         for Y, cols in ((_Harmonics(j + 1, th, ph), slice(0, 1)),
                         (_Harmonics(j + 1, grid_th, grid_ph), slice(1, None))):
-            terms = [_coupled(Y, j, l, m)[:, None, None] for l in ls]
+            terms = _coupled_stack(Y, [(j, l, m) for l in ls])[:, :, None, None]
             for part, scale in ((0, norm), (1, 1j * k * norm)):
                 total = 0.0
                 for i, t in enumerate(terms):

@@ -13,6 +13,7 @@ overrides, each a finite number > 0, and builds every :class:`CheckReport`.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -21,8 +22,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import entangle as ent
 from . import modes as md
-from .angular import (_U, _apply, _coupled, _eml_terms, _helicity, _vsh, antipode, cg_s1,
-                      helicity_apply, unit_radial)
+from .angular import (_U, _apply, _coupled, _coupled_stack, _eml_terms, _helicity_stack, _vsh,
+                      _vsh_stack, antipode, cg_s1, helicity_apply, unit_radial)
 from .rotations import (
     MAX_WIGNER_J,
     _spherical_waves,
@@ -133,6 +134,24 @@ def radial_quadrature(n: int, r_max: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # --------------------------------------------------------------------------
+# sample points
+#
+# The sampling checks draw from the standard library's random.Random(seed),
+# which numpy has imported already, so no check pays for numpy.random.
+
+
+def _uniform(rng: random.Random, low: float, high: float, n: int) -> np.ndarray:
+    return np.array([rng.uniform(low, high) for _ in range(n)])
+
+
+def _directions(seed: int, n: int, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """n directions from random.Random(seed): every theta, uniform in
+    [margin, pi - margin], then every phi, uniform in [0, 2 pi)."""
+    rng = random.Random(seed)
+    return _uniform(rng, margin, math.pi - margin, n), _uniform(rng, 0.0, 2 * math.pi, n)
+
+
+# --------------------------------------------------------------------------
 # angular-algebra checks
 
 
@@ -156,21 +175,23 @@ def _labels(family: str, l_max: int) -> list[tuple]:
             for j in range(0 if k in ("L", 0) else 1, l_max + 1) for m in range(-j, j + 1)]
 
 
-def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], list[np.ndarray]]:
-    """The _labels of a family and each member sampled on the grid."""
+def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], np.ndarray]:
+    """The _labels of a family and its members sampled on the grid, stacked
+    on a leading member axis; a vector family is built at once from one
+    harmonic table (angular._coupled_stack)."""
     labels = _labels(family, l_max)
     Y = _Harmonics(l_max + 1, tg, pg)
     if family == "scalar":
-        return labels, [Y(l, m) for l, m in labels]
+        return labels, np.stack([Y(l, m) for l, m in labels])
     if family == "coupled":
-        return labels, [_coupled(Y, *label) for label in labels]
+        return labels, _coupled_stack(Y, labels)
     if family == "eml":
-        return labels, [_vsh(Y, *label) for label in labels]
+        return labels, _vsh_stack(Y, labels)
     if family == "helicity":
-        return labels, [_helicity(Y, *label) for label in labels]
+        return labels, _helicity_stack(Y, labels)
     # one D^(j) row per (lam, j) gives every m, in the order m = j..-j
-    return labels, [w for lam in _KINDS[family] for j in range(1, l_max + 1)
-                    for w in _spherical_waves(j, lam, tg, pg)[::-1]]
+    return labels, np.concatenate([_spherical_waves(j, lam, tg, pg)[::-1]
+                                   for lam in _KINDS[family] for j in range(1, l_max + 1)])
 
 
 def check_orthonormality(family: str, l_max: int) -> tuple[float, str]:
@@ -179,7 +200,7 @@ def check_orthonormality(family: str, l_max: int) -> tuple[float, str]:
         raise ValueError("l_max must be <= 8")
     quad = sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
-    samples = np.stack(_family(family, l_max, tg, pg)[1])
+    samples = _family(family, l_max, tg, pg)[1]
     # one row per function; a vector family's components share the grid weights
     w = np.broadcast_to(quad.weights, samples.shape[1:]).ravel()
     s = samples.reshape(len(samples), -1)
@@ -191,14 +212,12 @@ def check_orthonormality(family: str, l_max: int) -> tuple[float, str]:
 def check_parity(l_max: int = 4) -> tuple[float, str]:
     """Parity eigenvalues: scalar (-1)^l; E and L carry (-1)^j, M carries
     (-1)^(j+1) under the vector parity operation (P V)(n) = -V(-n)."""
-    rng = np.random.default_rng(20260810)
-    th = rng.uniform(0.1, np.pi - 0.1, 24)
-    ph = rng.uniform(0.0, 2 * np.pi, 24)
+    th, ph = _directions(20260810, 24, 0.1)
     tha, pha = antipode(th, ph)
     labels, flipped = _family("scalar", l_max, tha, pha)
     sign = np.array([(-1.0) ** l for l, _ in labels])[:, None]
-    y0 = sign * np.stack(_family("scalar", l_max, th, ph)[1])
-    resid = float(np.abs(np.stack(flipped) - y0).max())
+    y0 = sign * _family("scalar", l_max, th, ph)[1]
+    resid = float(np.abs(flipped - y0).max())
     # Landau-Lifshitz through the public function: its i^l phase and its
     # parity at once
     ya = np.stack([scalar_harmonic(l, m, tha, pha, HarmonicConvention.LANDAU_LIFSHITZ)
@@ -208,18 +227,16 @@ def check_parity(l_max: int = 4) -> tuple[float, str]:
     # vector parity (-1)^j for E and L, (-1)^(j + 1) for M
     labels, flipped = _family("eml", l_max, tha, pha)
     sign = np.array([(-1.0) ** (j + (kind == "M")) for kind, j, _ in labels])[:, None, None]
-    expected = sign * np.stack(_family("eml", l_max, th, ph)[1])
-    resid = max(resid, float(np.abs(-np.stack(flipped) - expected).max()))
+    expected = sign * _family("eml", l_max, th, ph)[1]
+    resid = max(resid, float(np.abs(-flipped - expected).max()))
     return resid, "scalar and E/M/L vector parity eigenvalues"
 
 
 def check_helicity_eigen(l_max: int = 4) -> tuple[float, str]:
     """(S.n) Y^(lam) = lam Y^(lam) pointwise, and (S.n)^2 = 1 on transverse."""
-    rng = np.random.default_rng(20260811)
-    th = rng.uniform(0.1, np.pi - 0.1, 16)
-    ph = rng.uniform(0.0, 2 * np.pi, 16)
+    th, ph = _directions(20260811, 16, 0.1)
     labels, ys = _family("helicity", l_max, th, ph)
-    y = np.stack(ys, axis=1)  # component axis first, as helicity_apply takes it
+    y = ys.swapaxes(0, 1)  # component axis first, as helicity_apply takes it
     lam = np.array([label[0] for label in labels])
     th, ph = th[None], ph[None]  # one row of directions, broadcast over members
     resid = float(np.abs(helicity_apply(th, ph, y) - lam[:, None] * y).max())
@@ -231,16 +248,18 @@ def check_helicity_eigen(l_max: int = 4) -> tuple[float, str]:
 
 def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3) -> tuple[float, str]:
     """E/M/L as fixed linear combinations of the coupled harmonics Y_jlm."""
-    rng = np.random.default_rng(seed)
-    th = rng.uniform(0.05, np.pi - 0.05, n_dirs)
-    ph = rng.uniform(0.0, 2 * np.pi, n_dirs)
+    th, ph = _directions(seed, n_dirs, 0.05)
     Y, n = _Harmonics(5, th, ph), unit_radial(th, ph)
+    # the E/M/L members under test in one stack; the coupled harmonics they
+    # are compared with, member by member
+    labels = [(kind, j, m) for kind in "ELM" for j in range(1, 5) for m in range(-j, j + 1)]
+    eml = dict(zip(labels, _vsh_stack(Y, labels)))
     resid = 0.0
     for j in range(1, 5):
         a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
         for m in range(-j, j + 1):
             yp, ym_ = _coupled(Y, j, j + 1, m), _coupled(Y, j, j - 1, m)
-            ye, yl = _vsh(Y, "E", j, m), _vsh(Y, "L", j, m)
+            ye, yl, ym = (eml[kind, j, m] for kind in "ELM")
             resid = max(resid, float(np.abs(ye - (a * yp + b * ym_)).max()))
             resid = max(resid, float(np.abs(yl - (a * ym_ - b * yp)).max()))
             # Y^M = L Y_jm / sqrt(j(j+1)) from the ladder operators L_+-,
@@ -248,7 +267,6 @@ def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3) -> tuple[flo
             up = math.sqrt(j * (j + 1) - m * (m + 1)) * Y(j, m + 1) if m < j else 0.0
             down = math.sqrt(j * (j + 1) - m * (m - 1)) * Y(j, m - 1) if m > -j else 0.0
             ly = np.stack([(up + down) / 2, (up - down) / 2j, m * Y(j, m)])
-            ym = _vsh(Y, "M", j, m)
             resid = max(resid, float(np.abs(ym - ly / math.sqrt(j * (j + 1))).max()))
             # radial/tangential structure
             resid = max(resid, float(np.abs((n * yl).sum(axis=0) - Y(j, m)).max()))
@@ -258,13 +276,11 @@ def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3) -> tuple[flo
 
 def check_cross_products() -> tuple[float, str]:
     """n x Y^E = i Y^M and Y^E = -i (n x Y^M), pointwise."""
-    rng = np.random.default_rng(11)
-    th = rng.uniform(0.05, np.pi - 0.05, 40)
-    ph = rng.uniform(0.0, 2 * np.pi, 40)
+    th, ph = _directions(11, 40, 0.05)
     labels, ys = _family("eml", 4, th, ph)
     # E and M members share their (j, m) order; component axis first
-    ye, ym = (np.stack([y for (k, _, _), y in zip(labels, ys) if k == kind], axis=1)
-              for kind in ("E", "M"))
+    kinds = np.array([k for k, _, _ in labels])
+    ye, ym = (ys[kinds == kind].swapaxes(0, 1) for kind in ("E", "M"))
     n = unit_radial(th, ph)[:, None]
     resid = float(np.abs(np.cross(n, ye, axis=0) - 1j * ym).max())
     resid = max(resid, float(np.abs(-1j * np.cross(n, ym, axis=0) - ye).max()))
@@ -333,25 +349,29 @@ def check_vsh_fourier(j: int, kind: str, kr: float) -> tuple[float, str]:
         raise ValueError("supported range: 1 <= j <= 4 (0 <= j for scalar), kr <= 20")
     quad = sphere_quadrature(min(64, 2 * int(math.ceil(kr)) + 2 * j + 24))
     tg, pg = quad.grid
-    rng = np.random.default_rng(5)
-    th_r, ph_r = np.array([(rng.uniform(0.2, np.pi - 0.2), rng.uniform(0.0, 2 * np.pi))
+    rng = random.Random(5)
+    th_r, ph_r = np.array([(rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2 * math.pi))
                            for _ in range(3)]).T
     Y_g, Y_r = _Harmonics(j + 1, tg, pg), _Harmonics(j + 1, th_r, ph_r)
     g = {l: 4 * np.pi * 1j**l * spherical_bessel_j(l, kr) for l in range(max(j - 1, 0), j + 2)}
-    # (function on the quadrature grid, expected transform at each r^), with
-    # the component axis first
+    # the functions on the quadrature grid and their expected transforms at
+    # each r^, stacked over members, with the component axis next
+    ms = range(-j, j + 1)
     if kind == "scalar":
-        pairs = [(Y_g(j, m)[None], g[j] * Y_r(j, m)[None]) for m in range(-j, j + 1)]
+        f = np.stack([Y_g(j, m) for m in ms])[:, None]
+        rhs = g[j] * np.stack([Y_r(j, m) for m in ms])[:, None]
     elif kind == "coupled":
-        pairs = [(_coupled(Y_g, j, l, m), g[l] * _coupled(Y_r, j, l, m))
-                 for m in range(-j, j + 1) for l in (j - 1, j, j + 1) if l >= 0]
+        labels = [(j, l, m) for m in ms for l in (j - 1, j, j + 1) if l >= 0]
+        f = _coupled_stack(Y_g, labels)
+        rhs = np.array([g[l] for _, l, _ in labels])[:, None, None] * _coupled_stack(Y_r, labels)
     elif kind == "M":
-        pairs = [(_vsh(Y_g, kind, j, m), g[j] * _vsh(Y_r, kind, j, m)) for m in range(-j, j + 1)]
+        labels = [(kind, j, m) for m in ms]
+        f, rhs = _vsh_stack(Y_g, labels), g[j] * _vsh_stack(Y_r, labels)
     else:
         a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
-        pairs = [(_vsh(Y_g, kind, j, m), a * g[j + 1] * _coupled(Y_r, j, j + 1, m)
-                  + b * g[j - 1] * _coupled(Y_r, j, j - 1, m)) for m in range(-j, j + 1)]
-    f, rhs = (np.stack(t) for t in zip(*pairs))
+        f = _vsh_stack(Y_g, [(kind, j, m) for m in ms])
+        up, down = (_coupled_stack(Y_r, [(j, l, m) for m in ms]) for l in (j + 1, j - 1))
+        rhs = a * g[j + 1] * up + b * g[j - 1] * down
     # every member's integral against the three kernels e^{i k.r} at once
     cosang = np.einsum("cab,cd->dab", unit_radial(tg, pg), unit_radial(th_r, ph_r))
     kernel = (np.exp(1j * kr * cosang) * quad.weights).reshape(3, -1)
@@ -369,12 +389,12 @@ def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9) -> tuple[f
     """D^(j) D^(j)+ = 1 at random Euler angles and D^(j)(0, 0, 0) = 1, j <= j_max."""
     if not 0 <= j_max <= MAX_WIGNER_J:
         raise ValueError(f"j_max must be in [0, {MAX_WIGNER_J}]")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     resid = 0.0
     for j in range(0, j_max + 1):
         # one call for both angle sets, the random ones and (0, 0, 0)
         angles = np.zeros((3, 2))
-        angles[:, 0] = rng.uniform(0, 2 * np.pi, 3)
+        angles[:, 0] = _uniform(rng, 0.0, 2 * math.pi, 3)
         d, d0 = np.moveaxis(wigner_d_matrix(j, *angles), -1, 0).copy()
         resid = max(resid, float(np.abs(d @ d.conj().T - np.eye(2 * j + 1)).max()))
         resid = max(resid, float(np.abs(d0 - np.eye(2 * j + 1)).max()))
@@ -472,7 +492,7 @@ def _mode_energies(specs: list[md.ModeSpec], radial: tuple[np.ndarray, np.ndarra
     for (j, m), idx in groups.items():
         quad, ls = quads[j], (j - 1, j, j + 1)
         Y = _Harmonics(j + 1, *quad.grid)
-        t = np.stack([_coupled(Y, j, l, m) for l in ls]).reshape(3, -1)
+        t = _coupled_stack(Y, [(j, l, m) for l in ls]).reshape(3, -1)
         w = np.broadcast_to(quad.weights, (3,) + quad.weights.shape).ravel()
         S = (t * w) @ t.conj().T
         omega = np.array([specs[i].omega for i in idx])
@@ -573,13 +593,13 @@ def vsh_project(field_fn, l_max: int,
 def check_completeness(l_max: int = 8, seed: int = 7) -> tuple[float, str]:
     """A random band-limited vector field is reproduced by projection and
     resummation over {Y^L, Y^E, Y^M}."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     terms = []
     for kind in ("L", "E", "M"):
         for l in range(0 if kind == "L" else 1, min(4, l_max) + 1):
             for m in range(-l, l + 1):
                 terms.append((kind, l, m,
-                              complex(rng.normal(), rng.normal()) / (1 + l)))
+                              complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) / (1 + l)))
 
     def field(t, p):
         Y = _Harmonics(5, t, p)
@@ -727,7 +747,9 @@ def run_suite(only: list[str] | None = None,
     replaces a check's default tolerance with a finite number > 0.  A filter
     that matches no check, or an override that names no check or is not
     such a number, raises ValueError before any check runs.  ``seed`` reaches
-    only the checks whose registry call passes it on.  Each report holds the
+    only the checks whose registry call passes it on, which draw their
+    points from the standard library's ``random.Random(seed)``; the other
+    sampling checks seed it with fixed numbers.  Each report holds the
     check's residual and details, and the override or the default tolerance.
     """
     tolerances = {name: float(tol) for name, tol in (tolerances or {}).items()}

@@ -291,6 +291,14 @@ def test_oracles_load_no_sphcavity():
     assert _fresh_python(code).strip() == "[]"
 
 
+def test_suite_run_leaves_numpy_random_unloaded():
+    # the sampling checks draw from random.Random, so a fresh suite run
+    # never pays for numpy's lazy numpy.random import
+    code = ("import sys; from sphcavity.verify import run_suite; run_suite(); "
+            "print('numpy.random' in sys.modules)")
+    assert _fresh_python(code).strip() == "False"
+
+
 def test_import_with_cli_loads_no_scipy():
     # importing any scipy module would dominate the start-up of a CLI command
     code = ("import sys, sphcavity, sphcavity.cli; "

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sphcavity.rotations import (_spherical_waves, helicity_polarization_vector,
 from sphcavity.specfun import HarmonicConvention, scalar_harmonic, spherical_bessel_j
 from sphcavity.verify import (
     DEFAULT_TOLERANCES,
+    _family,
     _mode_energies,
     check_bessel_integral,
     check_bessel_recurrences,
@@ -216,8 +218,16 @@ class TestStackedChecks:
 
     @staticmethod
     def directions(seed, n, margin):
-        rng = np.random.default_rng(seed)
-        return rng.uniform(margin, np.pi - margin, n), rng.uniform(0.0, 2 * np.pi, n)
+        # the checks' draw order: every theta, then every phi
+        rng = random.Random(seed)
+        th = [rng.uniform(margin, math.pi - margin) for _ in range(n)]
+        return np.array(th), np.array([rng.uniform(0.0, 2 * math.pi) for _ in range(n)])
+
+    @staticmethod
+    def gram_resid(members, quad):
+        s = np.stack(members).reshape(len(members), -1)
+        w = np.broadcast_to(quad.weights, (3,) + quad.weights.shape).ravel()
+        return np.abs(s.conj() @ (s * w).T - np.eye(len(s))).max()
 
     def test_parity(self):
         th, ph = self.directions(20260810, 24, 0.1)
@@ -276,11 +286,53 @@ class TestStackedChecks:
     def test_orthonormality_spherical_wave(self):
         quad = sphere_quadrature(14)
         tg, pg = quad.grid
-        s = np.stack([spherical_wave_helicity(j, m, lam, tg, pg) for lam in (+1, -1)
-                      for j in range(1, 5) for m in range(-j, j + 1)]).reshape(48, -1)
-        w = np.broadcast_to(quad.weights, (3,) + tg.shape).ravel()
-        resid = np.abs(s.conj() @ (s * w).T - np.eye(len(s))).max()
+        resid = self.gram_resid([spherical_wave_helicity(j, m, lam, tg, pg) for lam in (+1, -1)
+                                 for j in range(1, 5) for m in range(-j, j + 1)], quad)
         assert check_orthonormality("spherical_wave", 4)[0] == resid
+
+    def test_orthonormality_coupled(self):
+        quad = sphere_quadrature(14)
+        tg, pg = quad.grid
+        resid = self.gram_resid([vsh_coupled(j, l, m, tg, pg) for j in range(5)
+                                 for l in (j - 1, j, j + 1) if l >= 0 and (j, l) != (0, 0)
+                                 for m in range(-j, j + 1)], quad)
+        assert check_orthonormality("coupled", 4)[0] == resid
+
+    def test_orthonormality_eml(self):
+        quad = sphere_quadrature(14)
+        tg, pg = quad.grid
+        resid = self.gram_resid([vsh(kind, j, m, tg, pg) for kind in "LEM"
+                                 for j in range(0 if kind == "L" else 1, 5)
+                                 for m in range(-j, j + 1)], quad)
+        assert check_orthonormality("eml", 4)[0] == resid
+
+    def test_orthonormality_helicity(self):
+        quad = sphere_quadrature(14)
+        tg, pg = quad.grid
+        resid = self.gram_resid([helicity_vsh(lam, j, m, tg, pg) for lam in (+1, 0, -1)
+                                 for j in range(0 if lam == 0 else 1, 5)
+                                 for m in range(-j, j + 1)], quad)
+        assert check_orthonormality("helicity", 4)[0] == resid
+
+    @pytest.mark.parametrize("grid", ["sphere", "directions"])
+    @pytest.mark.parametrize("family,public", [
+        ("coupled", vsh_coupled),
+        ("eml", vsh),
+        ("helicity", helicity_vsh),
+    ])
+    def test_family_members_equal_public_functions(self, family, public, grid):
+        # every member of a stacked family, through l_max = 6, against its
+        # public per-member function, on a product grid and on a 1-d set
+        # that includes both poles
+        if grid == "sphere":
+            tg, pg = sphere_quadrature(18).grid
+        else:
+            tg, pg = self.directions(8, 30, 0.0)
+            tg[:2] = 0.0, math.pi
+        labels, members = _family(family, 6, tg, pg)
+        assert members.shape == (len(labels), 3) + tg.shape
+        for label, member in zip(labels, members):
+            assert np.array_equal(member, public(*label, tg, pg)), label
 
     @pytest.mark.parametrize("j,kind,kr", [(0, "scalar", 1.0), (1, "M", 2.5), (2, "E", 3.0),
                                            (2, "coupled", 2.0)])
@@ -288,7 +340,7 @@ class TestStackedChecks:
         # one quad.integrate per (direction, member)
         quad = sphere_quadrature(min(64, 2 * math.ceil(kr) + 2 * j + 24))
         tg, pg = quad.grid
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
 
         def g(l):
             return 4 * np.pi * 1j**l * spherical_bessel_j(l, kr)
@@ -296,7 +348,7 @@ class TestStackedChecks:
         a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
         resid = 0.0
         for _ in range(3):
-            th, ph = rng.uniform(0.2, np.pi - 0.2), rng.uniform(0.0, 2 * np.pi)
+            th, ph = rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2 * math.pi)
             cosang = (unit_radial(tg, pg) * unit_radial(th, ph).reshape(3, 1, 1)).sum(axis=0)
             kernel = np.exp(1j * kr * cosang)
             for m in range(-j, j + 1):
