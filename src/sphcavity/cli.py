@@ -94,10 +94,9 @@ def _listed(parse):
 
 
 def cmd_modes(args) -> int:
-    specs = md.spectrum(args.jmax, args.nmax, _config_from(args))
-    if args.tau:
-        tau = args.tau.upper()
-        specs = [s for s in specs if s.index.tau == tau]
+    # one tau solves only its own roots (and, for E, the M roots of its guard)
+    taus = (args.tau.upper(),) if args.tau else (md.TAU_ELECTRIC, md.TAU_MAGNETIC)
+    specs = md._spectrum(args.jmax, args.nmax, _config_from(args), taus)
     rows = [{
         "tau": s.index.tau, "j": s.index.j, "n": s.index.n,
         "x_root": s.x_root, "omega": s.omega,

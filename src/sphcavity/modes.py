@@ -19,18 +19,20 @@ All root finding happens in the dimensionless variable x.  A ModeSpec
 carries the CavityConfig (radius, constants) it was resolved in; fields,
 boundary checks and energies read the cavity from there.
 
-Roots come from one vectorized solver that takes a set of j for one tau
-in a single pass: an array scan from x = j for each j brackets the zeros
-of j_j (magnetic) or of (x j_j)' (electric), the scans of all j are
-evaluated together, and a safeguarded Newton step with closed-form
-derivatives refines every bracket of every j at once.  Every root lies
-above x = j, so the root functions take j_j and j_{j+1} together from one
-upward Bessel recurrence (specfun._upward_pair) in which each lane stops
-at its own order; a root is bit-identical whatever other j share its
-batch.  spectrum solves the (tau, j) the cache cannot serve in one batch
-per tau, magnetic first since the electric guard reads the magnetic
-roots; find_roots, mode_spec and spherical_bessel_zeros solve a batch of
-one.  Results are cached per (tau, j) and served as prefixes.
+Roots come from one vectorized solver that takes a set of (tau, j) of
+both types in a single pass.  Every root lies above x = j, and both
+conditions read the pair (j_j, j_{j+1}) from one upward Bessel recurrence
+(specfun._upward_pair) in which each lane stops at its own order.  One
+array scan from x = j per j, the grids of all j evaluated together,
+brackets the zeros of j_j (magnetic) and of (x j_j)' (electric) from the
+same pair values; one safeguarded Newton loop with closed-form
+derivatives then refines every bracket of every (tau, j) at once.  A
+root is bit-identical whatever other (tau, j) share its pass.  spectrum
+solves the (tau, j) the cache cannot serve in one pass, and find_roots
+and mode_spec the one (tau, j) asked for, each with the magnetic roots
+of the same j when the electric guard needs them; the magnetic roots are
+checked and cached before the electric guard reads them.  Results are
+cached per (tau, j) and served as prefixes.
 """
 
 from __future__ import annotations
@@ -180,19 +182,30 @@ _NEWTON_MAX_ITER = 100
 _MAX_COUNT = 64
 
 
-# The root functions take one order, or an integer array of orders with one
-# entry per element of x (see specfun._upward_pair), and return value and slope.
-def _bessel_zero(l, x):
-    """j_l(x) and its slope j_l' = (l/x) j_l - j_{l+1}, on arrays with x >= l."""
-    jl, jl1 = _upward_pair(l, x)
+# The root conditions take the order(s) l, the points x >= l and the upward
+# pair (j_l, j_{l+1}) at x, and return value and slope; l is one order or an
+# integer array with one entry per element of x (see specfun._upward_pair).
+def _bessel_zero(l, x, jl, jl1):
+    """j_l(x) and its slope j_l' = (l/x) j_l - j_{l+1}: the magnetic condition."""
     return jl, (l / x) * jl - jl1
 
 
-def _electric(j, x):
-    """(x j_j)' = (j+1) j_j - x j_{j+1} and (x j_j)'' = (j(j+1)/x^2 - 1) x j_j,
-    on arrays with x >= j."""
-    jj, jj1 = _upward_pair(j, x)
+def _electric(j, x, jj, jj1):
+    """(x j_j)' = (j+1) j_j - x j_{j+1} and (x j_j)'' = (j(j+1)/x^2 - 1) x j_j:
+    the electric condition."""
     return (j + 1) * jj - x * jj1, (j * (j + 1) / (x * x) - 1.0) * x * jj
+
+
+def _conditions(mag, l, x):
+    """Value and slope of the magnetic condition where mag is true and of the
+    electric one elsewhere, and j_{l+1}(x), all from one upward pair at x.
+    mag is one bool for every point or a bool array with one per point."""
+    jl, jl1 = _upward_pair(l, x)
+    if not isinstance(mag, np.ndarray):
+        return (*(_bessel_zero if mag else _electric)(l, x, jl, jl1), jl1)
+    fm, dfm = _bessel_zero(l, x, jl, jl1)
+    fe, dfe = _electric(l, x, jl, jl1)
+    return np.where(mag, fm, fe), np.where(mag, dfm, dfe), jl1
 
 
 def _scan_grid(start: float, count: int) -> np.ndarray:
@@ -204,7 +217,7 @@ def _scan_grid(start: float, count: int) -> np.ndarray:
 
 def _join(orders: list[int], grids: list[np.ndarray]):
     """The grids, one per order, joined; the order of each point; the grid
-    sizes.  A batch of one is left as it is, with a plain int order, so it
+    sizes.  A single grid is left as it is, with a plain int order, so it
     runs the scalar recurrence."""
     sizes = [len(g) for g in grids]
     if len(grids) == 1:
@@ -224,39 +237,57 @@ def _sign_changes(f: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     return [idx[a:b] for a, b in zip(cuts[:len(sizes)], cuts[len(sizes):])]
 
 
-def _newton_roots(fn, orders: list[int], starts: list[float], count: int) -> np.ndarray:
-    """First `count` zeros of fn(l, .) above start, for each l and start.
+def _newton_roots(lanes: list[tuple[str, int]], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First `count` roots above max(l, _SCAN_STEP) of each lane (tau, l): the
+    zeros of j_l (tau "M", _bessel_zero) or of (x j_l)' (tau "E", _electric).
 
-    Returns shape (len(orders), count).  Each order gets one scan on its
-    own grid (_scan_grid); the grids are evaluated together, and an order
-    with fewer than count sign changes raises RootFindingError.  A
-    safeguarded Newton step then refines the brackets of every order at
-    once: a lane whose step leaves its bracket bisects instead; a lane stops
-    once its step is <= _NEWTON_RTOL * x, and one polishing step follows.
-    Every lane's arithmetic is that of a batch holding its order alone.
+    Returns the roots, shape (len(lanes), count), and for each lane the
+    number of sign changes of j_{l+1} below its last root, which the
+    magnetic guard compares with count - 1.  Each order gets one scan on
+    its own grid (_scan_grid), and one upward pair over all the grids
+    serves both conditions; a lane with fewer than count sign changes
+    raises RootFindingError.  One safeguarded Newton loop then refines the
+    brackets of every lane at once: a lane whose step leaves its bracket
+    bisects instead; a lane stops once its step is <= _NEWTON_RTOL * x, and
+    one polishing step follows.  Every lane's arithmetic is that of a pass
+    holding its lane alone.
     """
-    grids = [_scan_grid(s, count) for s in starts]
-    xs, lanes, sizes = _join(orders, grids)
-    fs = fn(lanes, xs)[0]
-    brackets = []
-    for l, grid, idx in zip(orders, grids, _sign_changes(fs, sizes)):
+    orders = sorted({l for _, l in lanes})
+    grids = [_scan_grid(max(l, _SCAN_STEP), count) for l in orders]
+    xs, ls, sizes = _join(orders, grids)
+    jl, jl1 = _upward_pair(ls, xs)
+    taus = {tau for tau, _ in lanes}
+    fs = {tau: (_bessel_zero if tau == TAU_MAGNETIC else _electric)(ls, xs, jl, jl1)[0]
+          for tau in taus}
+    changes = {tau: _sign_changes(f, sizes) for tau, f in fs.items()}
+    segment = {l: i for i, l in enumerate(orders)}
+    brackets, fa, fb = [], [], []
+    for tau, l in lanes:
+        idx = changes[tau][segment[l]]
         if len(idx) < count:
             raise RootFindingError(f"failed to bracket root {len(idx) + 1} of order {l} "
-                                   f"below x = {grid[-1]:.6g}")
+                                   f"below x = {grids[segment[l]][-1]:.6g}")
         idx = idx[:count]
-        brackets.append((xs[idx], xs[idx + 1], fs[idx], fs[idx + 1]))
-    if len(orders) == 1:
-        (a, b, fa, fb), lanes = brackets[0], orders[0]
-    else:
-        (a, b, fa, fb), lanes = np.concatenate(brackets, axis=1), np.repeat(orders, count)
+        brackets.append(idx)
+        fa.append(fs[tau][idx])
+        fb.append(fs[tau][idx + 1])
+    idx, fa, fb = np.concatenate(brackets), np.concatenate(fa), np.concatenate(fb)
+    a, b = xs[idx], xs[idx + 1]
+    # one order or one condition for every lane runs as a plain int or bool
+    lane_l = ls if len(orders) == 1 else np.repeat([l for _, l in lanes], count)
+    mag = (TAU_MAGNETIC in taus if len(taus) == 1
+           else np.repeat([tau == TAU_MAGNETIC for tau, _ in lanes], count))
     neg_a = np.signbit(fa)
     x = a - fa * (b - a) / (fb - fa)
-    batched = isinstance(lanes, np.ndarray)
     active = np.arange(len(x))
+
+    def running(v):
+        return v[active] if isinstance(v, np.ndarray) else v
+
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
             xa = x[active]
-            f, df = fn(lanes[active] if batched else lanes, xa)
+            f, df, _ = _conditions(running(mag), running(lane_l), xa)
             step = f / df
             left = np.signbit(f) == neg_a[active]
             a[active] = aa = np.where(left, xa, a[active])
@@ -271,9 +302,18 @@ def _newton_roots(fn, orders: list[int], starts: list[float], count: int) -> np.
         else:
             raise RootFindingError(f"Newton refinement did not converge in "
                                    f"{_NEWTON_MAX_ITER} steps")
-        f, df = fn(lanes, x)
+        f, df, companion = _conditions(mag, lane_l, x)
         polished = x - f / df
-    return np.where((polished >= a) & (polished <= b), polished, x).reshape(len(orders), count)
+    roots = np.where((polished >= a) & (polished <= b), polished, x).reshape(len(lanes), count)
+    # sign changes of j_{l+1} over the scan points of each lane's order up to
+    # the bracket of its last root, and from there to that root
+    sign = np.signbit(jl1)
+    flips = np.concatenate(([0], np.cumsum(sign[1:] != sign[:-1])))
+    offsets = [0, *itertools.accumulate(sizes)]
+    last = idx[count - 1::count]
+    zeros_below = (flips[last] - flips[[offsets[segment[l]] for _, l in lanes]]
+                   + (sign[last] != np.signbit(companion[count - 1::count])))
+    return roots, zeros_below
 
 
 def spherical_bessel_zeros(l: int, count: int) -> list[float]:
@@ -287,57 +327,65 @@ def spherical_bessel_zeros(l: int, count: int) -> list[float]:
     if not 1 <= count <= _MAX_COUNT:
         raise ValueError(f"count must be in [1, {_MAX_COUNT}]")
     # j_l has no zero below l (nor below pi for l = 0)
-    return _newton_roots(_bessel_zero, [l], [max(l, _SCAN_STEP)], count)[0].tolist()
+    return _newton_roots([(TAU_MAGNETIC, l)], count)[0][0].tolist()
 
 
 _ROOT_CACHE: dict[tuple[str, int], tuple[float, ...]] = {}
 
 
-def _roots(tau: str, js: list[int], count: int) -> list[tuple[float, ...]]:
-    """Cached, guarded roots of (tau, j) for each j in js.
+def _roots(taus, js: list[int], count: int) -> dict[str, list[tuple[float, ...]]]:
+    """Cached, guarded roots of (tau, j) for each tau in taus and j in js.
 
-    A cached sequence at least `count` long serves its prefix; every other
-    j is solved in one batch, checked, and replaces its cache entry.
+    A cached sequence at least `count` long serves its prefix.  Every other
+    (tau, j), and the magnetic (M, j) of every electric j so solved, since
+    the electric guard reads them from the cache, is solved in one
+    _newton_roots pass.  The magnetic roots are checked and cached first,
+    then the electric ones; each replaces its cache entry.
     """
-    todo = [j for j in js if len(_ROOT_CACHE.get((tau, j), ())) < count]
-    if todo:
+    def short(tau, j):
+        return len(_ROOT_CACHE.get((tau, j), ())) < count
+
+    ele = [j for j in js if short(TAU_ELECTRIC, j)] if TAU_ELECTRIC in taus else []
+    mag = [j for j in (js if TAU_MAGNETIC in taus else ele) if short(TAU_MAGNETIC, j)]
+    if mag or ele:
         # the first zero of J_{j+1/2} lies above j + 1/2, and every electric
-        # root has x^2 > j(j+1)
-        roots = _newton_roots(_bessel_zero if tau == TAU_MAGNETIC else _electric,
-                              todo, todo, count)
-        if tau == TAU_MAGNETIC:
-            # interlacing: J_{nu} and J_{nu+1} zeros alternate, so j_{j+1} must
-            # change sign exactly count - 1 times below the count-th root
-            grids = [np.append(np.arange(j, last, _SCAN_STEP), last)
-                     for j, last in zip(todo, roots[:, -1])]
-            xs, lanes, sizes = _join(todo, grids)
-            companion = _upward_pair(lanes, xs)[1]
-            for j, idx in zip(todo, _sign_changes(companion, sizes)):
-                if len(idx) != count - 1:
+        # root has x^2 > j(j+1): both scans start at x = j
+        roots, zeros_below = _newton_roots(
+            [(TAU_MAGNETIC, j) for j in mag] + [(TAU_ELECTRIC, j) for j in ele], count)
+        for tau, todo, r in ((TAU_MAGNETIC, mag, roots[:len(mag)]),
+                             (TAU_ELECTRIC, ele, roots[len(mag):])):
+            if not todo:
+                continue
+            if tau == TAU_MAGNETIC:
+                # interlacing: J_{nu} and J_{nu+1} zeros alternate, so j_{j+1} must
+                # change sign exactly count - 1 times below the count-th root
+                bad = (zeros_below[:len(mag)] != count - 1).nonzero()[0]
+                if len(bad):
+                    i = bad[0]
                     raise RootFindingError(
-                        f"interlacing violated for M j={j}: {len(idx)} companion "
-                        f"zeros below root {count}")
-        else:
-            # electric roots are the extrema of x j_j(x): exactly one between
-            # consecutive magnetic roots (and one below the first)
-            fences = np.zeros((len(todo), count + 1))
-            fences[:, 1:] = _roots(TAU_MAGNETIC, todo, count)
-            bad = ((roots <= fences[:, :-1]) | (roots >= fences[:, 1:])).nonzero()
-            if len(bad[0]):
-                i, n = bad[0][0], bad[1][0]
-                raise RootFindingError(
-                    f"interlacing violated for E j={todo[i]}: root {n + 1} = "
-                    f"{roots[i, n]} not in ({fences[i, n]}, {fences[i, n + 1]})")
-        if count > 1:
-            gaps = roots[:, 1:] - roots[:, :-1]
-            bad = ((gaps <= 0) | (gaps > 2.5 * math.pi)).nonzero()[0]
-            if len(bad):
-                i = bad[0]
-                raise RootFindingError(
-                    f"implausible root spacing for {tau} j={todo[i]}: {gaps[i]}")
-        for j, r in zip(todo, roots.tolist()):
-            _ROOT_CACHE[(tau, j)] = tuple(r)
-    return [_ROOT_CACHE[(tau, j)][:count] for j in js]
+                        f"interlacing violated for M j={todo[i]}: {zeros_below[i]} "
+                        f"companion zeros below root {count}")
+            else:
+                # electric roots are the extrema of x j_j(x): exactly one between
+                # consecutive magnetic roots (and one below the first)
+                fences = np.zeros((len(todo), count + 1))
+                fences[:, 1:] = [_ROOT_CACHE[(TAU_MAGNETIC, j)][:count] for j in todo]
+                bad = ((r <= fences[:, :-1]) | (r >= fences[:, 1:])).nonzero()
+                if len(bad[0]):
+                    i, n = bad[0][0], bad[1][0]
+                    raise RootFindingError(
+                        f"interlacing violated for E j={todo[i]}: root {n + 1} = "
+                        f"{r[i, n]} not in ({fences[i, n]}, {fences[i, n + 1]})")
+            if count > 1:
+                gaps = r[:, 1:] - r[:, :-1]
+                bad = ((gaps <= 0) | (gaps > 2.5 * math.pi)).nonzero()[0]
+                if len(bad):
+                    i = bad[0]
+                    raise RootFindingError(
+                        f"implausible root spacing for {tau} j={todo[i]}: {gaps[i]}")
+            for j, rj in zip(todo, r.tolist()):
+                _ROOT_CACHE[(tau, j)] = tuple(rj)
+    return {tau: [_ROOT_CACHE[(tau, j)][:count] for j in js] for tau in taus}
 
 
 def find_roots(tau: str, j: int, count: int) -> list[float]:
@@ -353,18 +401,19 @@ def find_roots(tau: str, j: int, count: int) -> list[float]:
     change sign exactly count - 1 times below the last magnetic root
     (interlacing), which guards against any skipped root.
 
-    The solve is a batch of one of the solver that spectrum runs on all j
-    of one tau at once, and gives the same roots bit for bit.  Results are
-    cached per (tau, j), whichever call solved them: a request for fewer
-    roots than the cache holds is served from it; a longer request is
-    solved once and replaces the entry.
+    The solve is the pass that spectrum runs on every (tau, j) at once,
+    holding this (tau, j) and, for an electric j, the magnetic roots its
+    guard needs when the cache cannot serve them; it gives the same roots
+    bit for bit.  Results are cached per (tau, j), whichever call solved
+    them: a request for fewer roots than the cache holds is served from
+    it; a longer request is solved once and replaces the entry.
     """
     tau = _validate_tau(tau)
     if not 1 <= j < MAX_BESSEL_ORDER:
         raise ValueError(f"j must be in [1, {MAX_BESSEL_ORDER - 1}]")
     if not 1 <= count <= _MAX_COUNT:
         raise ValueError(f"count must be in [1, {_MAX_COUNT}]")
-    return list(_roots(tau, [j], count)[0])
+    return list(_roots((tau,), [j], count)[tau][0])
 
 
 def normalization_constant(tau: str, j: int, x_root: float,
@@ -436,25 +485,31 @@ def spectrum(j_max: int, n_max: int,
 
     One entry per (tau, j, n); each carries the (2j+1)-fold m-degeneracy.
     Ties break deterministically: electric first, then j, then n.  The
-    (tau, j) the root cache cannot serve are solved in one batch per tau,
-    and the normalization constants of each tau come from one upward
-    Bessel pair.
+    (tau, j) of both types that the root cache cannot serve are solved in
+    one batched pass, and the normalization constants of each tau come
+    from one upward Bessel pair.
+    """
+    return _spectrum(j_max, n_max, config, (TAU_ELECTRIC, TAU_MAGNETIC))
+
+
+def _spectrum(j_max: int, n_max: int, config: CavityConfig, taus) -> list[ModeSpec]:
+    """spectrum restricted to the types in taus, given in tie-break order.
+
+    Only their roots are solved, with the magnetic roots that the electric
+    guard reads; the entries keep the relative order they have in spectrum.
     """
     if not 1 <= j_max <= 20:
         raise ValueError("j_max must be in [1, 20]")
     if not 1 <= n_max <= 32:
         raise ValueError("n_max must be in [1, 32]")
     js = list(range(1, j_max + 1))
-    # magnetic first: the electric guard reads the magnetic roots from the cache
-    roots = {tau: np.array(_roots(tau, js, n_max)).ravel()
-             for tau in (TAU_MAGNETIC, TAU_ELECTRIC)}
-    taus = (TAU_ELECTRIC, TAU_MAGNETIC)
+    roots = {tau: np.array(r).ravel() for tau, r in _roots(taus, js, n_max).items()}
     x = np.concatenate([roots[tau] for tau in taus])
     norms = np.concatenate([_norm_consts(tau, np.repeat(js, n_max), roots[tau], config)
                             for tau in taus])
     omega = config.wave_speed * x / config.radius
     # position in taus, j - 1 and n - 1 of each entry
-    rank, j0, n0 = (t.ravel() for t in np.indices((2, j_max, n_max)))
+    rank, j0, n0 = (t.ravel() for t in np.indices((len(taus), j_max, n_max)))
     order = np.lexsort((n0, j0, rank, omega))
     return [ModeSpec(index=ModeIndex(taus[t], j + 1, 0, n + 1), x_root=xr, norm_const=c,
                      config=config)

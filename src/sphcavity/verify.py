@@ -330,12 +330,16 @@ def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int) -> 
     thk, phk = dir_k
     thr, phr = dir_r
     Y_k, Y_r = _Harmonics(l_max, thk, phk), _Harmonics(l_max, thr, phr)
-    total = 0.0 + 0.0j
     kr = k * r
-    for l in range(l_max + 1):
-        jl = spherical_bessel_j(l, kr)
-        for m in range(-l, l + 1):
-            total += 4 * np.pi * 1j**l * jl * np.conj(Y_k(l, m)) * Y_r(l, m)
+    ls = range(l_max + 1)
+    lm = [(l, m) for l in ls for m in range(-l, l + 1)]
+    # 4 pi i^l j_l(kr) conj(Y_lm(k^)) Y_lm(r^), multiplied left to right and
+    # summed in (l, m) order, one term at a time
+    coef = np.repeat([4 * np.pi * 1j**l * spherical_bessel_j(l, kr) for l in ls],
+                     [2 * l + 1 for l in ls])
+    y_k, y_r = (np.stack([Y(l, m) for l, m in lm]) for Y in (Y_k, Y_r))
+    terms = coef * np.conj(y_k) * y_r
+    total = np.add.accumulate(terms)[-1]
     direct = np.exp(1j * kr * float((unit_radial(thk, phk) * unit_radial(thr, phr)).sum()))
     return abs(total - direct), f"kr={kr}, l_max={l_max}"
 

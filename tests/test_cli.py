@@ -59,6 +59,23 @@ class TestModesCommand:
         expected = 299792458.0 * 2.74371 / 0.01
         assert abs(payload[0]["omega"] - expected) / expected < 1e-4
 
+    def test_tau_solves_only_its_roots(self, capsys, monkeypatch):
+        # --tau M solves no electric root, --tau E the magnetic roots of its
+        # guard; each prints the rows of the full table with its tau
+        import sphcavity.modes as md
+        cache = {}
+        monkeypatch.setattr(md, "_ROOT_CACHE", cache)
+        argv = ("modes", "--jmax", "20", "--nmax", "32", "--format", "csv")
+        _, magnetic, _ = run_cli(capsys, *argv, "--tau", "M")
+        assert set(cache) == {("M", j) for j in range(1, 21)}
+        cache.clear()
+        _, electric, _ = run_cli(capsys, *argv, "--tau", "E")
+        assert set(cache) == {(tau, j) for tau in "EM" for j in range(1, 21)}
+        cache.clear()
+        header, *rows = run_cli(capsys, *argv)[1].splitlines()
+        for tau, out in (("M", magnetic), ("E", electric)):
+            assert out.splitlines() == [header] + [r for r in rows if r.startswith(tau + ",")]
+
 
 class TestFieldCommand:
     def test_row_count(self, capsys):

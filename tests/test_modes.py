@@ -234,10 +234,13 @@ class TestRootCache:
             spectrum(3, 3)
 
     def test_magnetic_guard_catches_a_skipped_root(self, cache, monkeypatch):
-        # a solver that skips the second root of every j it is asked for
+        # a solver that skips the second root of every lane it is asked for
         solve = md._newton_roots
-        monkeypatch.setattr(md, "_newton_roots", lambda fn, orders, starts, count: np.delete(
-            solve(fn, orders, starts, count + 1), 1, axis=1))
+
+        def skip_second(lanes, count):
+            roots, zeros_below = solve(lanes, count + 1)
+            return np.delete(roots, 1, axis=1), zeros_below
+        monkeypatch.setattr(md, "_newton_roots", skip_second)
         with pytest.raises(RootFindingError, match="interlacing violated for M j=3"):
             find_roots("M", 3, 5)
         with pytest.raises(RootFindingError, match="interlacing violated for M j=1"):
@@ -259,8 +262,8 @@ class TestRootCache:
         # a root function with no sign change at order 7, alone or in a batch
         bessel_zero = md._bessel_zero
 
-        def flat_at_7(l, x):
-            f, df = bessel_zero(l, x)
+        def flat_at_7(l, x, jl, jl1):
+            f, df = bessel_zero(l, x, jl, jl1)
             return np.where(np.asarray(l) == 7, 1.0, f), df
         monkeypatch.setattr(md, "_bessel_zero", flat_at_7)
         with pytest.raises(RootFindingError, match="root 1 of order 7 below"):
@@ -268,6 +271,28 @@ class TestRootCache:
         with pytest.raises(RootFindingError, match="root 1 of order 7 below"):
             spectrum(8, 2)
         assert cache == {}
+
+    def test_spectrum_makes_one_solver_pass(self, cache, monkeypatch):
+        # both types of every j share one scan and one Newton batch
+        solve, passes = md._newton_roots, []
+
+        def counted(*args):
+            passes.append(args)
+            return solve(*args)
+        monkeypatch.setattr(md, "_newton_roots", counted)
+        spectrum(20, 32)
+        assert len(passes) == 1
+        assert sorted(passes[0][0]) == sorted((tau, j) for tau in "EM" for j in range(1, 21))
+        spectrum(20, 32)
+        assert len(passes) == 1
+
+    def test_magnetic_condition_planted_as_electric_trips_the_guard(self, cache, monkeypatch):
+        # electric lanes solving the magnetic condition land on the fences
+        monkeypatch.setattr(md, "_electric", md._bessel_zero)
+        with pytest.raises(RootFindingError, match="interlacing violated for E"):
+            spectrum(3, 3)
+        with pytest.raises(RootFindingError, match="interlacing violated for E"):
+            find_roots("E", 5, 4)
 
 
 def _fresh_python(code: str) -> str:
