@@ -25,8 +25,9 @@ test suite:
   and Y^(-1) = (Y^E - i(n x Y^E))/sqrt(2) = (Y^E + Y^M)/sqrt(2).
 
 Vector-valued results put the Cartesian component axis FIRST: shape
-(3,) for scalar angles, (3, ...) for broadcast angle arrays.  Code that
-needs many of these on one grid builds them from one harmonic table.
+(3,) for scalar angles, (3, ...) for broadcast angle arrays.  Each family
+has one builder, stacking a list of members from one harmonic table;
+vsh_coupled, vsh and helicity_vsh are its one-member case.
 """
 
 from __future__ import annotations
@@ -195,10 +196,6 @@ def _coupled_stack(Y: _Harmonics, labels) -> np.ndarray:
     return out
 
 
-def _coupled(Y: _Harmonics, j: int, l: int, m: int) -> np.ndarray:
-    return _coupled_stack(Y, [(j, l, m)])[0]
-
-
 def vsh_coupled(j: int, l: int, m: int, theta, phi) -> np.ndarray:
     """Coupled vector spherical harmonic Y_jlm(theta, phi).
 
@@ -209,7 +206,7 @@ def vsh_coupled(j: int, l: int, m: int, theta, phi) -> np.ndarray:
     if l < 0 or l not in (j - 1, j, j + 1) or (l == 0 and j == 0):
         raise ValueError(f"l must be one of j-1, j, j+1 with a valid spin-1 "
                          f"coupling, got j={j}, l={l}")
-    return _coupled(_Harmonics(l, theta, phi), j, l, m)
+    return _coupled_stack(_Harmonics(l, theta, phi), [(j, l, m)])[0]
 
 
 def _eml_terms(kind: str, j: int) -> tuple[tuple[int, float], ...]:
@@ -247,10 +244,6 @@ def _vsh_stack(Y: _Harmonics, labels) -> np.ndarray:
     return out
 
 
-def _vsh(Y: _Harmonics, kind: str, j: int, m: int) -> np.ndarray:
-    return _vsh_stack(Y, [(kind, j, m)])[0]
-
-
 def vsh(kind: str, j: int, m: int, theta, phi) -> np.ndarray:
     """Electric, magnetic or longitudinal vector spherical harmonic.
 
@@ -271,7 +264,7 @@ def vsh(kind: str, j: int, m: int, theta, phi) -> np.ndarray:
     kind = str(kind).upper()
     if kind not in ("E", "M", "L"):
         raise ValueError(f"kind must be 'E', 'M' or 'L', got {kind!r}")
-    return _vsh(_Harmonics(j + 1, theta, phi), kind, j, m)
+    return _vsh_stack(_Harmonics(j + 1, theta, phi), [(kind, j, m)])[0]
 
 
 def _helicity_stack(Y: _Harmonics, labels) -> np.ndarray:
@@ -295,10 +288,6 @@ def _helicity_stack(Y: _Harmonics, labels) -> np.ndarray:
     return out
 
 
-def _helicity(Y: _Harmonics, lam: int, j: int, m: int) -> np.ndarray:
-    return _helicity_stack(Y, [(lam, j, m)])[0]
-
-
 def helicity_vsh(lam: int, j: int, m: int, theta, phi) -> np.ndarray:
     """Vector spherical harmonic helicity eigenfunction Y^(lam)_jm.
 
@@ -314,7 +303,7 @@ def helicity_vsh(lam: int, j: int, m: int, theta, phi) -> np.ndarray:
     """
     if lam not in (+1, 0, -1):
         raise ValueError(f"helicity must be +1, 0 or -1, got {lam}")
-    return _helicity(_Harmonics(j + 1, theta, phi), lam, j, m)
+    return _helicity_stack(_Harmonics(j + 1, theta, phi), [(lam, j, m)])[0]
 
 
 def helicity_apply(theta, phi, vec) -> np.ndarray:

@@ -516,9 +516,10 @@ def _spectrum(j_max: int, n_max: int, config: CavityConfig, taus) -> list[ModeSp
             for t, j, n, xr, c in zip(*(a[order].tolist() for a in (rank, j0, n0, x, norms)))]
 
 
-def _multipole_terms(tau: str, j: int) -> tuple[tuple[tuple[int, float], ...], ...]:
-    """Coefficients (l, c) of the terms T_l = j_l(kr) Y_{j,l,m} in A / N and in
-    B / (i k N), l = j-1, j, j+1:
+def _multipole_terms(tau: str, j: int) -> np.ndarray:
+    """Coefficients of the terms T_l = j_l(kr) Y_{j,l,m}, l = j-1, j, j+1, shape
+    (2, 3): row 0 holds those in A / N and row 1 those in B / (i k N), column
+    l - j + 1 that of T_l; a term the mode lacks has coefficient 0.
 
         M:  A = N T_j
             B = i k N [sqrt((j+1)/(2j+1)) T_{j-1} - sqrt(j/(2j+1)) T_{j+1}]
@@ -526,29 +527,16 @@ def _multipole_terms(tau: str, j: int) -> tuple[tuple[tuple[int, float], ...], .
             B = i k N sqrt(2j+1) T_j
     """
     if tau == TAU_MAGNETIC:
-        return (((j, 1.0),),
-                ((j - 1, math.sqrt((j + 1) / (2 * j + 1))), (j + 1, -math.sqrt(j / (2 * j + 1)))))
-    return (((j + 1, math.sqrt(j)), (j - 1, -math.sqrt(j + 1))),
-            ((j, math.sqrt(2 * j + 1)),))
-
-
-def _term_coefficients(taus: list[str], j: int) -> np.ndarray:
-    """_multipole_terms of each tau as an array, shape (len(taus), 2, 3): row 0
-    holds the coefficients in A / N and row 1 those in B / (i k N), column
-    l - j + 1 that of T_l; a term the mode lacks has coefficient 0."""
-    c = np.zeros((len(taus), 2, 3))
-    for row, tau in enumerate(taus):
-        for part, terms in enumerate(_multipole_terms(tau, j)):
-            for l, cl in terms:
-                c[row, part, l - j + 1] = cl
-    return c
+        return np.array([[0.0, 1.0, 0.0],
+                         [math.sqrt((j + 1) / (2 * j + 1)), 0.0, -math.sqrt(j / (2 * j + 1))]])
+    return np.array([[-math.sqrt(j + 1), 0.0, math.sqrt(j)], [0.0, math.sqrt(2 * j + 1), 0.0]])
 
 
 def _fields(spec: ModeSpec, r, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """A and B = curl A for one mode, each shape (3, ...); valid for any r >= 0.
 
     A / N and B / (i k N) are sums of c T_l, T_l = j_l(kr) Y_{j,l,m}, over the
-    (l, c) of _multipole_terms; each field is summed and then scaled once.
+    nonzero c of their row of _multipole_terms, each summed and scaled once.
     r, theta and phi broadcast together and are not expanded first: with r
     of shape (n_r, 1, 1) and angles of shape (1, n_theta, n_phi), each
     Bessel function is evaluated at n_r points and each harmonic, from one
@@ -561,14 +549,14 @@ def _fields(spec: ModeSpec, r, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     ndim = max(x.ndim, len(harmonics.shape))
     n = spec.norm_const
     ls = (j - 1, j, j + 1)
-    ys = dict(zip(ls, _coupled_stack(harmonics, [(j, l, m) for l in ls])))
+    ys = _coupled_stack(harmonics, [(j, l, m) for l in ls])
     fields = []
-    for terms, scale in zip(_multipole_terms(tau, j), (n, 1j * k * n)):
+    for row, scale in zip(_multipole_terms(tau, j), (n, 1j * k * n)):
         total = 0.0
-        for l, c in terms:
-            y = ys[l]
-            y = y.reshape((3,) + (1,) * (ndim + 1 - y.ndim) + y.shape[1:])
-            total = total + (c * spherical_bessel_j(l, x)) * y
+        for l, c, y in zip(ls, row, ys):
+            if c:
+                y = y.reshape((3,) + (1,) * (ndim + 1 - y.ndim) + y.shape[1:])
+                total = total + (c * spherical_bessel_j(l, x)) * y
         fields.append(scale * total)
     return tuple(fields)
 
@@ -619,9 +607,11 @@ def _boundary_residuals(specs: list[ModeSpec], n_dirs: int) -> np.ndarray:
     the wall directions and one on the peak grid, the three terms
     T_l = Y_{j,l,m} (l = j-1, j, j+1) on each, and makes one
     spherical_bessel_j call per l over the wall and peak-grid arguments kr
-    of all its modes.  A term that a mode's field lacks enters with
-    coefficient 0 (_term_coefficients), which moves no nonzero value.
+    of all its modes.  A term that a mode's field lacks enters with its
+    coefficient 0 in _multipole_terms, which moves no nonzero value.
     """
+    if n_dirs < 1:
+        raise ValueError(f"n_dirs must be >= 1, got {n_dirs}")
     th, ph = fibonacci_directions(n_dirs)
     grid_th, grid_ph = fibonacci_directions(48)
     frac = np.linspace(0.04, 1.0, 25)
@@ -641,7 +631,7 @@ def _boundary_residuals(specs: list[ModeSpec], n_dirs: int) -> np.ndarray:
         x = k[:, None] * np.concatenate([radius[:, None], frac * radius[:, None]], axis=1)
         ls = (j - 1, j, j + 1)
         bessel = [spherical_bessel_j(l, x.ravel()).reshape(x.shape) for l in ls]
-        c = _term_coefficients([s.index.tau for s in group], j)
+        c = np.stack([_multipole_terms(s.index.tau, j) for s in group])
         fields = []  # (A, B) at the wall, then on the peak grid: (3, modes, radii, dirs)
         for Y, cols in ((_Harmonics(j + 1, th, ph), slice(0, 1)),
                         (_Harmonics(j + 1, grid_th, grid_ph), slice(1, None))):

@@ -22,8 +22,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import entangle as ent
 from . import modes as md
-from .angular import (_U, _apply, _coupled, _coupled_stack, _eml_terms, _helicity_stack, _vsh,
-                      _vsh_stack, antipode, cg_s1, helicity_apply, unit_radial)
+from .angular import (_U, _apply, _coupled_stack, _eml_terms, _helicity_stack, _vsh_stack,
+                      antipode, cg_s1, helicity_apply, unit_radial)
 from .rotations import (
     MAX_WIGNER_J,
     _spherical_waves,
@@ -250,15 +250,17 @@ def check_vsh_linear_combinations(n_dirs: int = 100, seed: int = 3) -> tuple[flo
     """E/M/L as fixed linear combinations of the coupled harmonics Y_jlm."""
     th, ph = _directions(seed, n_dirs, 0.05)
     Y, n = _Harmonics(5, th, ph), unit_radial(th, ph)
-    # the E/M/L members under test in one stack; the coupled harmonics they
-    # are compared with, member by member
+    # the E/M/L members under test in one stack, and the coupled harmonics
+    # Y_{j,j+-1,m} they are compared with in another
     labels = [(kind, j, m) for kind in "ELM" for j in range(1, 5) for m in range(-j, j + 1)]
     eml = dict(zip(labels, _vsh_stack(Y, labels)))
+    jlm = [(j, l, m) for j in range(1, 5) for m in range(-j, j + 1) for l in (j + 1, j - 1)]
+    coupled = dict(zip(jlm, _coupled_stack(Y, jlm)))
     resid = 0.0
     for j in range(1, 5):
         a, b = math.sqrt(j / (2 * j + 1)), math.sqrt((j + 1) / (2 * j + 1))
         for m in range(-j, j + 1):
-            yp, ym_ = _coupled(Y, j, j + 1, m), _coupled(Y, j, j - 1, m)
+            yp, ym_ = coupled[j, j + 1, m], coupled[j, j - 1, m]
             ye, yl, ym = (eml[kind, j, m] for kind in "ELM")
             resid = max(resid, float(np.abs(ye - (a * yp + b * ym_)).max()))
             resid = max(resid, float(np.abs(yl - (a * ym_ - b * yp)).max()))
@@ -327,20 +329,16 @@ def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1,
 
 def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int) -> tuple[float, str]:
     """Partial-wave expansion of exp(i k.r) against the direct exponential."""
-    thk, phk = dir_k
-    thr, phr = dir_r
-    Y_k, Y_r = _Harmonics(l_max, thk, phk), _Harmonics(l_max, thr, phr)
     kr = k * r
     ls = range(l_max + 1)
-    lm = [(l, m) for l in ls for m in range(-l, l + 1)]
     # 4 pi i^l j_l(kr) conj(Y_lm(k^)) Y_lm(r^), multiplied left to right and
     # summed in (l, m) order, one term at a time
     coef = np.repeat([4 * np.pi * 1j**l * spherical_bessel_j(l, kr) for l in ls],
                      [2 * l + 1 for l in ls])
-    y_k, y_r = (np.stack([Y(l, m) for l, m in lm]) for Y in (Y_k, Y_r))
+    y_k, y_r = (_family("scalar", l_max, th, ph)[1] for th, ph in (dir_k, dir_r))
     terms = coef * np.conj(y_k) * y_r
     total = np.add.accumulate(terms)[-1]
-    direct = np.exp(1j * kr * float((unit_radial(thk, phk) * unit_radial(thr, phr)).sum()))
+    direct = np.exp(1j * kr * float((unit_radial(*dir_k) * unit_radial(*dir_r)).sum()))
     return abs(total - direct), f"kr={kr}, l_max={l_max}"
 
 
@@ -503,7 +501,7 @@ def _mode_energies(specs: list[md.ModeSpec], radial: tuple[np.ndarray, np.ndarra
         x = (omega / config.wave_speed)[:, None] * r
         J = np.stack([spherical_bessel_j(l, x) for l in ls], axis=1)
         R = np.einsum("i,mai,mbi->mab", wr * r * r, J, J)
-        c = md._term_coefficients([specs[i].index.tau for i in idx], j)
+        c = np.stack([md._multipole_terms(specs[i].index.tau, j) for i in idx])
         q = np.einsum("mpa,mab,mpb->mp", c, R * S, c).real
         n2 = np.array([specs[i].norm_const for i in idx]) ** 2
         out[idx] = (0.25 * omega**2 * config.epsilon0 * n2)[:, None] * q
@@ -570,11 +568,13 @@ def vsh_project(field_fn, l_max: int,
     terms.  Synthesis applies the transposed recoupling to the
     coefficients, one matmul back to the grid, and then the e_mu.
     """
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
     quad = quadrature or sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
     field = np.asarray(field_fn(tg, pg), dtype=complex)
-    Y, scalars = _Harmonics(l_max + 1, tg, pg), _labels("scalar", l_max + 1)
-    table = np.stack([Y(l, m) for l, m in scalars]).reshape(len(scalars), -1)
+    scalars, table = _family("scalar", l_max + 1, tg, pg)
+    table = table.reshape(len(scalars), -1)
     f = _apply(_U.conj(), field).reshape(3, -1)
     a = (f * quad.weights.ravel()) @ table.conj().T
     labels = _labels("eml", l_max)
@@ -606,10 +606,11 @@ def check_completeness(l_max: int = 8, seed: int = 7) -> tuple[float, str]:
                               complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) / (1 + l)))
 
     def field(t, p):
-        Y = _Harmonics(5, t, p)
+        # members from one stack, summed term by term: a synthesis apart from vsh_project's
+        members = _vsh_stack(_Harmonics(5, t, p), [term[:3] for term in terms])
         out = np.zeros((3,) + t.shape, dtype=complex)
-        for kind, l, m, c in terms:
-            out += c * _vsh(Y, kind, l, m)
+        for (*_, c), v in zip(terms, members):
+            out += c * v
         return out
 
     coeffs, resid = vsh_project(field, l_max)

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from sphcavity.angular import (
     Direction,
-    _coupled,
-    _helicity,
-    _vsh,
+    _coupled_stack,
+    _helicity_stack,
+    _vsh_stack,
     antipode,
     cartesian_to_spherical_components,
     cg_s1,
@@ -291,13 +291,13 @@ class TestSharedTable:
             for m in range(-j, j + 1):
                 for l in (j - 1, j, j + 1):
                     if l >= 0 and (j, l) != (0, 0):
-                        assert (_coupled(table, j, l, m).tobytes()
+                        assert (_coupled_stack(table, [(j, l, m)])[0].tobytes()
                                 == vsh_coupled(j, l, m, th, ph).tobytes()), (j, l, m)
                 for kind in ("E", "M", "L") if j else ("L",):
-                    assert (_vsh(table, kind, j, m).tobytes()
+                    assert (_vsh_stack(table, [(kind, j, m)])[0].tobytes()
                             == vsh(kind, j, m, th, ph).tobytes()), (kind, j, m)
                 for lam in (+1, 0, -1) if j else (0,):
-                    assert (_helicity(table, lam, j, m).tobytes()
+                    assert (_helicity_stack(table, [(lam, j, m)])[0].tobytes()
                             == helicity_vsh(lam, j, m, th, ph).tobytes()), (lam, j, m)
 
 

@@ -493,6 +493,10 @@ class TestBoundary:
         assert resid >= DEFAULT_TOLERANCES["mode_boundary"]
         assert resid > 1e-5
 
+    def test_no_directions_rejected(self):
+        with pytest.raises(ValueError, match="n_dirs must be >= 1"):
+            boundary_residual(mode_spec("E", 1, 0, 1), n_dirs=0)
+
     def test_batch_equals_single_bitwise(self):
         # one call over both tau, j <= 3, m != 0, and a unit and an SI cavity,
         # so each (j, m) group mixes tau and cavities; one mode is read at a

@@ -160,9 +160,14 @@ class TestIndividualChecks:
         pytest.param(lambda: check_vsh_fourier(-3, "M", 1.0), "range", id="vsh_fourier-M"),
         pytest.param(lambda: check_dmatrix_unitarity(j_max=-1), "j_max",
                      id="dmatrix_unitarity"),
+        pytest.param(lambda: check_mode_boundary(n_dirs=0), "n_dirs", id="mode_boundary-n_dirs"),
+        pytest.param(lambda: vsh_project(lambda t, p: np.zeros((3,) + t.shape), -1), "l_max",
+                     id="vsh_project"),
     ])
     def test_checks_reject_empty_range(self, call, match):
-        # each range holds no j to check, and must not pass with residual 0
+        # each range holds no j (or no direction) to check, and must be
+        # rejected by the argument's name, not pass with residual 0 or fail
+        # deeper down
         with pytest.raises(ValueError, match=match):
             call()
 
