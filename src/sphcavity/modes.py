@@ -45,8 +45,8 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .angular import _coupled_stack, unit_phi, unit_radial, unit_theta
-from .specfun import (MAX_BESSEL_ORDER, _Harmonics, _upward_pair, bessel_j_halfint,
-                      spherical_bessel_j)
+from .specfun import (MAX_BESSEL_ORDER, _bessel_orders, _Harmonics, _upward_pair,
+                      bessel_j_halfint, spherical_bessel_j)
 
 __all__ = [
     "TAU_ELECTRIC",
@@ -605,9 +605,9 @@ def _boundary_residuals(specs: list[ModeSpec], n_dirs: int) -> np.ndarray:
 
     The modes are grouped by (j, m).  A group builds one harmonic table on
     the wall directions and one on the peak grid, the three terms
-    T_l = Y_{j,l,m} (l = j-1, j, j+1) on each, and makes one
-    spherical_bessel_j call per l over the wall and peak-grid arguments kr
-    of all its modes.  A term that a mode's field lacks enters with its
+    T_l = Y_{j,l,m} (l = j-1, j, j+1) on each, and takes the three j_l over
+    the wall and peak-grid arguments kr of all its modes from one call of
+    specfun._bessel_orders.  A term that a mode's field lacks enters with its
     coefficient 0 in _multipole_terms, which moves no nonzero value.
     """
     if n_dirs < 1:
@@ -630,7 +630,7 @@ def _boundary_residuals(specs: list[ModeSpec], n_dirs: int) -> np.ndarray:
         # per mode, column 0 is the wall and columns 1.. the peak-grid radii
         x = k[:, None] * np.concatenate([radius[:, None], frac * radius[:, None]], axis=1)
         ls = (j - 1, j, j + 1)
-        bessel = [spherical_bessel_j(l, x.ravel()).reshape(x.shape) for l in ls]
+        bessel = _bessel_orders(ls, x)
         c = np.stack([_multipole_terms(s.index.tau, j) for s in group])
         fields = []  # (A, B) at the wall, then on the peak grid: (3, modes, radii, dirs)
         for Y, cols in ((_Harmonics(j + 1, th, ph), slice(0, 1)),

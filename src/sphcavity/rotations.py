@@ -21,8 +21,12 @@ number.
 The reduced matrix is evaluated in the closed Jacobi form
 d^j_{m'm}(beta) = +-N sin(beta/2)^a cos(beta/2)^b P_k^(a,b)(cos beta),
 all (m', m) at once by the three-term recurrence in k, over any array of
-beta.  Its error against 50-digit mpmath stays below 1e-14 up to the
-largest supported j = 20, and the identity at zero angles is exact.
+beta.  The recurrence coefficients depend on (k, a, b) alone, so one
+table of them serves every order j <= 20, and one sweep up to the largest
+order passes through every lower order's terms, which it keeps: several
+orders cost one sweep.  Its error against 50-digit mpmath stays below
+1e-14 up to the largest supported j = 20, and the identity at zero
+angles is exact.
 Every angle argument broadcasts: matrices have shape
 (2j+1, 2j+1) + the angles' shape, vectors (3,) + the angles' shape (the
 Cartesian axis first, as in :mod:`angular`); scalar angles give
@@ -76,40 +80,107 @@ def _check_j(j: int) -> None:
         raise ValueError(f"j must be an integer in [0, {MAX_WIGNER_J}], got {j}")
 
 
-@lru_cache(maxsize=MAX_WIGNER_J + 1)
-def _jacobi_table(j: int):
-    """Jacobi form of d^j: d^j_{m'm} = sign N s^a c^b P_k^(a,b)(cos beta).
+@lru_cache(maxsize=1)
+def _jacobi_lanes():
+    """The one table of Jacobi terms serving every order j <= MAX_WIGNER_J.
 
-    a = |m' - m|, b = |m' + m| and k = j - (a + b)/2 fix a term, shared by
-    up to four entries.  Returns the distinct terms' k, a, b and
-    N = sqrt(k! (k+a+b)! / ((k+a)! (k+b)!)), ordered by k descending; the
-    recurrence coefficients of each step n = 2..k_max on the terms it
-    updates; and for the (2j+1, 2j+1) entries (m', m = j..-j) the term
-    they read and their sign (-1)^max(0, m - m') of the passive convention.
+    d^j_{m'm} = sign N s^a c^b P_k^(a,b)(cos beta) with a = |m' - m|,
+    b = |m' + m| and k = j - M, M = (a + b)/2 = max(|m'|, |m|).  Lane
+    M^2 + a holds the term (a, b = 2M - a), so the lanes are ordered by M
+    and then a, and order j reads the first (j+1)^2 of them at degree
+    k = j - M.  Returns each lane's a and b; the coefficients
+    (c0, c1, c2, den) of the recurrence in the degree, one row per step
+    n = 2..MAX_WIGNER_J, each a function of (n, a, b) alone,
+
+        2n(n+a+b)(t-2) P_n = (t-1)[t(t-2) x + a^2 - b^2] P_{n-1}
+                             - 2(n+a-1)(n+b-1) t P_{n-2},  t = 2n + a + b;
+
+    and for each order j, N = sqrt(k! (k+a+b)! / ((k+a)! (k+b)!)) of its
+    lanes, and for its (2j+1, 2j+1) entries (m', m = j..-j) the lane they
+    read and their sign (-1)^max(0, m - m') of the passive convention: the
+    central blocks of one (41, 41) table each.
     """
-    mv = np.arange(j, -j - 1, -1)
+    size = MAX_WIGNER_J + 1
+    big_m = np.repeat(np.arange(size), 2 * np.arange(size) + 1)
+    a = np.arange(size * size) - big_m * big_m
+    b = 2 * big_m - a
+    # N^2 = C(k+a+b, b) / C(k+b, b).  k + a + b = j + M <= 40, so both
+    # binomials are exact doubles (each sum of Pascal's triangle is exact
+    # below 2^53) and their quotient is the exact rational correctly rounded.
+    binom = np.zeros((2 * size - 1, 2 * size - 1))
+    binom[:, 0] = 1.0
+    for row in range(1, 2 * size - 1):
+        binom[row, 1:] = binom[row - 1, 1:] + binom[row - 1, :-1]
+    k = np.maximum(np.arange(size)[:, None] - big_m, 0)  # lanes M > j unused
+    norm = np.sqrt(binom[k + a + b, b] / binom[k + b, b])
+    mv = np.arange(MAX_WIGNER_J, -size, -1)
     mp, m = mv[:, None], mv[None, :]
-    width = 2 * j + 1
-    a_mm, b_mm = np.abs(mp - m), np.abs(mp + m)
-    # ascending a + b is descending k
-    keys, index = np.unique((a_mm + b_mm) * width + a_mm, return_inverse=True)
-    a = keys % width
-    b = keys // width - a
-    k = j - (a + b) // 2
-    f = [math.factorial(n) for n in range(2 * j + 1)]
-    norm = np.array([math.sqrt(f[kk] * f[kk + aa + bb] / (f[kk + aa] * f[kk + bb]))
-                     for kk, aa, bb in zip(k.tolist(), a.tolist(), b.tolist())])
-    # 2n(n+a+b)(t-2) P_n = (t-1)[t(t-2) x + a^2 - b^2] P_{n-1}
-    #                      - 2(n+a-1)(n+b-1) t P_{n-2},  t = 2n + a + b;
-    # step n updates the terms with k >= n, a prefix
-    n = np.arange(2, j + 1)[:, None]
-    t = 2 * n + a + b
-    coeffs = ((t - 1) * (a * a - b * b), (t - 1) * t * (t - 2),
-              2 * (n + a - 1) * (n + b - 1) * t, 2 * n * (n + a + b) * (t - 2))
-    steps = [(live, *(cf[row, :live] for cf in coeffs))
-             for row, live in enumerate(np.count_nonzero(k >= n, axis=1).tolist())]
+    index = np.maximum(abs(mp), abs(m)) ** 2 + abs(mp - m)
     sign = np.where((m > mp) & ((m - mp) % 2 == 1), -1.0, 1.0)
-    return k, a, b, norm, steps, index.reshape(width, width), sign
+    # the sweep runs in doubles; every integer here is exact in one
+    a, b = a.astype(float), b.astype(float)
+    n = np.arange(2.0, size)[:, None]
+    t = 2 * n + a + b
+    coeffs = np.stack(((t - 1) * (a * a - b * b), (t - 1) * t * (t - 2),
+                       2 * (n + a - 1) * (n + b - 1) * t, 2 * n * (n + a + b) * (t - 2)))
+    blocks = [slice(MAX_WIGNER_J - j, MAX_WIGNER_J + j + 1) for j in range(size)]
+    return (a, b, coeffs, [norm[j, :(j + 1) ** 2] for j in range(size)],
+            [index[q, q].copy() for q in blocks], [sign[q, q].copy() for q in blocks])
+
+
+def _small_d_orders(orders, beta, points=None) -> list[np.ndarray]:
+    """d^j(beta) for each j of orders (0 <= j <= MAX_WIGNER_J, unvalidated),
+    from one sweep of the recurrence up to the largest: one array of shape
+    (2j+1, 2j+1) + shape(beta) per order, each equal to wigner_small_d(j, beta).
+
+    The sweep runs in the degree n up to the largest order j_max; step n
+    updates the lanes M <= j_max - n, a prefix, and passes degree j - M of
+    lane M for every lower order j, which keeps it then.  With points, one
+    index array per order into the last axis of beta, order j is formed at
+    beta[..., points[i]] alone.
+    """
+    top = max(orders)
+    width = (top + 1) ** 2
+    a, b, coeffs, norms, indices, signs = _jacobi_lanes()
+    half = 0.5 * np.asarray(beta, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    col = (1,) * half.ndim
+    a, b = (t[:width].reshape((width,) + col) for t in (a, b))
+    # The recurrence runs in y = s^2 near beta = 0 and in y = c^2 near
+    # beta = pi, with x = cos(beta) = sigma (1 - 2y): this keeps 1 -+ x to
+    # full relative accuracy where P_k^(a,b) is steepest.
+    near = s * s <= c * c
+    sigma = np.where(near, 1.0, -1.0)
+    y = np.where(near, s * s, c * c)
+    p_prev = np.ones((width,) + half.shape)
+    p = (sigma * (a + b + 2) + a - b) / 2 - sigma * (a + b + 2) * y
+    p[top * top:] = 1.0
+    # each lower order j keeps P_0 = 1 of its lanes M = j, and P_n of its
+    # lanes M = j - n once p holds degree n
+    kept = {j: np.ones(((j + 1) ** 2,) + half.shape) for j in set(orders) if j < top}
+    for n in range(1, top + 1):
+        if n > 1:
+            live = (top - n + 1) ** 2
+            c0, c1, c2, den = coeffs[:, n - 2, :live].reshape((4, live) + col)
+            sc1 = sigma * c1
+            nxt = (((c0 + sc1) - 2 * sc1 * y) * p[:live] - c2 * p_prev[:live]) / den
+            p_prev[:live], p[:live] = p[:live], nxt
+        for j, q in kept.items():
+            if j >= n:
+                band = slice((j - n) ** 2, (j - n + 1) ** 2)
+                q[band] = p[band]
+    kept[top] = p
+    powers = s ** a * c ** b
+    out = []
+    for i, j in enumerate(orders):
+        norm, index, sign = norms[j], indices[j], signs[j]
+        pw, q = powers[:norm.size], kept[j]
+        if points is not None:
+            pw, q = pw[..., points[i]], q[..., points[i]]
+        tail = (1,) * (q.ndim - 1)
+        terms = norm.reshape(norm.shape + tail) * pw * q
+        out.append(sign.reshape(sign.shape + tail) * terms[index])
+    return out
 
 
 def wigner_small_d(j: int, beta) -> np.ndarray:
@@ -121,27 +192,14 @@ def wigner_small_d(j: int, beta) -> np.ndarray:
     j = 20 (4e-16 at j = 20, beta = 1.1).
     """
     _check_j(j)
-    k, a, b, norm, steps, index, sign = _jacobi_table(j)
-    half = 0.5 * np.asarray(beta, dtype=float)
-    c, s = np.cos(half), np.sin(half)
-    col = (1,) * half.ndim
-    a, b, norm = (t.reshape(t.shape + col) for t in (a, b, norm))
-    # The recurrence runs in y = s^2 near beta = 0 and in y = c^2 near
-    # beta = pi, with x = cos(beta) = sigma (1 - 2y): this keeps 1 -+ x to
-    # full relative accuracy where P_k^(a,b) is steepest.
-    near = s * s <= c * c
-    sigma = np.where(near, 1.0, -1.0)
-    y = np.where(near, s * s, c * c)
-    p_prev = np.ones(k.shape + half.shape)
-    p = (sigma * (a + b + 2) + a - b) / 2 - sigma * (a + b + 2) * y
-    p[k < 1] = 1.0
-    for live, c0, c1, c2, den in steps:
-        c0, c1, c2, den = (t.reshape(t.shape + col) for t in (c0, c1, c2, den))
-        sc1 = sigma * c1
-        nxt = (((c0 + sc1) - 2 * sc1 * y) * p[:live] - c2 * p_prev[:live]) / den
-        p_prev[:live], p[:live] = p[:live], nxt
-    terms = norm * (s ** a * c ** b) * p
-    return sign.reshape(sign.shape + col) * terms[index]
+    return _small_d_orders([j], beta)[0]
+
+
+def _phased(j: int, alpha, d, gamma) -> np.ndarray:
+    """D^(j)_{m'm} = e^{im'g} d_{m'm} e^{im a} from d = d^j(beta), with
+    alpha and gamma of the shape of beta."""
+    mv = np.arange(j, -j - 1, -1).reshape((-1,) + (1,) * np.ndim(alpha))
+    return np.exp(1j * mv[:, None] * gamma) * d * np.exp(1j * mv[None, :] * alpha)
 
 
 def wigner_d_matrix(j: int, alpha, beta, gamma) -> np.ndarray:
@@ -153,9 +211,7 @@ def wigner_d_matrix(j: int, alpha, beta, gamma) -> np.ndarray:
     """
     alpha, beta, gamma = np.broadcast_arrays(*(np.asarray(t, dtype=float)
                                               for t in (alpha, beta, gamma)))
-    d = wigner_small_d(j, beta)
-    mv = np.arange(j, -j - 1, -1).reshape((-1,) + (1,) * beta.ndim)
-    return np.exp(1j * mv[:, None] * gamma) * d * np.exp(1j * mv[None, :] * alpha)
+    return _phased(j, alpha, wigner_small_d(j, beta), gamma)
 
 
 def inverse_angles(alpha: float, beta: float, gamma: float) -> tuple[float, float, float]:
@@ -219,6 +275,7 @@ def rotate_jm_coefficients(j: int, coefficients, alpha: float, beta: float,
     expressed in the rotated frame is sum_m c'_m Y_jm with
     c' = conj(D^(j)) c.  Coefficients are ordered m = j .. -j.
     """
+    _check_j(j)
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (2 * j + 1,):
         raise ValueError(f"expected {2 * j + 1} coefficients for j={j}, got shape {c.shape}")
@@ -252,14 +309,23 @@ def _check_photon(j: int, m: int, lam: int) -> None:
         raise ValueError(f"|m| must not exceed j, got j={j}, m={m}")
 
 
-def _spherical_waves(j: int, lam: int, theta, phi) -> np.ndarray:
-    """psi_jm^(lam) for every m = j..-j: shape (2j+1, 3) + the angles' shape.
+def _spherical_waves(orders, theta, phi, lams) -> list[np.ndarray]:
+    """psi_jm^(lam) for every m = j..-j: one (2j+1, 3) + the angles' shape
+    array for each lam of lams and each j >= 1 of orders, helicity-major.
 
-    All m share one D^(j) row and one polarization vector.
+    One d^j sweep serves every order, one D^(j) row every m of a (lam, j),
+    and one polarization vector every order of a helicity.
     """
-    row = wigner_d_matrix(j, phi, theta, 0.0)[m_index(j, lam)]
-    amp = math.sqrt((2 * j + 1) / (4 * math.pi)) * row
-    return amp[:, None] * helicity_polarization_vector(lam, theta, phi)
+    phi, theta, gamma = np.broadcast_arrays(*(np.asarray(t, dtype=float)
+                                              for t in (phi, theta, 0.0)))
+    dmats = [_phased(j, phi, d, gamma) for j, d in zip(orders, _small_d_orders(orders, theta))]
+    out = []
+    for lam in lams:
+        pol = helicity_polarization_vector(lam, theta, phi)
+        for j, dmat in zip(orders, dmats):
+            amp = math.sqrt((2 * j + 1) / (4 * math.pi)) * dmat[m_index(j, lam)]
+            out.append(amp[:, None] * pol)
+    return out
 
 
 def spherical_wave_helicity(j: int, m: int, lam: int, theta, phi) -> np.ndarray:
@@ -273,7 +339,7 @@ def spherical_wave_helicity(j: int, m: int, lam: int, theta, phi) -> np.ndarray:
     angles and (3, ...) for arrays, each point equal to its scalar call.
     """
     _check_photon(j, m, lam)
-    return _spherical_waves(j, lam, theta, phi)[m_index(j, m)]
+    return _spherical_waves([j], theta, phi, (lam,))[0][m_index(j, m)]
 
 
 def plane_to_spherical_coefficient(j: int, m: int, lam: int, theta, phi):

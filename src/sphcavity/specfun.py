@@ -47,17 +47,44 @@ def _odd_double_factorial(n: int) -> float:
     return out
 
 
-def _series_jl(l: int, x: np.ndarray) -> np.ndarray:
-    # j_l(x) = x^l sum_k (-x^2/2)^k / (k! (2l+2k+1)!!), fast for x^2 < 2l+3
-    term = x**l / _odd_double_factorial(2 * l + 1)
+@lru_cache(maxsize=1)
+def _series_denominators() -> np.ndarray:
+    """k (2l + 2k + 1) for l <= MAX_BESSEL_ORDER (rows) and k = 1..79 (columns)."""
+    k = np.arange(1, 80)
+    return k * (2.0 * np.arange(MAX_BESSEL_ORDER + 1)[:, None] + 2 * k + 1)
+
+
+def _series_lanes(runs: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
+    # j_l(x) = x^l sum_k (-x^2/2)^k / (k! (2l+2k+1)!!), fast for x^2 < 2l+3.
+    # The lanes x are sorted by order, runs giving each order and its lane
+    # count.  They are laid out one row per order, padded with zeros, which
+    # stay zero.  A row stops at the first k at which each of its lanes adds
+    # less than 1e-17 of its sum.
+    shape = (len(runs), max(count for _, count in runs))
+    xr, term, a = np.zeros(shape), np.zeros(shape), 0
+    for i, (order, count) in enumerate(runs):
+        xr[i, :count] = x[a:a + count]
+        term[i, :count] = x[a:a + count]**order / _odd_double_factorial(2 * order + 1)
+        a += count
     total = term.copy()
-    half_sq = -0.5 * x * x
+    half_sq = -0.5 * xr * xr
+    dens = _series_denominators()[[order for order, _ in runs]]
+    row = np.arange(len(runs))  # where each running row's sums go
+    out = np.empty(shape)
     for k in range(1, 80):
-        term = term * half_sq / (k * (2 * l + 2 * k + 1))
+        term = term * half_sq / dens[:, k - 1:k]
         total += term
-        if np.all(np.abs(term) <= 1e-17 * np.maximum(np.abs(total), 1e-300)):
+        small = np.abs(term) <= 1e-17 * np.maximum(np.abs(total), 1e-300)
+        done = np.logical_and.reduce(small, axis=1)
+        stopped = np.count_nonzero(done)
+        if stopped == done.size:
             break
-    return total
+        if stopped:
+            out[row[done]] = total[done]
+            run = ~done
+            term, total, half_sq, dens, row = (t[run] for t in (term, total, half_sq, dens, row))
+    out[row] = total
+    return np.concatenate([out[i, :count] for i, (_, count) in enumerate(runs)])
 
 
 def _upward_pair(l, x):
@@ -85,16 +112,32 @@ def _upward_pair(l, x):
     return out_lo, out_hi
 
 
-def _downward_jl(l: int, x: np.ndarray) -> np.ndarray:
+def _upward_lanes(runs: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
+    # j_l by _upward_pair, the lanes x sorted by order as in _series_lanes;
+    # a single order runs its scalar recurrence
+    orders, counts = zip(*runs)
+    return _upward_pair(orders[0] if len(runs) == 1 else np.repeat(orders, counts), x)[0]
+
+
+def _miller_lanes(runs: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
     # Miller's algorithm for x < l: unnormalized downward recurrence seeded
     # at l + 40, normalized against the closed forms for j_0 / j_1.  For
-    # l <= 60 and x >= _series_cutoff(l) the values stay below ~1e84.
-    f_hi = np.zeros_like(x)
-    f_lo = np.full_like(x, 1e-30)
-    for k in range(l + 40, 0, -1):
-        f_hi, f_lo = f_lo, (2 * k + 1) / x * f_lo - f_hi
-        if k - 1 == l:
-            f_l = f_lo
+    # l <= 60 and x >= _series_cutoff(l) the values stay below ~1e84.  The
+    # lanes x are sorted by order as in _series_lanes.  Every lane steps at
+    # every k; one that has not reached its seed k = l + 40 holds zeros,
+    # which the recurrence keeps at +0, so each lane's steps are those of its
+    # order alone.
+    seeds, kept, a = {}, {}, 0
+    for order, count in runs:
+        seeds[order + 40] = kept[order + 1] = slice(a, a + count)
+        a += count
+    f_hi, f_lo, f_l = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for k in range(runs[-1][0] + 40, 0, -1):
+        if k in seeds:
+            f_lo[seeds[k]] = 1e-30
+        f_hi, f_lo = f_lo, (2.0 * k + 1) / x * f_lo - f_hi
+        if k in kept:
+            f_l[kept[k]] = f_lo[kept[k]]
     # f_lo = unnormalized j_0, f_hi = unnormalized j_1
     j0, j1 = _upward_pair(0, x)
     use0 = np.abs(f_lo) >= np.abs(f_hi)
@@ -103,14 +146,42 @@ def _downward_jl(l: int, x: np.ndarray) -> np.ndarray:
     return f_l * ratio
 
 
+def _bessel_orders(orders, x) -> np.ndarray:
+    """j_l(x) for each l of orders, distinct and ascending: shape
+    (len(orders),) + shape(x), row i that of spherical_bessel_j(orders[i], x).
+
+    The lanes are the (order, point) pairs, order-major and so sorted by
+    order; each takes the regime spherical_bessel_j describes for its pair,
+    and each regime runs its lanes of every order at once.
+    """
+    for l in orders:
+        if not isinstance(l, (int, np.integer)) or l < 0 or l > MAX_BESSEL_ORDER:
+            raise ValueError(f"order must be an integer in [0, {MAX_BESSEL_ORDER}], got {l}")
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        raise ValueError("argument must be finite and non-negative")
+    xs = np.repeat(arr.reshape(1, -1), len(orders), axis=0)
+    lim = np.array([[_series_cutoff(l), l] for l in orders]).reshape(-1, 2)
+    small = xs < lim[:, :1]
+    up = ~small & (xs >= lim[:, 1:])
+    out = np.empty(xs.shape)
+    for lanes, evaluate in ((small, _series_lanes), (up, _upward_lanes),
+                            (~(small | up), _miller_lanes)):
+        runs = [(l, c) for l, c in zip(orders, np.add.reduce(lanes, axis=1).tolist()) if c]
+        if runs:
+            out[lanes] = evaluate(runs, xs[lanes])
+    return out.reshape((len(orders),) + arr.shape)
+
+
 def spherical_bessel_j(l: int, x):
     """Spherical Bessel function of the first kind j_l(x).
 
     Regular at the origin: j_0(0) = 1 and j_l(0) = 0 for l > 0.  Three
-    regimes: the ascending series below max(1, sqrt(2l+3)/2), upward
-    recurrence from the closed forms of j_0 and j_1 for x >= l, and
-    Miller's normalized downward recurrence in between.  Each point is
-    computed independently of the others in the call.
+    regimes, chosen per (order, point): the ascending series below
+    max(1, sqrt(2l+3)/2), upward recurrence from the closed forms of j_0
+    and j_1 for x >= l, and Miller's normalized downward recurrence in
+    between.  Each point is computed independently of the others in the
+    call.
 
     Parameters
     ----------
@@ -126,24 +197,8 @@ def spherical_bessel_j(l: int, x):
     -------
     float or ndarray
     """
-    if not isinstance(l, (int, np.integer)) or l < 0 or l > MAX_BESSEL_ORDER:
-        raise ValueError(f"order must be an integer in [0, {MAX_BESSEL_ORDER}], got {l}")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("argument must be finite and non-negative")
-    out = np.empty_like(arr)
-    small = arr < _series_cutoff(l)
-    up = ~small & (arr >= l)
-    mid = ~small & ~up
-    if np.any(small):
-        out[small] = _series_jl(l, arr[small])
-    if np.any(up):
-        out[up] = _upward_pair(l, arr[up])[0]
-    if np.any(mid):
-        out[mid] = _downward_jl(l, arr[mid])
-    return out[0] if scalar else out
+    out = _bessel_orders([l], x)[0]
+    return out[()] if out.ndim == 0 else out
 
 
 def bessel_j_halfint(two_nu: int, x):

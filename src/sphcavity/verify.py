@@ -26,13 +26,15 @@ from .angular import (_U, _apply, _coupled_stack, _eml_terms, _helicity_stack, _
                       antipode, cg_s1, helicity_apply, unit_radial)
 from .rotations import (
     MAX_WIGNER_J,
+    _phased,
+    _small_d_orders,
     _spherical_waves,
     euler_to_rotation_matrix,
     rotate_cartesian,
     wigner_d_matrix,
 )
-from .specfun import (HarmonicConvention, _Harmonics, bessel_j_halfint, scalar_harmonic,
-                      spherical_bessel_j)
+from .specfun import (HarmonicConvention, _bessel_orders, _Harmonics, bessel_j_halfint,
+                      scalar_harmonic)
 
 __all__ = [
     "SphereQuadrature",
@@ -189,9 +191,10 @@ def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], np.ndarray]:
         return labels, _vsh_stack(Y, labels)
     if family == "helicity":
         return labels, _helicity_stack(Y, labels)
-    # one D^(j) row per (lam, j) gives every m, in the order m = j..-j
-    return labels, np.concatenate([_spherical_waves(j, lam, tg, pg)[::-1]
-                                   for lam in _KINDS[family] for j in range(1, l_max + 1)])
+    # one d^j sweep for every j; one D^(j) row per (lam, j) gives every m,
+    # in the order m = j..-j
+    return labels, np.concatenate([w[::-1] for w in _spherical_waves(
+        range(1, l_max + 1), tg, pg, _KINDS[family])])
 
 
 def check_orthonormality(family: str, l_max: int) -> tuple[float, str]:
@@ -298,9 +301,8 @@ def check_bessel_recurrences() -> tuple[float, str]:
     with j' from central finite differences."""
     x = np.linspace(0.5, 50.0, 199)
     h = 1e-6 * np.maximum(1.0, x)
-    # j_l at x - h, x and x + h, one call per order l <= 11
-    below, at, above = np.stack([spherical_bessel_j(l, np.concatenate((x - h, x, x + h)))
-                                 for l in range(12)]).reshape(12, 3, -1).transpose(1, 0, 2)
+    # j_l at x - h, x and x + h, every order l <= 11 in one call
+    below, at, above = _bessel_orders(range(12), np.stack((x - h, x, x + h))).transpose(1, 0, 2)
     deriv = (above[:11] - below[:11]) / (2 * h)
     l = np.arange(11)[:, None]
     resid = float(np.abs(deriv - (l / x) * at[:11] + at[1:]).max())
@@ -332,8 +334,8 @@ def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int) -> 
     kr = k * r
     ls = range(l_max + 1)
     # 4 pi i^l j_l(kr) conj(Y_lm(k^)) Y_lm(r^), multiplied left to right and
-    # summed in (l, m) order, one term at a time
-    coef = np.repeat([4 * np.pi * 1j**l * spherical_bessel_j(l, kr) for l in ls],
+    # summed in (l, m) order, one term at a time; every j_l from one call
+    coef = np.repeat([4 * np.pi * 1j**l * jl for l, jl in zip(ls, _bessel_orders(ls, kr))],
                      [2 * l + 1 for l in ls])
     y_k, y_r = (_family("scalar", l_max, th, ph)[1] for th, ph in (dir_k, dir_r))
     terms = coef * np.conj(y_k) * y_r
@@ -355,7 +357,8 @@ def check_vsh_fourier(j: int, kind: str, kr: float) -> tuple[float, str]:
     th_r, ph_r = np.array([(rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2 * math.pi))
                            for _ in range(3)]).T
     Y_g, Y_r = _Harmonics(j + 1, tg, pg), _Harmonics(j + 1, th_r, ph_r)
-    g = {l: 4 * np.pi * 1j**l * spherical_bessel_j(l, kr) for l in range(max(j - 1, 0), j + 2)}
+    ls = range(max(j - 1, 0), j + 2)
+    g = {l: 4 * np.pi * 1j**l * jl for l, jl in zip(ls, _bessel_orders(ls, kr))}
     # the functions on the quadrature grid and their expected transforms at
     # each r^, stacked over members, with the component axis next
     ms = range(-j, j + 1)
@@ -392,12 +395,17 @@ def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9) -> tuple[f
     if not 0 <= j_max <= MAX_WIGNER_J:
         raise ValueError(f"j_max must be in [0, {MAX_WIGNER_J}]")
     rng = random.Random(seed)
+    # three angles drawn per j; angles[:, j] = (alpha, beta, gamma) of order
+    # j, and the last column is (0, 0, 0)
+    angles = np.zeros((3, j_max + 2))
+    for j in range(j_max + 1):
+        angles[:, j] = _uniform(rng, 0.0, 2 * math.pi, 3)
+    # one sweep over every beta; order j is formed at its own angles and at 0
+    points = [[j, -1] for j in range(j_max + 1)]
     resid = 0.0
-    for j in range(0, j_max + 1):
-        # one call for both angle sets, the random ones and (0, 0, 0)
-        angles = np.zeros((3, 2))
-        angles[:, 0] = _uniform(rng, 0.0, 2 * math.pi, 3)
-        d, d0 = np.moveaxis(wigner_d_matrix(j, *angles), -1, 0).copy()
+    for j, small in enumerate(_small_d_orders(range(j_max + 1), angles[1], points)):
+        alpha, gamma = angles[[0, 2]][:, points[j]]
+        d, d0 = np.moveaxis(_phased(j, alpha, small, gamma), -1, 0).copy()
         resid = max(resid, float(np.abs(d @ d.conj().T - np.eye(2 * j + 1)).max()))
         resid = max(resid, float(np.abs(d0 - np.eye(2 * j + 1)).max()))
     return resid, f"random angles, j <= {j_max}"
@@ -483,7 +491,7 @@ def _mode_energies(specs: list[md.ModeSpec], radial: tuple[np.ndarray, np.ndarra
     the Gram matrix of r j_l(kr) on the radial rule and S that of the
     Y_{j,l,m} on the sphere rule.  The modes are grouped by (j, m); each
     group takes S from one harmonic table and one matmul, and R for all its
-    modes from one spherical_bessel_j call per l.
+    modes from one multi-order Bessel call (specfun._bessel_orders).
     """
     r, wr = radial
     config = specs[0].config
@@ -499,7 +507,7 @@ def _mode_energies(specs: list[md.ModeSpec], radial: tuple[np.ndarray, np.ndarra
         S = (t * w) @ t.conj().T
         omega = np.array([specs[i].omega for i in idx])
         x = (omega / config.wave_speed)[:, None] * r
-        J = np.stack([spherical_bessel_j(l, x) for l in ls], axis=1)
+        J = np.stack(list(_bessel_orders(ls, x)), axis=1)
         R = np.einsum("i,mai,mbi->mab", wr * r * r, J, J)
         c = np.stack([md._multipole_terms(specs[i].index.tau, j) for i in idx])
         q = np.einsum("mpa,mab,mpb->mp", c, R * S, c).real

@@ -322,6 +322,9 @@ EXIT_CODES = [
     (("rotate", "--vec", "1,0", "--euler", "0,0,0"), 2, "(2,)"),
     (("rotate", "--euler", "0,0,0"), 2, "--vec"),
     (("rotate", "--coeffs", "1,0,0", "--euler", "0,0,0"), 2, "--j"),
+    # j is checked before the coefficient count, so the range is named
+    (("rotate", "--coeffs", "1,2,3", "--j", "21", "--euler", "0,0,0"), 2, "[0, 20], got 21"),
+    (("rotate", "--coeffs", "1,2,3", "--j", "-1", "--euler", "0,0,0"), 2, "[0, 20], got -1"),
     (("ratios", "--ka", "1e-3", "--jmax", "0"), 2, "jmax"),
 ]
 

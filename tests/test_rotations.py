@@ -10,6 +10,7 @@ from _oracles import mp_wigner_small_d
 from sphcavity.angular import helicity_apply, unit_radial
 from sphcavity.rotations import (
     MAX_WIGNER_J,
+    _small_d_orders,
     euler_to_rotation_matrix,
     helicity_polarization_vector,
     inverse_angles,
@@ -119,6 +120,22 @@ class TestBatchIndependence:
         assert np.array_equal(wigner_small_d(j, betas), stacked)
         grid = wigner_small_d(j, betas.reshape(4, 4))
         assert np.array_equal(grid, stacked.reshape(stacked.shape[:2] + (4, 4)))
+
+    @pytest.mark.parametrize("orders", [range(MAX_WIGNER_J + 1), [1, 2, 3, 4], [20], [0], [7, 2]])
+    def test_order_sweep_equals_one_order_calls(self, orders, rng):
+        # one recurrence sweep for several orders: each order bit for bit its
+        # own wigner_small_d call
+        for beta in (0.0, math.pi, 1e-9, math.pi - 1e-9, rng.uniform(-7.0, 7.0),
+                     rng.uniform(-7.0, 7.0, 6), rng.uniform(-7.0, 7.0, (3, 4))):
+            for j, d in zip(orders, _small_d_orders(orders, beta)):
+                assert d.tobytes() == wigner_small_d(j, beta).tobytes(), (j, beta)
+
+    def test_order_sweep_at_chosen_points(self, rng):
+        # with points, order j is formed at its own columns of beta alone
+        betas = np.append(rng.uniform(0.0, 2 * math.pi, MAX_WIGNER_J + 1), 0.0)
+        points = [[j, -1] for j in range(MAX_WIGNER_J + 1)]
+        for j, d in enumerate(_small_d_orders(range(MAX_WIGNER_J + 1), betas, points)):
+            assert d.tobytes() == wigner_small_d(j, betas[[j, -1]]).tobytes(), j
 
     def test_spherical_wave_grid_equals_point_calls(self):
         tg, pg = sphere_quadrature(14).grid

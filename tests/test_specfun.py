@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from sphcavity.specfun import (
     HarmonicConvention,
+    _bessel_orders,
     _Harmonics,
     _series_cutoff,
     _upward_pair,
@@ -94,6 +95,26 @@ class TestSphericalBessel:
             assert a == spherical_bessel_j(int(l), x)
         with np.errstate(all="raise"):  # finished lanes are not carried on
             _upward_pair(np.array([0, 59]), np.array([1e-3, 59.0]))
+
+    @pytest.mark.parametrize("orders", [range(61), [5], [0, 1, 2], range(0, 61, 7), [59, 60]])
+    def test_order_rows_equal_one_order_calls(self, orders):
+        # the multi-order evaluator runs the lanes of all orders at once:
+        # each row bit for bit the call with that order alone, across every
+        # order's series cutoff (one ulp either side) and x = l
+        cuts = np.array([_series_cutoff(l) for l in range(61)])
+        xs = np.concatenate([[0.0], cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 400.0),
+                             np.arange(61.0), np.geomspace(1e-6, 300.0, 119)])
+        for x in (xs, xs.reshape(4, -1), 2.0):
+            rows = _bessel_orders(orders, x)
+            assert rows.shape == (len(orders),) + np.shape(x)
+            for l, row in zip(orders, rows):
+                assert row.tobytes() == np.asarray(spherical_bessel_j(l, x)).tobytes(), l
+
+    def test_order_rows_validate(self):
+        with pytest.raises(ValueError, match="order"):
+            _bessel_orders([3, 61], 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            _bessel_orders([3, 4], [1.0, -1.0])
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 20, 40, 59, 60])
     def test_accuracy_to_advertised_edge(self, l):

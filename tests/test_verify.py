@@ -381,13 +381,43 @@ class TestStackedChecks:
         for j in range(1, 21):
             for lam in (+1, -1):
                 for t, p in ((th, ph), (th[0], ph[0])):
-                    rows = _spherical_waves(j, lam, t, p)
+                    rows = _spherical_waves([j], t, p, (lam,))[0]
                     dmat = wigner_d_matrix(j, p, t, 0.0)
                     for m in range(-j, j + 1):
                         amp = math.sqrt((2 * j + 1) / (4 * math.pi)) * wigner_entry(dmat, j, lam, m)
                         want = amp * helicity_polarization_vector(lam, t, p)
                         assert np.array_equal(rows[m_index(j, m)], want), (j, m, lam)
                         assert np.array_equal(spherical_wave_helicity(j, m, lam, t, p), want)
+
+    @pytest.mark.parametrize("grid", ["sphere", "directions"])
+    def test_spherical_wave_family_equals_public_calls(self, grid):
+        # one d^j sweep for all orders and one polarization vector per
+        # helicity: every member bit for bit a public per-member call
+        if grid == "sphere":
+            tg, pg = sphere_quadrature(18).grid
+        else:
+            tg, pg = self.directions(8, 30, 0.0)
+            tg[:2] = 0.0, math.pi
+        labels, members = _family("spherical_wave", 6, tg, pg)
+        want = np.stack([spherical_wave_helicity(j, m, lam, tg, pg) for lam, j, m in labels])
+        assert members.tobytes() == want.tobytes()
+        # the order sweep shared by a subset of orders and one helicity
+        waves = _spherical_waves([2, 5], tg, pg, (-1,))
+        for j, w in zip((2, 5), waves):
+            for m in range(-j, j + 1):
+                one = spherical_wave_helicity(j, m, -1, tg, pg)
+                assert w[m_index(j, m)].tobytes() == one.tobytes(), (j, m)
+
+    def test_dmatrix_unitarity(self):
+        # the check's draws, three per j, through the public D-matrix
+        rng = random.Random(9)
+        resid = 0.0
+        for j in range(21):
+            d = wigner_d_matrix(j, *(rng.uniform(0.0, 2 * math.pi) for _ in range(3)))
+            d0 = wigner_d_matrix(j, 0.0, 0.0, 0.0)
+            resid = max(resid, np.abs(d @ d.conj().T - np.eye(2 * j + 1)).max(),
+                        np.abs(d0 - np.eye(2 * j + 1)).max())
+        assert check_dmatrix_unitarity()[0] == resid
 
 
 class TestVshProject:
