@@ -46,7 +46,7 @@ import numpy as np
 
 from .angular import _coupled_stack, unit_phi, unit_radial, unit_theta
 from .specfun import (MAX_BESSEL_ORDER, _bessel_orders, _Harmonics, _upward_pair,
-                      bessel_j_halfint, spherical_bessel_j)
+                      bessel_j_halfint)
 
 __all__ = [
     "TAU_ELECTRIC",
@@ -532,32 +532,42 @@ def _multipole_terms(tau: str, j: int) -> np.ndarray:
     return np.array([[-math.sqrt(j + 1), 0.0, math.sqrt(j)], [0.0, math.sqrt(2 * j + 1), 0.0]])
 
 
-def _fields(spec: ModeSpec, r, theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """A and B = curl A for one mode, each shape (3, ...); valid for any r >= 0.
+def _fields(specs: list[ModeSpec], r, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """A and B = curl A for modes sharing (j, m), each shape (len(specs), 3, ...);
+    valid for any r >= 0.
 
-    A / N and B / (i k N) are sums of c T_l, T_l = j_l(kr) Y_{j,l,m}, over the
-    nonzero c of their row of _multipole_terms, each summed and scaled once.
-    r, theta and phi broadcast together and are not expanded first: with r
-    of shape (n_r, 1, 1) and angles of shape (1, n_theta, n_phi), each
-    Bessel function is evaluated at n_r points and each harmonic, from one
-    table shared by the three terms, at n_theta * n_phi points.
+    r carries a leading mode axis, of length 1 (one radius array for every
+    mode) or len(specs) (each mode's own), and its other axes broadcast with
+    theta and phi.  A / N and B / (i k N) are sums of c T_l,
+    T_l = j_l(kr) Y_{j,l,m}, over the c of their row of _multipole_terms,
+    each summed and scaled once; a term is skipped when no mode has it, so
+    each mode's values have the bits of a call with its spec alone.  The
+    angles are not expanded against r: with r of shape (1, n_r, 1, 1) and
+    angles of shape (1, n_theta, n_phi), the three j_l come from one
+    specfun._bessel_orders call at n_r points per mode and the three
+    harmonics from one table at n_theta * n_phi points.
     """
-    tau, j, m, _ = spec.index
-    k = spec.omega / spec.config.wave_speed
-    x = k * np.asarray(r, float)
+    j, m = specs[0].index.j, specs[0].index.m
+    r = np.asarray(r, float)
     harmonics = _Harmonics(j + 1, theta, phi)
-    ndim = max(x.ndim, len(harmonics.shape))
-    n = spec.norm_const
+    ndim = max(r.ndim - 1, len(harmonics.shape))
+    # mode axis, component axis, then the broadcast position axes
+    lead = (-1,) + (1,) * (ndim + 1)
+    k = np.array([s.omega / s.config.wave_speed for s in specs])
+    x = k.reshape(lead) * r.reshape(r.shape[:1] + (1,) * (ndim + 2 - r.ndim) + r.shape[1:])
     ls = (j - 1, j, j + 1)
+    bessel = _bessel_orders(ls, x)
     ys = _coupled_stack(harmonics, [(j, l, m) for l in ls])
+    ys = ys.reshape(ys.shape[:2] + (1,) * (ndim - len(harmonics.shape)) + harmonics.shape)
+    c = np.stack([_multipole_terms(s.index.tau, j) for s in specs])
+    norm = np.array([s.norm_const for s in specs])
     fields = []
-    for row, scale in zip(_multipole_terms(tau, j), (n, 1j * k * n)):
+    for part, scale in ((0, norm), (1, 1j * k * norm)):
         total = 0.0
-        for l, c, y in zip(ls, row, ys):
-            if c:
-                y = y.reshape((3,) + (1,) * (ndim + 1 - y.ndim) + y.shape[1:])
-                total = total + (c * spherical_bessel_j(l, x)) * y
-        fields.append(scale * total)
+        for i in range(3):
+            if c[:, part, i].any():
+                total = total + (c[:, part, i].reshape(lead) * bessel[i]) * ys[i]
+        fields.append(scale.reshape(lead) * total)
     return tuple(fields)
 
 
@@ -573,7 +583,7 @@ def mode_field(spec: ModeSpec, r, theta, phi) -> FieldSample:
                                      np.asarray(phi, float))
     if np.any(rr < 0) or np.any(rr > spec.config.radius * (1 + 1e-12)):
         raise ValueError("positions must satisfy 0 <= r <= R")
-    a, b = _fields(spec, r, theta, phi)
+    (a,), (b,) = _fields([spec], np.asarray(r, float)[None], theta, phi)
     return FieldSample(r=rr, theta=th, phi=ph, A=a, E=1j * spec.omega * a, B=b)
 
 
@@ -591,8 +601,10 @@ def boundary_residual(spec: ModeSpec, n_dirs: int = 64) -> float:
 
     Maximum over n_dirs quasi-uniform directions of the tangential
     electric field |E.theta_hat|, |E.phi_hat| and the normal magnetic
-    field |B.n|, each normalized by the mode's peak field magnitude on a
-    coarse grid (48 directions times 25 radii from 0.04 R to R).  The
+    field |B.n|, relative to the mode's RMS fields over the cavity volume
+    V = 4 pi R^3 / 3.  The one-photon normalization fixes
+    int |E|^2 d3r = 2 hbar omega / eps0, so E_rms = sqrt(2 hbar omega /
+    (eps0 V)) and B_rms = E_rms / c, in the constants of spec.config.  The
     suite's mode_boundary check holds it to its tolerance in
     verify.DEFAULT_TOLERANCES.
     """
@@ -603,51 +615,31 @@ def _boundary_residuals(specs: list[ModeSpec], n_dirs: int) -> np.ndarray:
     """boundary_residual of each spec, shape (len(specs),); each value has the
     bits of a call with its spec alone.
 
-    The modes are grouped by (j, m).  A group builds one harmonic table on
-    the wall directions and one on the peak grid, the three terms
-    T_l = Y_{j,l,m} (l = j-1, j, j+1) on each, and takes the three j_l over
-    the wall and peak-grid arguments kr of all its modes from one call of
-    specfun._bessel_orders.  A term that a mode's field lacks enters with its
-    coefficient 0 in _multipole_terms, which moves no nonzero value.
+    The modes are grouped by (j, m), and each group's fields come from one
+    _fields call on the wall directions, each mode at its own radius R.
+    Tangential E is divided by E_rms = sqrt(2 hbar omega / (eps0 V)) and
+    normal B by E_rms / c, both read from the mode's cavity.
     """
     if n_dirs < 1:
         raise ValueError(f"n_dirs must be >= 1, got {n_dirs}")
     th, ph = fibonacci_directions(n_dirs)
-    grid_th, grid_ph = fibonacci_directions(48)
-    frac = np.linspace(0.04, 1.0, 25)
-    # theta_hat, phi_hat and n at the wall, each (3, 1, 1, n_dirs)
-    hats = [u[:, None, None] for u in (unit_theta(th, ph), unit_phi(th, ph), unit_radial(th, ph))]
+    hats = (unit_theta(th, ph), unit_phi(th, ph), unit_radial(th, ph))
     groups: dict[tuple[int, int], list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault((spec.index.j, spec.index.m), []).append(i)
     out = np.empty(len(specs))
-    for (j, m), idx in groups.items():
+    for idx in groups.values():
         group = [specs[i] for i in idx]
-        radius = np.array([s.config.radius for s in group])
+        a, b = _fields(group, [s.config.radius for s in group], th, ph)
         omega = np.array([s.omega for s in group])
-        k = omega / np.array([s.config.wave_speed for s in group])
-        norm = np.array([s.norm_const for s in group])
-        # per mode, column 0 is the wall and columns 1.. the peak-grid radii
-        x = k[:, None] * np.concatenate([radius[:, None], frac * radius[:, None]], axis=1)
-        ls = (j - 1, j, j + 1)
-        bessel = _bessel_orders(ls, x)
-        c = np.stack([_multipole_terms(s.index.tau, j) for s in group])
-        fields = []  # (A, B) at the wall, then on the peak grid: (3, modes, radii, dirs)
-        for Y, cols in ((_Harmonics(j + 1, th, ph), slice(0, 1)),
-                        (_Harmonics(j + 1, grid_th, grid_ph), slice(1, None))):
-            terms = _coupled_stack(Y, [(j, l, m) for l in ls])[:, :, None, None]
-            for part, scale in ((0, norm), (1, 1j * k * norm)):
-                total = 0.0
-                for i, t in enumerate(terms):
-                    total = total + (c[:, part, i, None] * bessel[i][:, cols])[..., None] * t
-                fields.append(scale[:, None, None] * total)
-        a, b, grid_a, grid_b = fields
+        e_rms = np.array([math.sqrt(2.0 * s.config.hbar * s.omega / s.config.epsilon0
+                                    / (4.0 / 3.0 * math.pi * s.config.radius**3))
+                          for s in group])
+        b_rms = e_rms / np.array([s.config.wave_speed for s in group])
         e = (1j * omega)[:, None, None] * a
-        peak_e = omega * np.sqrt((np.abs(grid_a) ** 2).sum(axis=0)).max(axis=(1, 2))
-        peak_b = np.sqrt((np.abs(grid_b) ** 2).sum(axis=0)).max(axis=(1, 2))
-        e_th, e_ph, b_n = (np.abs((f * u).sum(axis=0)).max(axis=(1, 2))
+        e_th, e_ph, b_n = (np.abs((f * u).sum(axis=1)).max(axis=1)
                            for f, u in zip((e, e, b), hats))
-        out[idx] = np.maximum.reduce([e_th / peak_e, e_ph / peak_e, b_n / peak_b])
+        out[idx] = np.maximum.reduce([e_th / e_rms, e_ph / e_rms, b_n / b_rms])
     return out
 
 

@@ -465,12 +465,16 @@ def check_mode_tables() -> tuple[float, str]:
 
 def check_dual_condition(j_max: int = 6, n_each: int = 8) -> tuple[float, str]:
     """Electric and magnetic root sets are disjoint and omega^E_{j,1} <
-    omega^M_{j,1} for every j <= j_max."""
+    omega^M_{j,1} for every j <= j_max; the roots of both types and every j
+    come from one root pass, bit for bit those of find_roots."""
+    # find_roots' ranges, which the unvalidated joint pass does not check
+    if j_max >= md.MAX_BESSEL_ORDER or not 1 <= n_each <= md._MAX_COUNT:
+        raise ValueError(f"need j_max <= {md.MAX_BESSEL_ORDER - 1} and "
+                         f"1 <= n_each <= {md._MAX_COUNT}")
     min_dist = np.inf
     ok = True
-    for j in range(1, j_max + 1):
-        re = md.find_roots("E", j, n_each)
-        rm = md.find_roots("M", j, n_each)
+    roots = md._roots((md.TAU_ELECTRIC, md.TAU_MAGNETIC), list(range(1, j_max + 1)), n_each)
+    for re, rm in zip(roots[md.TAU_ELECTRIC], roots[md.TAU_MAGNETIC]):
         min_dist = min(min_dist, min(abs(a - b) for a in re for b in rm))
         ok = ok and (re[0] < rm[0])
     resid = 0.0 if (ok and min_dist > 1e-6) else 1.0
@@ -550,7 +554,10 @@ def check_mode_equipartition(j_max: int = 2, n_max: int = 2) -> tuple[float, str
 
 
 def check_mode_boundary(j_max: int = 3, n_max: int = 2, n_dirs: int = 64) -> tuple[float, str]:
-    """Every mode of spectrum(j_max, n_max) has zero tangential E and normal B at r = R."""
+    """Every mode of spectrum(j_max, n_max) has zero tangential E and normal B at
+    r = R: the largest boundary_residual over the modes, tangential E relative
+    to the mode's one-photon RMS field E_rms = sqrt(2 hbar omega / (eps0 V)),
+    V = 4 pi R^3 / 3, and normal B to B_rms = E_rms / c."""
     resid = md._boundary_residuals(md.spectrum(j_max, n_max), n_dirs).max()
     return resid, (f"{2 * j_max * n_max} modes, j <= {j_max}, n <= {n_max} "
                    f"({n_dirs} directions each)")

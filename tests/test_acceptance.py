@@ -115,7 +115,7 @@ def test_criterion_05_boundary_conditions():
     resid, _ = check_mode_boundary(j_max=3, n_max=2, n_dirs=50)
     assert resid < 1e-7, resid
     report(5, f"tangential E and normal B at the wall below "
-              f"{resid:.1e} of peak for all j <= 3, n <= 2")
+              f"{resid:.1e} of the RMS fields for all j <= 3, n <= 2")
 
 
 def test_criterion_06_angular_algebra_suite():

@@ -13,6 +13,7 @@ from scipy import special
 
 import sphcavity
 import sphcavity.modes as md
+from sphcavity.angular import unit_phi, unit_radial, unit_theta
 from sphcavity.modes import (
     CavityConfig,
     ModeIndex,
@@ -460,8 +461,9 @@ class TestClosedFormCurl:
         r = np.linspace(0.0, 1.0, 7)[:, None, None]
         tg, pg = np.meshgrid(np.linspace(0.0, np.pi, 5),
                              np.linspace(0.0, 2 * np.pi, 6, endpoint=False), indexing="ij")
-        sep = md._fields(spec, r, tg[None], pg[None])
-        full = md._fields(spec, *np.broadcast_arrays(r, tg[None], pg[None]))
+        sep = [f[0] for f in md._fields([spec], r[None], tg[None], pg[None])]
+        rf, tf, pf = np.broadcast_arrays(r, tg[None], pg[None])
+        full = [f[0] for f in md._fields([spec], rf[None], tf, pf)]
         for got, want in zip(sep, full):
             assert got.shape == want.shape == (3, 7, 5, 6)
             assert np.array_equal(got, want)
@@ -493,6 +495,26 @@ class TestBoundary:
         assert resid >= DEFAULT_TOLERANCES["mode_boundary"]
         assert resid > 1e-5
 
+    @pytest.mark.parametrize("tau,j,m,config", [
+        pytest.param("E", 1, 0, CavityConfig(), id="E-1-0"),
+        pytest.param("M", 2, 1, CavityConfig.si(0.01), id="M-2-1-SI")])
+    def test_residual_is_relative_to_rms_fields(self, tau, j, m, config):
+        # off its root the wall fields do not vanish: the residual must be the
+        # wall maximum from mode_field over E_rms = sqrt(2 hbar omega / (eps0 V))
+        # (tangential E) and over E_rms / c (normal B)
+        good = mode_spec(tau, j, m, 1, config)
+        bad = dataclasses.replace(good, x_root=good.x_root + 1e-3)
+        th, ph = fibonacci_directions(50)
+        wall = mode_field(bad, config.radius, th, ph)
+        volume = 4.0 / 3.0 * math.pi * config.radius**3
+        e_rms = math.sqrt(2.0 * config.hbar * bad.omega / (config.epsilon0 * volume))
+        want = max(np.abs((wall.E * unit_theta(th, ph)).sum(axis=0)).max() / e_rms,
+                   np.abs((wall.E * unit_phi(th, ph)).sum(axis=0)).max() / e_rms,
+                   np.abs((wall.B * unit_radial(th, ph)).sum(axis=0)).max()
+                   * config.wave_speed / e_rms)
+        assert want > 1e-5
+        assert_allclose(boundary_residual(bad, n_dirs=50), want, rtol=1e-12)
+
     def test_no_directions_rejected(self):
         with pytest.raises(ValueError, match="n_dirs must be >= 1"):
             boundary_residual(mode_spec("E", 1, 0, 1), n_dirs=0)
@@ -512,6 +534,26 @@ class TestBoundary:
         assert np.array_equal(batch, single)
         assert batch[3] > 1e-5
         assert np.delete(batch, 3).max() < 1e-13
+
+    @pytest.mark.parametrize("j,m", [(1, -1), (3, 2)])
+    def test_field_group_equals_single_bitwise(self, j, m):
+        # one _fields call over a (j, m) group mixing tau and a unit and an SI
+        # cavity, each mode at radii of its own from r = 0 to its wall, on
+        # directions that hold both poles; A and B of each mode must have the
+        # bits of its own call
+        specs = [mode_spec(tau, j, m, n, config)
+                 for config in (CavityConfig(), CavityConfig.si(0.01))
+                 for tau in ("E", "M") for n in (1, 3)]
+        frac = np.array([0.0, 1e-3, 0.3, 0.7, 1.0])
+        r = np.array([s.config.radius for s in specs])[:, None, None, None] * frac[:, None, None]
+        th = np.array([0.0, 0.4, np.pi / 2, 2.5, np.pi])[:, None]
+        ph = np.array([0.0, 1.0, 3.0, 5.5])
+        group = md._fields(specs, r, th, ph)
+        for i, spec in enumerate(specs):
+            single = md._fields([spec], r[i:i + 1], th, ph)
+            for got, want in zip(group, single):
+                assert got.shape == (len(specs), 3, 5, 5, 4)
+                assert got[i].tobytes() == want[0].tobytes(), spec.index
 
 
 class TestSpectrum:

@@ -172,22 +172,27 @@ class TestIndividualChecks:
             call()
 
 
-def _full_field_energies(spec, radial, quad):
-    """Electric and magnetic energies of one mode by the 3-d product rule on
+def _full_field_integrals(spec, radial, quad):
+    """int |A|^2 d3r and int |B|^2 d3r of one mode by the 3-d product rule on
     the full fields: one _fields call on the (r, theta, phi) grid, then the
     sum over each shell and over the radial nodes."""
     tg, pg = quad.grid
     r, wr = radial
-    a, b = md._fields(spec, r[:, None, None], tg, pg)
+    (a,), (b,) = md._fields([spec], r[None, :, None, None], tg, pg)
 
     def integral(v):
         shell = quad.integrate((np.abs(v) ** 2).sum(axis=0)) * r * r
         return float(np.sum(wr * shell.real))
 
+    return integral(a), integral(b)
+
+
+def _full_field_energies(spec, radial, quad):
+    """Electric and magnetic energies of one mode from _full_field_integrals."""
     config = spec.config
     mu0 = 1.0 / (config.epsilon0 * config.wave_speed**2)
-    return (0.25 * spec.omega**2 * config.epsilon0 * integral(a),
-            0.25 / mu0 * integral(b))
+    a2, b2 = _full_field_integrals(spec, radial, quad)
+    return 0.25 * spec.omega**2 * config.epsilon0 * a2, 0.25 / mu0 * b2
 
 
 class TestModeEnergies:
@@ -213,6 +218,31 @@ class TestModeEnergies:
         # x ~ 130: both radial rules grow with it
         assert check_mode_energy(j_max=20, n_max=32)[0] <= 1e-13
         assert check_mode_equipartition(j_max=20, n_max=32)[0] <= 1e-13
+
+    def test_boundary_spectrum_edge(self):
+        # the same corner for mode_boundary: the wall residuals of all 1280
+        # modes, relative to their RMS fields
+        resid = check_mode_boundary(j_max=20, n_max=32)[0]
+        assert resid < DEFAULT_TOLERANCES["mode_boundary"]
+        assert resid <= 1e-13
+
+    @pytest.mark.parametrize("tau,j,m,n,config", [
+        pytest.param("E", 1, 0, 1, CavityConfig(), id="E-1"),
+        pytest.param("M", 2, 0, 2, CavityConfig(), id="M-2-0-2"),
+        pytest.param("E", 3, -2, 1, CavityConfig(radius=2.0), id="E-3--2-1-R2"),
+        pytest.param("M", 1, 1, 1, CavityConfig.si(0.01), id="M-1-1-1-SI")])
+    def test_rms_fields_are_one_photon_scale(self, tau, j, m, n, config):
+        # the one-photon normalization fixes int |E|^2 d3r = 2 hbar omega / eps0
+        # and, by equipartition, int |B|^2 d3r = 2 hbar omega / (eps0 c^2): the
+        # RMS fields over V = 4 pi R^3 / 3 that the wall residual divides by
+        spec = mode_spec(tau, j, m, n, config)
+        volume = 4.0 / 3.0 * math.pi * config.radius**3
+        a2, b2 = _full_field_integrals(spec, radial_quadrature(80, config.radius),
+                                       sphere_quadrature(2 * j + 8))
+        e_rms = spec.omega * math.sqrt(a2 / volume)
+        b_rms = math.sqrt(b2 / volume)
+        want = math.sqrt(2.0 * config.hbar * spec.omega / (config.epsilon0 * volume))
+        assert_allclose([e_rms, config.wave_speed * b_rms], want, rtol=1e-12, atol=0)
 
 
 class TestStackedChecks:
