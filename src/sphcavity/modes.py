@@ -22,8 +22,8 @@ boundary checks and energies read the cavity from there.
 Roots come from one vectorized solver that takes a set of (tau, j) of
 both types in a single pass.  Every root lies above x = j, and both
 conditions read the pair (j_j, j_{j+1}) from one upward Bessel recurrence
-(specfun._upward_pair) in which each lane stops at its own order.  One
-array scan from x = j per j, the grids of all j evaluated together,
+(specfun._upward_pair) over lanes sorted by j, one run per j, so that one
+(tau, j) and many take the same path.  One array scan from x = j per j
 brackets the zeros of j_j (magnetic) and of (x j_j)' (electric) from the
 same pair values; one safeguarded Newton loop with closed-form
 derivatives then refines every bracket of every (tau, j) at once.  A
@@ -37,7 +37,6 @@ cached per (tau, j) and served as prefixes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -159,6 +158,12 @@ def _validate_tau(tau: str) -> str:
     return t
 
 
+def _check_int(name: str, value, lo: int, hi: int) -> None:
+    """ValueError naming `name` unless value is an integer in [lo, hi]."""
+    if not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}] and an integer, got {value!r}")
+
+
 def magnetic_root_equation(j: int, x):
     """J_{j+1/2}(x); its positive zeros are the magnetic mode frequencies."""
     if j < 1:
@@ -182,9 +187,9 @@ _NEWTON_MAX_ITER = 100
 _MAX_COUNT = 64
 
 
-# The root conditions take the order(s) l, the points x >= l and the upward
-# pair (j_l, j_{l+1}) at x, and return value and slope; l is one order or an
-# integer array with one entry per element of x (see specfun._upward_pair).
+# The root conditions take the order l of each point x >= l, as floats, and
+# the upward pair (j_l, j_{l+1}) at x, and return value and slope.  The
+# points are sorted by order, in the runs that specfun._upward_pair takes.
 def _bessel_zero(l, x, jl, jl1):
     """j_l(x) and its slope j_l' = (l/x) j_l - j_{l+1}: the magnetic condition."""
     return jl, (l / x) * jl - jl1
@@ -193,14 +198,21 @@ def _bessel_zero(l, x, jl, jl1):
 def _electric(j, x, jj, jj1):
     """(x j_j)' = (j+1) j_j - x j_{j+1} and (x j_j)'' = (j(j+1)/x^2 - 1) x j_j:
     the electric condition."""
-    return (j + 1) * jj - x * jj1, (j * (j + 1) / (x * x) - 1.0) * x * jj
+    j1 = j + 1
+    return j1 * jj - x * jj1, (j * j1 / (x * x) - 1.0) * x * jj
 
 
-def _conditions(mag, l, x):
+def _conditions(mag, l, runs, x):
     """Value and slope of the magnetic condition where mag is true and of the
     electric one elsewhere, and j_{l+1}(x), all from one upward pair at x.
-    mag is one bool for every point or a bool array with one per point."""
-    jl, jl1 = _upward_pair(l, x)
+
+    mag is a bool per point, or one bool when every lane shares one tau: the
+    solver's one selection on its lanes.  Both conditions and np.where on
+    every lane made one-tau solves 19-27 % slower for l <= 7 (5-7 % at
+    l = 40, 59); splitting the upward pass by tau would cost mixed solves a
+    second pass per Newton step.
+    """
+    jl, jl1 = _upward_pair(runs, x)
     if not isinstance(mag, np.ndarray):
         return (*(_bessel_zero if mag else _electric)(l, x, jl, jl1), jl1)
     fm, dfm = _bessel_zero(l, x, jl, jl1)
@@ -215,26 +227,10 @@ def _scan_grid(start: float, count: int) -> np.ndarray:
     return start + _SCAN_STEP * np.arange(math.ceil((hi - start) / _SCAN_STEP) + 1)
 
 
-def _join(orders: list[int], grids: list[np.ndarray]):
-    """The grids, one per order, joined; the order of each point; the grid
-    sizes.  A single grid is left as it is, with a plain int order, so it
-    runs the scalar recurrence."""
-    sizes = [len(g) for g in grids]
-    if len(grids) == 1:
-        return grids[0], orders[0], sizes
-    return np.concatenate(grids), np.repeat(orders, sizes), sizes
-
-
-def _sign_changes(f: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """For each segment of f (consecutive lengths `sizes`), the indices k
-    into f where f changes sign between k and k + 1 inside that segment."""
-    idx = (np.signbit(f[:-1]) != np.signbit(f[1:])).nonzero()[0]
-    if len(sizes) == 1:
-        return [idx]
-    ends = list(itertools.accumulate(sizes))
-    # a segment's last point pairs with the next segment's first: skip it
-    cuts = np.searchsorted(idx, [0] + ends[:-1] + [e - 1 for e in ends]).tolist()
-    return [idx[a:b] for a, b in zip(cuts[:len(sizes)], cuts[len(sizes):])]
+def _sign_changes(f: np.ndarray) -> np.ndarray:
+    """True at each k where f changes sign between k and k + 1."""
+    sign = np.signbit(f)
+    return sign[:-1] != sign[1:]
 
 
 def _newton_roots(lanes: list[tuple[str, int]], count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,76 +240,82 @@ def _newton_roots(lanes: list[tuple[str, int]], count: int) -> tuple[np.ndarray,
     Returns the roots, shape (len(lanes), count), and for each lane the
     number of sign changes of j_{l+1} below its last root, which the
     magnetic guard compares with count - 1.  Each order gets one scan on
-    its own grid (_scan_grid), and one upward pair over all the grids
-    serves both conditions; a lane with fewer than count sign changes
-    raises RootFindingError.  One safeguarded Newton loop then refines the
-    brackets of every lane at once: a lane whose step leaves its bracket
-    bisects instead; a lane stops once its step is <= _NEWTON_RTOL * x, and
-    one polishing step follows.  Every lane's arithmetic is that of a pass
-    holding its lane alone.
+    its own grid (_scan_grid); the grids, one run per order, share one
+    upward pair, which serves both conditions.  A lane with fewer than
+    count sign changes raises RootFindingError.  One safeguarded Newton
+    loop then refines the brackets of every lane at once, the lanes in
+    order of l, one run per order: a lane whose step leaves its bracket
+    bisects instead; a lane stops once its step is <= _NEWTON_RTOL * x and
+    keeps its x, a and b from then on; one polishing step follows.  Every
+    lane's arithmetic is that of a pass holding its lane alone.
     """
-    orders = sorted({l for _, l in lanes})
+    # the lanes of each order
+    by_order: dict[int, list[int]] = {}
+    for i, (_, l) in enumerate(lanes):
+        by_order.setdefault(l, []).append(i)
+    orders = sorted(by_order)
     grids = [_scan_grid(max(l, _SCAN_STEP), count) for l in orders]
-    xs, ls, sizes = _join(orders, grids)
-    jl, jl1 = _upward_pair(ls, xs)
+    sizes = [len(g) for g in grids]
+    xs = np.concatenate(grids)
+    jl, jl1 = _upward_pair(list(zip(orders, sizes)), xs)
+    # the order of each point, as floats, as x is
+    ls = np.array(orders, float).repeat(sizes)
     taus = {tau for tau, _ in lanes}
     fs = {tau: (_bessel_zero if tau == TAU_MAGNETIC else _electric)(ls, xs, jl, jl1)[0]
           for tau in taus}
-    changes = {tau: _sign_changes(f, sizes) for tau, f in fs.items()}
-    segment = {l: i for i, l in enumerate(orders)}
-    brackets, fa, fb = [], [], []
-    for tau, l in lanes:
-        idx = changes[tau][segment[l]]
-        if len(idx) < count:
-            raise RootFindingError(f"failed to bracket root {len(idx) + 1} of order {l} "
-                                   f"below x = {grids[segment[l]][-1]:.6g}")
-        idx = idx[:count]
-        brackets.append(idx)
-        fa.append(fs[tau][idx])
-        fb.append(fs[tau][idx + 1])
+    changes = {tau: _sign_changes(f) for tau, f in fs.items()}
+    companion_changes = _sign_changes(jl1)
+    rows, brackets, fa, fb, below = [], [], [], [], []
+    end = 0
+    for l, size in zip(orders, sizes):
+        start, end = end, end + size
+        for i in by_order[l]:
+            tau = lanes[i][0]
+            idx = changes[tau][start:end - 1].nonzero()[0]
+            if len(idx) < count:
+                raise RootFindingError(f"failed to bracket root {len(idx) + 1} of order {l} "
+                                       f"below x = {xs[end - 1]:.6g}")
+            idx = idx[:count] + start
+            rows.append(i)
+            brackets.append(idx)
+            fa.append(fs[tau][idx])
+            fb.append(fs[tau][idx + 1])
+            # sign changes of j_{l+1} over the scan of l up to the last bracket
+            below.append(np.count_nonzero(companion_changes[start:idx[-1]]))
     idx, fa, fb = np.concatenate(brackets), np.concatenate(fa), np.concatenate(fb)
-    a, b = xs[idx], xs[idx + 1]
-    # one order or one condition for every lane runs as a plain int or bool
-    lane_l = ls if len(orders) == 1 else np.repeat([l for _, l in lanes], count)
+    a, b, lane_l = xs[idx], xs[idx + 1], ls[idx]
+    runs = [(l, count * len(by_order[l])) for l in orders]
     mag = (TAU_MAGNETIC in taus if len(taus) == 1
-           else np.repeat([tau == TAU_MAGNETIC for tau, _ in lanes], count))
+           else np.repeat([lanes[i][0] == TAU_MAGNETIC for i in rows], count))
     neg_a = np.signbit(fa)
     x = a - fa * (b - a) / (fb - fa)
-    active = np.arange(len(x))
-
-    def running(v):
-        return v[active] if isinstance(v, np.ndarray) else v
-
+    # a stopped lane steps by 0, which keeps its x and counts as done
+    running = True
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
-            xa = x[active]
-            f, df, _ = _conditions(running(mag), running(lane_l), xa)
-            step = f / df
-            left = np.signbit(f) == neg_a[active]
-            a[active] = aa = np.where(left, xa, a[active])
-            b[active] = bb = np.where(left, b[active], xa)
-            xn = xa - step
-            done = np.abs(step) <= _NEWTON_RTOL * xa
-            inside = (xn > aa) & (xn < bb)
-            x[active] = np.where(done | inside, xn, 0.5 * (aa + bb))
-            active = active[~done]
-            if not len(active):
+            f, df, _ = _conditions(mag, lane_l, runs, x)
+            step = np.where(running, f / df, 0.0)
+            left = running & (np.signbit(f) == neg_a)
+            a = np.where(left, x, a)
+            b = np.where(running ^ left, x, b)
+            xn = x - step
+            done = np.abs(step) <= _NEWTON_RTOL * x
+            inside = (xn > a) & (xn < b)
+            x = np.where(done | inside, xn, 0.5 * (a + b))
+            running = ~done
+            if not np.count_nonzero(running):
                 break
         else:
             raise RootFindingError(f"Newton refinement did not converge in "
                                    f"{_NEWTON_MAX_ITER} steps")
-        f, df, companion = _conditions(mag, lane_l, x)
+        f, df, companion = _conditions(mag, lane_l, runs, x)
         polished = x - f / df
     roots = np.where((polished >= a) & (polished <= b), polished, x).reshape(len(lanes), count)
-    # sign changes of j_{l+1} over the scan points of each lane's order up to
-    # the bracket of its last root, and from there to that root
-    sign = np.signbit(jl1)
-    flips = np.concatenate(([0], np.cumsum(sign[1:] != sign[:-1])))
-    offsets = [0, *itertools.accumulate(sizes)]
+    # and from the last bracket to the root
     last = idx[count - 1::count]
-    zeros_below = (flips[last] - flips[[offsets[segment[l]] for _, l in lanes]]
-                   + (sign[last] != np.signbit(companion[count - 1::count])))
-    return roots, zeros_below
+    below = np.array(below) + (np.signbit(jl1[last]) != np.signbit(companion[count - 1::count]))
+    back = sorted(range(len(lanes)), key=rows.__getitem__)
+    return roots[back], below[back]
 
 
 def spherical_bessel_zeros(l: int, count: int) -> list[float]:
@@ -322,10 +324,8 @@ def spherical_bessel_zeros(l: int, count: int) -> list[float]:
     0 <= l <= MAX_BESSEL_ORDER - 1 and 1 <= count <= 64; for l = 0 the
     zeros are k pi.  Solved like find_roots, without its cache or guards.
     """
-    if not 0 <= l < MAX_BESSEL_ORDER:
-        raise ValueError(f"l must be in [0, {MAX_BESSEL_ORDER - 1}]")
-    if not 1 <= count <= _MAX_COUNT:
-        raise ValueError(f"count must be in [1, {_MAX_COUNT}]")
+    _check_int("l", l, 0, MAX_BESSEL_ORDER - 1)
+    _check_int("count", count, 1, _MAX_COUNT)
     # j_l has no zero below l (nor below pi for l = 0)
     return _newton_roots([(TAU_MAGNETIC, l)], count)[0][0].tolist()
 
@@ -409,10 +409,8 @@ def find_roots(tau: str, j: int, count: int) -> list[float]:
     it; a longer request is solved once and replaces the entry.
     """
     tau = _validate_tau(tau)
-    if not 1 <= j < MAX_BESSEL_ORDER:
-        raise ValueError(f"j must be in [1, {MAX_BESSEL_ORDER - 1}]")
-    if not 1 <= count <= _MAX_COUNT:
-        raise ValueError(f"count must be in [1, {_MAX_COUNT}]")
+    _check_int("j", j, 1, MAX_BESSEL_ORDER - 1)
+    _check_int("count", count, 1, _MAX_COUNT)
     return list(_roots((tau,), [j], count)[tau][0])
 
 
@@ -440,20 +438,23 @@ def normalization_constant(tau: str, j: int, x_root: float,
     eq = magnetic_root_equation(j, x) if tau == TAU_MAGNETIC else electric_root_equation(j, x)
     if abs(eq) > 1e-4:
         raise ValueError(f"x_root={x} does not satisfy the {tau} condition for j={j}")
-    return float(_norm_consts(tau, j, np.array([x]), config)[0])
+    return float(_norm_consts(tau, [(j, 1)], np.array([x]), config)[0])
 
 
-def _norm_consts(tau: str, j, x: np.ndarray, config: CavityConfig) -> np.ndarray:
+def _norm_consts(tau: str, runs, x: np.ndarray, config: CavityConfig) -> np.ndarray:
     """normalization_constant at roots x > j of (tau, j), unvalidated.
 
-    j is one order or one per root.  The Bessel value in the denominator,
+    The roots are laid out by j along the first axis of x, runs giving each
+    j and its row count as specfun._upward_pair takes them: j ascending,
+    counts summing to len(x).  The Bessel value in the denominator,
     j_{j+1}(x) (magnetic) or j_j(x) (electric), comes from the upward pair
     at x, so a root's constant does not depend on the batch it is in.
     """
-    jb = _upward_pair(j, x)[tau == TAU_MAGNETIC]
+    jb = _upward_pair(runs, x)[tau == TAU_MAGNETIC]
     num = math.sqrt(8.0 * config.hbar / (math.pi * config.epsilon0 * config.wave_speed)) / config.radius
     den = np.abs(np.sqrt(2.0 * x / np.pi) * jb)
     if tau == TAU_ELECTRIC:
+        j = np.array([o for o, c in runs for _ in range(c)]).reshape((-1,) + (1,) * (x.ndim - 1))
         num = num * x
         den = np.sqrt((2 * j + 1) * (x * x - j * (j + 1))) * den
     if np.any(den < 1e-14):
@@ -465,8 +466,7 @@ def mode_spec(tau: str, j: int, m: int, n: int,
               config: CavityConfig = CavityConfig()) -> ModeSpec:
     """Resolve a mode label to its root and its normalization in config."""
     tau = _validate_tau(tau)
-    if n < 1:
-        raise ValueError("root ordinal n must be >= 1")
+    _check_int("n", n, 1, _MAX_COUNT)
     # find_roots checks the range of j before |m| is compared with it
     x = find_roots(tau, j, n)[n - 1]
     if abs(m) > j:
@@ -474,7 +474,7 @@ def mode_spec(tau: str, j: int, m: int, n: int,
     return ModeSpec(
         index=ModeIndex(tau, j, m, n),
         x_root=x,
-        norm_const=float(_norm_consts(tau, j, np.array([x]), config)[0]),
+        norm_const=float(_norm_consts(tau, [(j, 1)], np.array([x]), config)[0]),
         config=config,
     )
 
@@ -498,14 +498,13 @@ def _spectrum(j_max: int, n_max: int, config: CavityConfig, taus) -> list[ModeSp
     Only their roots are solved, with the magnetic roots that the electric
     guard reads; the entries keep the relative order they have in spectrum.
     """
-    if not 1 <= j_max <= 20:
-        raise ValueError("j_max must be in [1, 20]")
-    if not 1 <= n_max <= 32:
-        raise ValueError("n_max must be in [1, 32]")
+    _check_int("j_max", j_max, 1, 20)
+    _check_int("n_max", n_max, 1, 32)
     js = list(range(1, j_max + 1))
-    roots = {tau: np.array(r).ravel() for tau, r in _roots(taus, js, n_max).items()}
-    x = np.concatenate([roots[tau] for tau in taus])
-    norms = np.concatenate([_norm_consts(tau, np.repeat(js, n_max), roots[tau], config)
+    # one row of roots per j
+    roots = {tau: np.array(r) for tau, r in _roots(taus, js, n_max).items()}
+    x = np.concatenate([roots[tau].ravel() for tau in taus])
+    norms = np.concatenate([_norm_consts(tau, [(j, 1) for j in js], roots[tau], config).ravel()
                             for tau in taus])
     omega = config.wave_speed * x / config.radius
     # position in taus, j - 1 and n - 1 of each entry

@@ -87,36 +87,32 @@ def _series_lanes(runs: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
     return np.concatenate([out[i, :count] for i, (_, count) in enumerate(runs)])
 
 
-def _upward_pair(l, x):
+def _upward_pair(runs: list[tuple[int, int]], x: np.ndarray):
     # (j_l, j_{l+1}) by upward recurrence j_{k+1} = ((2k+1)/x) j_k - j_{k-1}
     # from the closed forms of j_0 and j_1.  Unvalidated: callers guarantee
     # x > 0 and x >= l, where the recurrence is stable relative to the
-    # envelope sqrt(j_l^2 + y_l^2).  l is one order, or an integer array of
-    # orders, one per element of the array x: each lane stops at its own
-    # order, so its values equal those of the call with that order alone.
+    # envelope sqrt(j_l^2 + y_l^2).  The lanes x are sorted by order along
+    # their first axis, runs giving each order and its lane count as in
+    # _series_lanes: orders ascending, counts summing to len(x).  Each run is
+    # one phase: the lanes still running, a suffix, step on views up to its
+    # order, and its own lanes then stop, so each lane's values equal those
+    # of the call with its order alone; one order is one run.  j_k of even
+    # and of odd k live in two arrays, step k overwriting j_{k-1} with j_{k+1}.
     s, c = np.sin(x), np.cos(x)
     lo, hi = s / x, s / x**2 - c / x
-    if not isinstance(l, np.ndarray):
-        for k in range(1, l + 1):
-            lo, hi = hi, (2 * k + 1) / x * hi - lo
-        return lo, hi
-    # sorted by order, the lanes still running at step k are a suffix
-    perm = np.argsort(l, kind="stable")
-    ls, xs, lo, hi = l[perm], x[perm], lo[perm], hi[perm]
-    for k, i in enumerate(np.searchsorted(ls, np.arange(1, ls[-1] + 1)), start=1):
-        nxt = (2 * k + 1) / xs[i:] * hi[i:] - lo[i:]
-        lo[i:] = hi[i:]
-        hi[i:] = nxt
-    out_lo, out_hi = np.empty_like(lo), np.empty_like(hi)
-    out_lo[perm], out_hi[perm] = lo, hi
-    return out_lo, out_hi
-
-
-def _upward_lanes(runs: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
-    # j_l by _upward_pair, the lanes x sorted by order as in _series_lanes;
-    # a single order runs its scalar recurrence
-    orders, counts = zip(*runs)
-    return _upward_pair(orders[0] if len(runs) == 1 else np.repeat(orders, counts), x)[0]
+    j, last = (lo, hi), runs[-1][0] % 2
+    xs, k, a = x, 0, 0
+    for order, count in runs:
+        for k in range(k + 1, order + 1):
+            lo[...] = (2 * k + 1) / xs * hi - lo
+            lo, hi = hi, lo
+        if order % 2 != last:  # its j_l is where the last run's j_{l+1} is
+            done = slice(a, a + count)
+            j[0][done], j[1][done] = j[1][done], j[0][done].copy()
+        a += count
+        if a < len(x):  # the lanes still running
+            xs, lo, hi = xs[count:], lo[count:], hi[count:]
+    return j[last], j[1 - last]
 
 
 def _miller_lanes(runs: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
@@ -131,7 +127,7 @@ def _miller_lanes(runs: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
     for order, count in runs:
         seeds[order + 40] = kept[order + 1] = slice(a, a + count)
         a += count
-    f_hi, f_lo, f_l = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    f_hi, f_lo, f_l = np.zeros(x.shape), np.zeros(x.shape), np.empty_like(x)
     for k in range(runs[-1][0] + 40, 0, -1):
         if k in seeds:
             f_lo[seeds[k]] = 1e-30
@@ -139,7 +135,7 @@ def _miller_lanes(runs: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
         if k in kept:
             f_l[kept[k]] = f_lo[kept[k]]
     # f_lo = unnormalized j_0, f_hi = unnormalized j_1
-    j0, j1 = _upward_pair(0, x)
+    j0, j1 = _upward_pair([(0, len(x))], x)
     use0 = np.abs(f_lo) >= np.abs(f_hi)
     ratio = np.where(use0, j0 / np.where(use0, f_lo, 1.0),
                      j1 / np.where(use0, 1.0, f_hi))
@@ -160,12 +156,13 @@ def _bessel_orders(orders, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("argument must be finite and non-negative")
-    xs = np.repeat(arr.reshape(1, -1), len(orders), axis=0)
+    xs = arr.reshape(1, -1).repeat(len(orders), axis=0)
     lim = np.array([[_series_cutoff(l), l] for l in orders]).reshape(-1, 2)
     small = xs < lim[:, :1]
     up = ~small & (xs >= lim[:, 1:])
     out = np.empty(xs.shape)
-    for lanes, evaluate in ((small, _series_lanes), (up, _upward_lanes),
+    for lanes, evaluate in ((small, _series_lanes),
+                            (up, lambda runs, x: _upward_pair(runs, x)[0]),
                             (~(small | up), _miller_lanes)):
         runs = [(l, c) for l, c in zip(orders, np.add.reduce(lanes, axis=1).tolist()) if c]
         if runs:

@@ -136,6 +136,24 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             spherical_bessel_zeros(60, 1)
 
+    @pytest.mark.parametrize("func, args, name", [
+        (find_roots, ("M", 2.0, 3), "j"),
+        (find_roots, ("M", 3, 2.0), "count"),
+        (spherical_bessel_zeros, (1.5, 2), "l"),
+        (spherical_bessel_zeros, (2, np.float64(3)), "count"),
+        (mode_spec, ("E", 2.0, 0, 1), "j"),
+        (mode_spec, ("E", 2, 0, 1.0), "n"),
+        (spectrum, (2.0, 2), "j_max"),
+        (spectrum, (2, 2.0), "n_max"),
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_non_integer_order_or_count_is_a_named_value_error(self, func, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[\d+, \d+\] and an integer"):
+            func(*args)
+
+    def test_numpy_integers_are_accepted(self):
+        assert find_roots("M", np.int64(3), np.int32(2)) == find_roots("M", 3, 2)
+        assert spectrum(np.int64(2), np.int64(2)) == spectrum(2, 2)
+
     @pytest.mark.parametrize("tau", ["M", "E"])
     @pytest.mark.parametrize("j", [30, 45, 59])
     def test_large_j_against_scipy(self, tau, j):
@@ -272,6 +290,21 @@ class TestRootCache:
         with pytest.raises(RootFindingError, match="root 1 of order 7 below"):
             spectrum(8, 2)
         assert cache == {}
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 32])
+    def test_lanes_in_any_order_equal_their_solves_alone(self, count):
+        # the pass refines its lanes in order of l, some orders shared by
+        # both taus; each lane's roots and companion count come back in the
+        # order asked, bit for bit those of the lane alone
+        lanes = [("E", 7), ("M", 59), ("M", 3), ("E", 3), ("M", 7)]
+        roots, zeros_below = md._newton_roots(lanes, count)
+        assert roots.shape == (len(lanes), count) and zeros_below.shape == (len(lanes),)
+        for lane, r, z in zip(lanes, roots, zeros_below):
+            alone, alone_below = md._newton_roots([lane], count)
+            assert r.tobytes() == alone[0].tobytes(), lane
+            assert z == alone_below[0], lane
+            if lane[0] == "M":  # interlacing: j_{l+1} changes sign count - 1 times
+                assert z == count - 1, lane
 
     def test_spectrum_makes_one_solver_pass(self, cache, monkeypatch):
         # both types of every j share one scan and one Newton batch

@@ -85,16 +85,24 @@ class TestSphericalBessel:
             assert spherical_bessel_j(l, np.array([0.5, x]))[1] == alone, x
 
     def test_upward_pair_per_lane_orders(self):
-        # each lane stops at its own order: bit-identical to its order alone
+        # lanes sorted by order, one run per order: each lane stops at its
+        # own order, bit-identical to its order alone (a one-run call)
         rng = np.random.default_rng(7)
-        ls = rng.integers(0, 60, 200)
+        ls = np.sort(rng.integers(0, 60, 200))
         xs = ls + rng.uniform(1e-3, 250.0, 200)
-        lo, hi = _upward_pair(ls, xs)
-        for l, x, a, b in zip(ls, xs, lo, hi):
-            assert (a, b) == tuple(_upward_pair(int(l), np.array([x]))), (l, x)
-            assert a == spherical_bessel_j(int(l), x)
+        orders, counts = np.unique(ls, return_counts=True)
+        lo, hi = _upward_pair(list(zip(orders.tolist(), counts.tolist())), xs)
+        for l, x, a, b in zip(ls.tolist(), xs, lo, hi):
+            assert (a, b) == tuple(_upward_pair([(l, 1)], np.array([x]))), (l, x)
+            assert a == spherical_bessel_j(l, x)
+        # the runs count rows of a 2-D x: each row as its order alone
+        rows = np.array([[2.0, 3.5, 100.0], [5.0, 7.0, 9.0],
+                         [6.0, 50.0, 250.0], [40.0, 41.0, 299.0]])
+        pair = _upward_pair([(2, 1), (5, 2), (40, 1)], rows)
+        for l, row, a, b in zip((2, 5, 5, 40), rows, *pair):
+            assert np.stack([a, b]).tobytes() == np.stack(_upward_pair([(l, 3)], row)).tobytes(), l
         with np.errstate(all="raise"):  # finished lanes are not carried on
-            _upward_pair(np.array([0, 59]), np.array([1e-3, 59.0]))
+            _upward_pair([(0, 1), (59, 1)], np.array([1e-3, 59.0]))
 
     @pytest.mark.parametrize("orders", [range(61), [5], [0, 1, 2], range(0, 61, 7), [59, 60]])
     def test_order_rows_equal_one_order_calls(self, orders):
