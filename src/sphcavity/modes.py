@@ -165,16 +165,16 @@ def _check_int(name: str, value, lo: int, hi: int) -> None:
 
 
 def magnetic_root_equation(j: int, x):
-    """J_{j+1/2}(x); its positive zeros are the magnetic mode frequencies."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    """J_{j+1/2}(x), integer j in [1, 60]; its positive zeros are the
+    magnetic mode frequencies."""
+    _check_int("j", j, 1, MAX_BESSEL_ORDER)
     return bessel_j_halfint(2 * j + 1, x)
 
 
 def electric_root_equation(j: int, x):
-    """j J_{j+3/2}(x) - (j+1) J_{j-1/2}(x); zeros give electric frequencies."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    """j J_{j+3/2}(x) - (j+1) J_{j-1/2}(x), integer j in [1, 59]; zeros give
+    electric frequencies."""
+    _check_int("j", j, 1, MAX_BESSEL_ORDER - 1)
     return j * bessel_j_halfint(2 * j + 3, x) - (j + 1) * bessel_j_halfint(2 * j - 1, x)
 
 
@@ -427,10 +427,12 @@ def normalization_constant(tau: str, j: int, x_root: float,
     j J_{j+1/2} / x and J_{j+3/2} = (j+1) J_{j+1/2} / x); it is verified
     against a product quadrature of the energy integral (the mode_energy
     check).
-    Raises ValueError unless x_root lies above j (magnetic) or sqrt(j(j+1))
-    (electric), where every root lies, and meets its condition to 1e-4.
+    Raises ValueError unless j is an integer in find_roots' range [1, 59]
+    and x_root lies above j (magnetic) or sqrt(j(j+1)) (electric), where
+    every root lies, and meets its condition to 1e-4.
     """
     tau = _validate_tau(tau)
+    _check_int("j", j, 1, MAX_BESSEL_ORDER - 1)
     x = float(x_root)
     # the residual test alone passes every small x: J_{j+1/2}(x) ~ x^{j+1/2}
     if (x <= j) if tau == TAU_MAGNETIC else (x * x <= j * (j + 1)):
@@ -654,8 +656,8 @@ def hamiltonian_energy(occupations: Mapping[ModeIndex | tuple, int],
     energy = 0.0
     photons = 0
     for key, count in occupations.items():
-        if count < 0:
-            raise ValueError("occupation numbers must be >= 0")
+        if not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"occupation numbers must be integers >= 0, got {count!r}")
         omega = mode_spec(*key, config=config).omega
         energy += config.hbar * omega * (count + (0.5 if include_zero_point else 0.0))
         photons += count

@@ -75,9 +75,9 @@ def wigner_entry(matrix: np.ndarray, j: int, m_prime: int, m: int):
     return matrix[m_index(j, m_prime), m_index(j, m)]
 
 
-def _check_j(j: int) -> None:
-    if not isinstance(j, (int, np.integer)) or j < 0 or j > MAX_WIGNER_J:
-        raise ValueError(f"j must be an integer in [0, {MAX_WIGNER_J}], got {j}")
+def _check_j(j: int, lo: int = 0) -> None:
+    if not isinstance(j, (int, np.integer)) or j < lo or j > MAX_WIGNER_J:
+        raise ValueError(f"j must be an integer in [{lo}, {MAX_WIGNER_J}], got {j}")
 
 
 @lru_cache(maxsize=1)
@@ -303,8 +303,7 @@ def helicity_polarization_vector(lam: int, theta, phi) -> np.ndarray:
 def _check_photon(j: int, m: int, lam: int) -> None:
     if lam not in (+1, -1):
         raise ValueError(f"physical photon helicity must be +1 or -1, got {lam}")
-    if j < 1:
-        raise ValueError(f"need j >= |lambda| = 1, got j={j}")
+    _check_j(j, 1)  # a photon needs j >= |lambda| = 1
     if abs(m) > j:
         raise ValueError(f"|m| must not exceed j, got j={j}, m={m}")
 

@@ -30,6 +30,7 @@ from sphcavity.modes import (
     spectrum,
     spherical_bessel_zeros,
 )
+from sphcavity.specfun import bessel_j_halfint
 from sphcavity.verify import (DEFAULT_TOLERANCES, ELECTRIC_REFERENCE_TABLE,
                               MAGNETIC_REFERENCE_TABLE)
 
@@ -67,6 +68,24 @@ class TestRootEquations:
             magnetic_root_equation(0, 1.0)
         with pytest.raises(ValueError):
             electric_root_equation(0, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: normalization_constant("M", 2.0, 5.76346),
+        lambda: normalization_constant("E", 61, 70.0),
+        lambda: normalization_constant("M", 60, 70.0),
+        lambda: electric_root_equation(60, 70.0),
+        lambda: electric_root_equation(2.0, 7.0),
+        lambda: magnetic_root_equation(61, 70.0),
+        lambda: magnetic_root_equation(2.0, 7.0),
+    ])
+    def test_j_outside_the_bessel_range_is_named(self, call):
+        # each fails on j, not on a Bessel order or two_nu derived from it
+        with pytest.raises(ValueError, match="j must be in"):
+            call()
+
+    def test_magnetic_edge_order(self):
+        # J_{60+1/2} is the highest half-integer order the evaluator holds
+        assert magnetic_root_equation(60, 70.0) == bessel_j_halfint(121, 70.0)
 
 
 class TestFindRoots:
@@ -682,6 +701,10 @@ class TestHamiltonian:
             hamiltonian_energy({("E", 1, 2, 1): 1})
         with pytest.raises(ValueError):
             hamiltonian_energy({("E", 1, 0, 1): -1})
+        with pytest.raises(ValueError, match="integers"):
+            hamiltonian_energy({("E", 1, 0, 1): 1.5})
+        with pytest.raises(ValueError, match="integers"):
+            hamiltonian_energy({("E", 1, 0, 1): 1.0})
 
     def test_invalid_j_is_named_before_m(self):
         # |m| <= j means nothing for a j out of range

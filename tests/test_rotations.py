@@ -408,3 +408,10 @@ class TestPlaneToSpherical:
     def test_validation(self):
         with pytest.raises(ValueError):
             plane_to_spherical_coefficient(1, 0, 0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("func", [spherical_wave_helicity, plane_to_spherical_coefficient])
+    @pytest.mark.parametrize("j", [MAX_WIGNER_J + 1, 2.0, 0])
+    def test_j_outside_the_wigner_range_is_named(self, func, j):
+        # j past the d^j table, or not an integer, fails on j itself
+        with pytest.raises(ValueError, match="j must be an integer in"):
+            func(j, 0, 1, 0.3, 0.2)

@@ -118,6 +118,16 @@ class TestSphericalBessel:
             for l, row in zip(orders, rows):
                 assert row.tobytes() == np.asarray(spherical_bessel_j(l, x)).tobytes(), l
 
+    @pytest.mark.parametrize("l", range(61))
+    def test_series_term_count(self, l):
+        # the series regime runs a fixed number of terms: up to one ulp below
+        # its cutoff it must agree with the 50-term series to 2 ulp
+        cut = np.nextafter(_series_cutoff(l), 0.0)
+        xs = np.append(np.geomspace(0.01 * cut, cut, 24, endpoint=False), cut)
+        for x, v in zip(xs, spherical_bessel_j(l, xs)):
+            ref = series_spherical_jl(l, float(x))
+            assert abs(v - ref) <= 2 * np.spacing(abs(ref)), (l, x)
+
     def test_order_rows_validate(self):
         with pytest.raises(ValueError, match="order"):
             _bessel_orders([3, 61], 1.0)
