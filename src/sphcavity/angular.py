@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import _Harmonics
+from .specfun import _check_int, _Harmonics
 
 __all__ = [
     "Direction",
@@ -110,8 +110,7 @@ def spherical_basis_vector(mu: int) -> np.ndarray:
     (Condon-Shortley phases); pairwise orthonormal under the Hermitian
     inner product.
     """
-    if mu not in (+1, 0, -1):
-        raise ValueError(f"mu must be +1, 0 or -1, got {mu}")
+    _check_int("mu", mu, -1, 1)
     return _U[1 - mu].copy()
 
 
@@ -136,7 +135,8 @@ def spherical_to_cartesian_components(c) -> np.ndarray:
     return _apply(_U.conj().T, np.asarray(c, dtype=complex))
 
 
-@lru_cache(maxsize=4096)
+# typed, so that a float such as 1.0 is checked, not served the entry of 1
+@lru_cache(maxsize=4096, typed=True)
 def cg_s1(l: int, j: int, mu: int, m: int) -> float:
     """Clebsch-Gordan coefficient <l, 1; m-mu, mu | j, m> for spin-1 coupling.
 
@@ -144,9 +144,11 @@ def cg_s1(l: int, j: int, mu: int, m: int) -> float:
     a spin-1 index mu (second factor) to total j in {l-1, l, l+1}.  Returns
     0.0 when a magnetic quantum number is out of range.
     """
-    if mu not in (+1, 0, -1):
-        raise ValueError(f"mu must be +1, 0 or -1, got {mu}")
-    if l < 0 or j not in (l - 1, l, l + 1) or j < 0 or (l == 0 and j == 0):
+    _check_int("l", l, 0, math.inf)
+    _check_int("j", j, 0, math.inf)
+    _check_int("mu", mu, -1, 1)
+    _check_int("m", m, -math.inf, math.inf)
+    if j not in (l - 1, l, l + 1) or (l == 0 and j == 0):
         raise ValueError(f"no spin-1 coupling of orbital l={l} to total j={j}")
     if abs(m) > j or abs(m - mu) > l:
         return 0.0
@@ -203,7 +205,9 @@ def vsh_coupled(j: int, l: int, m: int, theta, phi) -> np.ndarray:
     eigenfunction of J^2, J_z, L^2 and S^2 with eigenvalues j(j+1), m,
     l(l+1), 2.  Returns zeros when |m| > j.
     """
-    if l < 0 or l not in (j - 1, j, j + 1) or (l == 0 and j == 0):
+    _check_int("j", j, 0, math.inf)
+    _check_int("l", l, 0, math.inf)
+    if l not in (j - 1, j, j + 1) or (l == 0 and j == 0):
         raise ValueError(f"l must be one of j-1, j, j+1 with a valid spin-1 "
                          f"coupling, got j={j}, l={l}")
     return _coupled_stack(_Harmonics(l, theta, phi), [(j, l, m)])[0]
@@ -219,18 +223,22 @@ def _eml_terms(kind: str, j: int) -> tuple[tuple[int, float], ...]:
     return ((j + 1, -b), (j - 1, a)) if j >= 1 else ((j + 1, -b),)
 
 
+def _check_vsh(kind: str, j: int, m: int) -> None:
+    # the label (kind, j, m) of vsh, kind already upper case
+    _check_int("j", j, 0, math.inf)
+    if kind != "L" and j == 0:
+        raise ValueError(f"the {kind}-type harmonic vanishes identically for j=0; need j >= 1")
+    _check_int("m", m, -j, j)
+
+
 def _vsh_stack(Y: _Harmonics, labels) -> np.ndarray:
     # Y^E, Y^M or Y^L for every (kind, j, m) of labels (kind already upper
-    # case), stacked like _coupled_stack: each member's w_1 Y_{j,l_1,m}, plus
-    # w_2 Y_{j,l_2,m} for the members with a second term, from one
-    # _coupled_stack call over the first terms and then the second terms
+    # case), the caller having validated each label, stacked like
+    # _coupled_stack: each member's w_1 Y_{j,l_1,m}, plus w_2 Y_{j,l_2,m} for
+    # the members with a second term, from one _coupled_stack call over the
+    # first terms and then the second terms
     terms, seconds = [], []  # (j, l, m, w) of each first term; (member, term) of each second
     for i, (kind, j, m) in enumerate(labels):
-        if kind in ("E", "M") and j < 1:
-            raise ValueError(f"the {kind}-type harmonic vanishes identically for j={j}; "
-                             "need j >= 1")
-        if j < 0 or abs(m) > j:
-            raise ValueError(f"need j >= 0 and |m| <= j, got j={j}, m={m}")
         (l, w), *rest = _eml_terms(kind, j)
         terms.append((j, l, m, w))
         seconds += [(i, (j, l, m, w)) for l, w in rest]
@@ -264,14 +272,16 @@ def vsh(kind: str, j: int, m: int, theta, phi) -> np.ndarray:
     kind = str(kind).upper()
     if kind not in ("E", "M", "L"):
         raise ValueError(f"kind must be 'E', 'M' or 'L', got {kind!r}")
+    _check_vsh(kind, j, m)
     return _vsh_stack(_Harmonics(j + 1, theta, phi), [(kind, j, m)])[0]
 
 
 def _helicity_stack(Y: _Harmonics, labels) -> np.ndarray:
-    # Y^(lam) for every (lam, j, m) of labels, stacked like _coupled_stack:
-    # -(Y^E - Y^M)/sqrt(2) for lam = +1, (Y^E + Y^M)/sqrt(2) for lam = -1 and
-    # Y^L for lam = 0, from one _vsh_stack call that builds the Y^E and Y^M of
-    # each (j, m) once for both helicities
+    # Y^(lam) for every (lam, j, m) of labels, the caller having validated
+    # each label, stacked like _coupled_stack: -(Y^E - Y^M)/sqrt(2) for
+    # lam = +1, (Y^E + Y^M)/sqrt(2) for lam = -1 and Y^L for lam = 0, from one
+    # _vsh_stack call that builds the Y^E and Y^M of each (j, m) once for both
+    # helicities
     lam = np.array([label[0] for label in labels], dtype=int)
     row: dict[tuple[int, int], int] = {}  # (j, m) of lam = +-1 -> its Y^E and Y^M row
     for lam_, j, m in labels:
@@ -301,8 +311,8 @@ def helicity_vsh(lam: int, j: int, m: int, theta, phi) -> np.ndarray:
     Satisfies (S.n) Y^(lam) = lam Y^(lam) pointwise; the three families
     are mutually orthonormal on the unit sphere.
     """
-    if lam not in (+1, 0, -1):
-        raise ValueError(f"helicity must be +1, 0 or -1, got {lam}")
+    _check_int("lam", lam, -1, 1)
+    _check_vsh("E" if lam else "L", j, m)
     return _helicity_stack(_Harmonics(j + 1, theta, phi), [(lam, j, m)])[0]
 
 

@@ -36,6 +36,7 @@ from itertools import combinations
 from typing import Hashable, NamedTuple, Sequence
 
 from .modes import TAU_ELECTRIC, TAU_MAGNETIC
+from .specfun import _check_int
 
 __all__ = [
     "QUANTUM_FIELDS",
@@ -88,12 +89,9 @@ class QuantumLabel(NamedTuple):
     def validate(self) -> "QuantumLabel":
         if self.tau not in (TAU_ELECTRIC, TAU_MAGNETIC):
             raise ValueError(f"tau must be 'E' or 'M', got {self.tau!r}")
-        if self.omega < 1:
-            raise ValueError(f"omega ordinal must be >= 1, got {self.omega}")
-        if self.j < 1:
-            raise ValueError(f"j must be >= 1, got {self.j}")
-        if abs(self.m) > self.j:
-            raise ValueError(f"|m| must not exceed j, got j={self.j}, m={self.m}")
+        _check_int("omega", self.omega, 1, math.inf)
+        _check_int("j", self.j, 1, math.inf)
+        _check_int("m", self.m, -self.j, self.j)
         return self
 
 

@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .angular import _coupled_stack, unit_phi, unit_radial, unit_theta
-from .specfun import (MAX_BESSEL_ORDER, _bessel_orders, _Harmonics, _upward_pair,
+from .specfun import (MAX_BESSEL_ORDER, _bessel_orders, _check_int, _Harmonics, _upward_pair,
                       bessel_j_halfint)
 
 __all__ = [
@@ -96,8 +96,8 @@ class CavityConfig:
 
     def __post_init__(self):
         for name in ("radius", "wave_speed", "hbar", "epsilon0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     @classmethod
     def si(cls, radius_m: float) -> "CavityConfig":
@@ -156,12 +156,6 @@ def _validate_tau(tau: str) -> str:
     if t not in (TAU_ELECTRIC, TAU_MAGNETIC):
         raise ValueError(f"tau must be 'E' or 'M', got {tau!r}")
     return t
-
-
-def _check_int(name: str, value, lo: int, hi: int) -> None:
-    """ValueError naming `name` unless value is an integer in [lo, hi]."""
-    if not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
-        raise ValueError(f"{name} must be in [{lo}, {hi}] and an integer, got {value!r}")
 
 
 def magnetic_root_equation(j: int, x):
@@ -322,12 +316,11 @@ def spherical_bessel_zeros(l: int, count: int) -> list[float]:
     """First `count` positive zeros of j_l (equivalently of J_{l+1/2}).
 
     0 <= l <= MAX_BESSEL_ORDER - 1 and 1 <= count <= 64; for l = 0 the
-    zeros are k pi.  Solved like find_roots, without its cache or guards.
+    zeros are k pi.  They are find_roots' cached, guarded magnetic roots of j = l.
     """
     _check_int("l", l, 0, MAX_BESSEL_ORDER - 1)
     _check_int("count", count, 1, _MAX_COUNT)
-    # j_l has no zero below l (nor below pi for l = 0)
-    return _newton_roots([(TAU_MAGNETIC, l)], count)[0][0].tolist()
+    return list(_roots((TAU_MAGNETIC,), [l], count)[TAU_MAGNETIC][0])
 
 
 _ROOT_CACHE: dict[tuple[str, int], tuple[float, ...]] = {}
@@ -471,8 +464,7 @@ def mode_spec(tau: str, j: int, m: int, n: int,
     _check_int("n", n, 1, _MAX_COUNT)
     # find_roots checks the range of j before |m| is compared with it
     x = find_roots(tau, j, n)[n - 1]
-    if abs(m) > j:
-        raise ValueError(f"|m| must not exceed j, got j={j}, m={m}")
+    _check_int("m", m, -j, j)
     return ModeSpec(
         index=ModeIndex(tau, j, m, n),
         x_root=x,
@@ -621,8 +613,7 @@ def _boundary_residuals(specs: list[ModeSpec], n_dirs: int) -> np.ndarray:
     Tangential E is divided by E_rms = sqrt(2 hbar omega / (eps0 V)) and
     normal B by E_rms / c, both read from the mode's cavity.
     """
-    if n_dirs < 1:
-        raise ValueError(f"n_dirs must be >= 1, got {n_dirs}")
+    _check_int("n_dirs", n_dirs, 1, math.inf)
     th, ph = fibonacci_directions(n_dirs)
     hats = (unit_theta(th, ph), unit_phi(th, ph), unit_radial(th, ph))
     groups: dict[tuple[int, int], list[int]] = {}
@@ -656,8 +647,7 @@ def hamiltonian_energy(occupations: Mapping[ModeIndex | tuple, int],
     energy = 0.0
     photons = 0
     for key, count in occupations.items():
-        if not isinstance(count, (int, np.integer)) or count < 0:
-            raise ValueError(f"occupation numbers must be integers >= 0, got {count!r}")
+        _check_int("occupation", count, 0, math.inf)
         omega = mode_spec(*key, config=config).omega
         energy += config.hbar * omega * (count + (0.5 if include_zero_point else 0.0))
         photons += count

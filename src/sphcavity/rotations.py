@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import _U, spherical_to_cartesian_components
+from .specfun import _check_int
 
 __all__ = [
     "MAX_WIGNER_J",
@@ -65,19 +66,14 @@ MAX_WIGNER_J = 20
 
 def m_index(j: int, m: int) -> int:
     """Row/column index of quantum number m in a (2j+1) matrix (m = j..-j)."""
-    if abs(m) > j:
-        raise ValueError(f"|m| must not exceed j, got j={j}, m={m}")
+    _check_int("j", j, 0, math.inf)
+    _check_int("m", m, -j, j)
     return j - m
 
 
 def wigner_entry(matrix: np.ndarray, j: int, m_prime: int, m: int):
     """Entry D^(j)_{m'm} of a matrix produced by this module."""
     return matrix[m_index(j, m_prime), m_index(j, m)]
-
-
-def _check_j(j: int, lo: int = 0) -> None:
-    if not isinstance(j, (int, np.integer)) or j < lo or j > MAX_WIGNER_J:
-        raise ValueError(f"j must be an integer in [{lo}, {MAX_WIGNER_J}], got {j}")
 
 
 @lru_cache(maxsize=1)
@@ -191,7 +187,7 @@ def wigner_small_d(j: int, beta) -> np.ndarray:
     the other points in the call.  Within 1e-14 of 50-digit mpmath up to
     j = 20 (4e-16 at j = 20, beta = 1.1).
     """
-    _check_j(j)
+    _check_int("j", j, 0, MAX_WIGNER_J)
     return _small_d_orders([j], beta)[0]
 
 
@@ -275,7 +271,7 @@ def rotate_jm_coefficients(j: int, coefficients, alpha: float, beta: float,
     expressed in the rotated frame is sum_m c'_m Y_jm with
     c' = conj(D^(j)) c.  Coefficients are ordered m = j .. -j.
     """
-    _check_j(j)
+    _check_int("j", j, 0, MAX_WIGNER_J)
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (2 * j + 1,):
         raise ValueError(f"expected {2 * j + 1} coefficients for j={j}, got shape {c.shape}")
@@ -292,8 +288,7 @@ def helicity_polarization_vector(lam: int, theta, phi) -> np.ndarray:
     broadcast; the Cartesian axis comes first: shape (3,) for scalar
     angles, (3, ...) for arrays.
     """
-    if lam not in (+1, 0, -1):
-        raise ValueError(f"helicity must be +1, 0 or -1, got {lam}")
+    _check_int("lam", lam, -1, 1)
     # sum_s conj(D_{lam s}) e_s is the conjugate of the vector whose
     # spherical components are the row D_{lam s}
     row = wigner_d_matrix(1, phi, theta, 0.0)[m_index(1, lam)]
@@ -301,11 +296,11 @@ def helicity_polarization_vector(lam: int, theta, phi) -> np.ndarray:
 
 
 def _check_photon(j: int, m: int, lam: int) -> None:
-    if lam not in (+1, -1):
-        raise ValueError(f"physical photon helicity must be +1 or -1, got {lam}")
-    _check_j(j, 1)  # a photon needs j >= |lambda| = 1
-    if abs(m) > j:
-        raise ValueError(f"|m| must not exceed j, got j={j}, m={m}")
+    _check_int("lam", lam, -1, 1)
+    if lam == 0:
+        raise ValueError("physical photon helicity must be +1 or -1, got 0")
+    _check_int("j", j, 1, MAX_WIGNER_J)  # a photon needs j >= |lambda| = 1
+    _check_int("m", m, -j, j)
 
 
 def _spherical_waves(orders, theta, phi, lams) -> list[np.ndarray]:

@@ -7,10 +7,12 @@ relative.  No atomic matrix elements are computed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 from .modes import TAU_ELECTRIC, _validate_tau
+from .specfun import _check_int
 
 __all__ = [
     "TransitionQuery",
@@ -26,8 +28,7 @@ RATIO_KINDS = ("M_over_E", "E_step", "M_step")
 def photon_parity(tau: str, j: int) -> int:
     """Parity of a multipole photon: electric (-1)^j, magnetic (-1)^(j+1)."""
     t = _validate_tau(tau)
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    _check_int("j", j, 1, math.inf)
     return (-1) ** j if t == TAU_ELECTRIC else (-1) ** (j + 1)
 
 
@@ -83,8 +84,7 @@ def scaling_ratio(kind: str, j: int, ka: float) -> float:
     """
     if kind not in RATIO_KINDS:
         raise ValueError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    _check_int("j", j, 1, math.inf)
     _check_ka(ka, stacklevel=2)
     ka2 = ka * ka
     if kind == "M_over_E":

@@ -39,6 +39,12 @@ def _series_cutoff(l: int) -> float:
     return max(1.0, 0.5 * math.sqrt(2 * l + 3))
 
 
+def _check_int(name: str, value, lo, hi) -> None:
+    """ValueError naming `name` unless value is an integer in [lo, hi] (bounds may be +-inf)."""
+    if not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}] and an integer, got {value!r}")
+
+
 def _odd_double_factorial(n: int) -> float:
     """(n)!! for odd n >= -1, as a float."""
     out = 1.0
@@ -131,8 +137,7 @@ def _bessel_orders(orders, x) -> np.ndarray:
     and each regime runs its lanes of every order at once.
     """
     for l in orders:
-        if not isinstance(l, (int, np.integer)) or l < 0 or l > MAX_BESSEL_ORDER:
-            raise ValueError(f"order must be an integer in [0, {MAX_BESSEL_ORDER}], got {l}")
+        _check_int("order", l, 0, MAX_BESSEL_ORDER)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("argument must be finite and non-negative")
@@ -184,11 +189,12 @@ def bessel_j_halfint(two_nu: int, x):
     The order is passed as ``two_nu`` = 2*nu, which must be an odd
     positive integer; J_{l+1/2}(x) = sqrt(2x/pi) * j_l(x).
     """
-    if not isinstance(two_nu, (int, np.integer)) or two_nu < 1 or two_nu % 2 == 0:
+    _check_int("two_nu", two_nu, 1, math.inf)
+    if two_nu % 2 == 0:
         raise ValueError(f"two_nu must be an odd positive integer, got {two_nu}")
-    l = (two_nu - 1) // 2
     arr = np.asarray(x, dtype=float)
-    return np.sqrt(2.0 * arr / np.pi) * spherical_bessel_j(l, arr)
+    jl = spherical_bessel_j((two_nu - 1) // 2, arr)  # validates x before the sqrt
+    return np.sqrt(2.0 * arr / np.pi) * jl
 
 
 def _plm_upward(m: int, l_max: int, x, sin):
@@ -217,8 +223,8 @@ def legendre_plm(l: int, m: int, x):
     Upward recurrence in l from the sectoral seed; stable for the orders
     used here (l <= ~64).  Requires 0 <= m <= l and |x| <= 1.
     """
-    if not (0 <= m <= l):
-        raise ValueError(f"need 0 <= m <= l, got l={l}, m={m}")
+    _check_int("l", l, 0, math.inf)
+    _check_int("m", m, 0, l)
     xa = np.asarray(x, dtype=float)
     if not np.all(np.abs(xa) <= 1.0):
         raise ValueError("argument must be finite with |x| <= 1")
@@ -290,8 +296,8 @@ def scalar_harmonic(l: int, m: int, theta, phi,
     -------
     complex or ndarray of complex
     """
-    if abs(m) > l:
-        raise ValueError(f"|m| must not exceed l, got l={l}, m={m}")
+    _check_int("l", l, 0, math.inf)
+    _check_int("m", m, -l, l)
     val = _Harmonics(l, theta, phi)(l, m)
     if convention is HarmonicConvention.LANDAU_LIFSHITZ:
         val = val * 1j**l
@@ -306,10 +312,8 @@ def small_argument_j(j: int, x, order: int = 0):
     with the first series correction 1 - x^2/(2(2j+3)) when order=1.
     Relative error against the full j_j is O(x^2).
     """
-    if j < 0:
-        raise ValueError("order j must be >= 0")
-    if order not in (0, 1):
-        raise ValueError("correction order must be 0 or 1")
+    _check_int("j", j, 0, math.inf)
+    _check_int("order", order, 0, 1)
     xa = np.asarray(x, dtype=float)
     lead = xa**j / _odd_double_factorial(2 * j + 1)
     if order == 1:

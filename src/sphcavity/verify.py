@@ -33,8 +33,8 @@ from .rotations import (
     rotate_cartesian,
     wigner_d_matrix,
 )
-from .specfun import (HarmonicConvention, _bessel_orders, _Harmonics, bessel_j_halfint,
-                      scalar_harmonic)
+from .specfun import (HarmonicConvention, _bessel_orders, _check_int, _Harmonics,
+                      bessel_j_halfint, scalar_harmonic)
 
 __all__ = [
     "SphereQuadrature",
@@ -116,8 +116,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sphere_quadrature(degree: int) -> SphereQuadrature:
     """Product rule exact for Y_lm Y_l'm'* integrands with l + l' <= degree."""
-    if not 0 <= degree <= 64:
-        raise ValueError("degree must be in [0, 64]")
+    _check_int("degree", degree, 0, 64)
     n_theta = degree // 2 + 2
     n_phi = degree + 3
     nodes, weights = _gauss_legendre(n_theta)
@@ -130,7 +129,10 @@ def sphere_quadrature(degree: int) -> SphereQuadrature:
 
 
 def radial_quadrature(n: int, r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, r_max]."""
+    """Gauss-Legendre nodes and weights on [0, r_max], n >= 1 and r_max finite > 0."""
+    _check_int("n", n, 1, math.inf)
+    if not 0 < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and strictly positive, got {r_max!r}")
     nodes, weights = _gauss_legendre(n)
     return 0.5 * r_max * (nodes + 1.0), 0.5 * r_max * weights
 
@@ -199,8 +201,7 @@ def _family(family: str, l_max: int, tg, pg) -> tuple[list[tuple], np.ndarray]:
 
 def check_orthonormality(family: str, l_max: int) -> tuple[float, str]:
     """Max |Gram - identity| entry over one basis family (sphere quadrature)."""
-    if l_max > 8:
-        raise ValueError("l_max must be <= 8")
+    _check_int("l_max", l_max, 0, 8)
     quad = sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
     samples = _family(family, l_max, tg, pg)[1]
@@ -318,8 +319,8 @@ def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1,
     two_nu = int(round(2 * nu))
     if two_nu % 2 == 0 or two_nu < 1 or abs(2 * nu - two_nu) > 1e-12:
         raise ValueError("nu must be half-integer (1/2, 3/2, ...)")
-    if min(alpha_idx, beta_idx) < 1:
-        raise ValueError("zero indices start at 1")
+    _check_int("alpha_idx", alpha_idx, 1, math.inf)
+    _check_int("beta_idx", beta_idx, 1, math.inf)
     count = max(alpha_idx, beta_idx)
     zeros = md.spherical_bessel_zeros((two_nu - 1) // 2, count)
     a, b = zeros[alpha_idx - 1], zeros[beta_idx - 1]
@@ -349,8 +350,9 @@ def check_vsh_fourier(j: int, kind: str, kr: float) -> tuple[float, str]:
     g_l = 4 pi i^l j_l; the E-type maps onto the shifted-degree pair."""
     if kind not in ("scalar", "coupled", "M", "E"):
         raise ValueError(f"kind must be scalar/coupled/M/E, got {kind!r}")
-    if not (0 if kind == "scalar" else 1) <= j <= 4 or kr > 20:
-        raise ValueError("supported range: 1 <= j <= 4 (0 <= j for scalar), kr <= 20")
+    _check_int("j", j, 0 if kind == "scalar" else 1, 4)
+    if kr > 20:
+        raise ValueError(f"kr must be <= 20, got {kr}")
     quad = sphere_quadrature(min(64, 2 * int(math.ceil(kr)) + 2 * j + 24))
     tg, pg = quad.grid
     rng = random.Random(5)
@@ -392,8 +394,7 @@ def check_vsh_fourier(j: int, kind: str, kr: float) -> tuple[float, str]:
 
 def check_dmatrix_unitarity(j_max: int = MAX_WIGNER_J, seed: int = 9) -> tuple[float, str]:
     """D^(j) D^(j)+ = 1 at random Euler angles and D^(j)(0, 0, 0) = 1, j <= j_max."""
-    if not 0 <= j_max <= MAX_WIGNER_J:
-        raise ValueError(f"j_max must be in [0, {MAX_WIGNER_J}]")
+    _check_int("j_max", j_max, 0, MAX_WIGNER_J)
     rng = random.Random(seed)
     # three angles drawn per j; angles[:, j] = (alpha, beta, gamma) of order
     # j, and the last column is (0, 0, 0)
@@ -468,9 +469,8 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8) -> tuple[float, str]:
     omega^M_{j,1} for every j <= j_max; the roots of both types and every j
     come from one root pass, bit for bit those of find_roots."""
     # find_roots' ranges, which the unvalidated joint pass does not check
-    if j_max >= md.MAX_BESSEL_ORDER or not 1 <= n_each <= md._MAX_COUNT:
-        raise ValueError(f"need j_max <= {md.MAX_BESSEL_ORDER - 1} and "
-                         f"1 <= n_each <= {md._MAX_COUNT}")
+    _check_int("j_max", j_max, 1, md.MAX_BESSEL_ORDER - 1)
+    _check_int("n_each", n_each, 1, md._MAX_COUNT)
     min_dist = np.inf
     ok = True
     roots = md._roots((md.TAU_ELECTRIC, md.TAU_MAGNETIC), list(range(1, j_max + 1)), n_each)
@@ -583,8 +583,8 @@ def vsh_project(field_fn, l_max: int,
     terms.  Synthesis applies the transposed recoupling to the
     coefficients, one matmul back to the grid, and then the e_mu.
     """
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    # the default rule's degree 2 (l_max + 2) + 2 is at most 64
+    _check_int("l_max", l_max, 0, math.inf if quadrature else 29)
     quad = quadrature or sphere_quadrature(2 * (l_max + 2) + 2)
     tg, pg = quad.grid
     field = np.asarray(field_fn(tg, pg), dtype=complex)
@@ -758,19 +758,20 @@ def suite_check_names() -> list[str]:
     return sorted(_SUITE)
 
 
-def run_suite(only: list[str] | None = None,
+def run_suite(only: list[str] | str | None = None,
               tolerances: dict[str, float] | None = None,
               seed: int = 12345) -> list[CheckReport]:
     """Run the named checks (all by default) and return reports in name order.
 
-    ``only`` filters by substring match against check names; ``tolerances``
-    replaces a check's default tolerance with a finite number > 0.  A filter
-    that matches no check, or an override that names no check or is not
-    such a number, raises ValueError before any check runs.  ``seed`` reaches
-    only the checks whose registry call passes it on, which draw their
-    points from the standard library's ``random.Random(seed)``; the other
-    sampling checks seed it with fixed numbers.  Each report holds the
-    check's residual and details, and the override or the default tolerance.
+    ``only`` filters by substring match against check names, a string being
+    one filter; ``tolerances`` replaces a check's default tolerance with a
+    finite number > 0.  A filter that matches no check, or an override that
+    names no check or is not such a number, raises ValueError before any
+    check runs.  ``seed`` reaches only the checks whose registry call passes
+    it on, which draw their points from the standard library's
+    ``random.Random(seed)``; the other sampling checks seed it with fixed
+    numbers.  Each report holds the check's residual and details, and the
+    override or the default tolerance.
     """
     tolerances = {name: float(tol) for name, tol in (tolerances or {}).items()}
     unknown = sorted(set(tolerances) - set(_SUITE))
@@ -780,6 +781,7 @@ def run_suite(only: list[str] | None = None,
         if not 0 < tol < math.inf:
             raise ValueError(f"tolerance for {name} must be a finite number > 0, got {tol}")
     names = suite_check_names()
+    only = [only] if isinstance(only, str) else only
     if only:
         names = [n for n in names if any(f in n for f in only)]
         if not names:

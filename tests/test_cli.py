@@ -137,7 +137,7 @@ class TestFieldCommand:
         code, _, err = run_cli(capsys, "field", "--tau", "E", "--j", "1",
                                "--m", "5", "--n", "1")
         assert code == 2
-        assert "m=5" in err
+        assert "m must be in [-1, 1] and an integer, got 5" in err
 
 
 class TestVerifyCommand:
@@ -323,10 +323,19 @@ EXIT_CODES = [
     (("rotate", "--euler", "0,0,0"), 2, "--vec"),
     (("rotate", "--coeffs", "1,0,0", "--euler", "0,0,0"), 2, "--j"),
     # j is checked before the coefficient count, so the range is named
-    (("rotate", "--coeffs", "1,2,3", "--j", "21", "--euler", "0,0,0"), 2, "[0, 20], got 21"),
-    (("rotate", "--coeffs", "1,2,3", "--j", "-1", "--euler", "0,0,0"), 2, "[0, 20], got -1"),
+    (("rotate", "--coeffs", "1,2,3", "--j", "21", "--euler", "0,0,0"), 2,
+     "[0, 20] and an integer, got 21"),
+    (("rotate", "--coeffs", "1,2,3", "--j", "-1", "--euler", "0,0,0"), 2,
+     "[0, 20] and an integer, got -1"),
     (("ratios", "--ka", "1e-3", "--jmax", "0"), 2, "jmax"),
 ]
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_non_finite_radius_exits_2(capsys, radius):
+    code, _, err = run_cli(capsys, "modes", "--radius-m", radius, "--jmax", "1", "--nmax", "1")
+    assert code == 2
+    assert "radius must be finite and strictly positive" in err
 
 
 @pytest.mark.parametrize("argv,code,named", EXIT_CODES, ids=[" ".join(r[0]) for r in EXIT_CODES])

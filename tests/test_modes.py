@@ -41,6 +41,13 @@ class TestRootEquations:
     def test_magnetic_vanishes_at_reference_root(self):
         assert abs(magnetic_root_equation(1, 4.49341)) < 1e-5
 
+    @pytest.mark.parametrize("equation", [magnetic_root_equation, electric_root_equation])
+    def test_negative_argument_raises_before_any_warning(self, equation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-negative"):
+                equation(2, -1.0)
+
     def test_magnetic_positive_before_first_zero(self):
         assert magnetic_root_equation(1, math.pi / 2) > 0
 
@@ -270,6 +277,22 @@ class TestRootCache:
         cache[("M", 2)] = tuple(x - 2.0 for x in find_roots("M", 2, 3))
         with pytest.raises(RootFindingError, match="interlacing violated for E j=2"):
             spectrum(3, 3)
+
+    def test_bessel_zeros_are_the_cached_guarded_magnetic_roots(self, cache, monkeypatch):
+        # served from and kept in find_roots' cache, and checked by its guard
+        zeros = spherical_bessel_zeros(4, 6)
+        assert cache == {("M", 4): tuple(zeros)}
+        assert find_roots("M", 4, 3) == zeros[:3]
+        assert spherical_bessel_zeros(4, 2) == zeros[:2]
+        solve = md._newton_roots
+
+        def skip_second(lanes, count):
+            roots, zeros_below = solve(lanes, count + 1)
+            return np.delete(roots, 1, axis=1), zeros_below
+        monkeypatch.setattr(md, "_newton_roots", skip_second)
+        with pytest.raises(RootFindingError, match="interlacing violated for M j=5"):
+            spherical_bessel_zeros(5, 4)
+        assert ("M", 5) not in cache
 
     def test_magnetic_guard_catches_a_skipped_root(self, cache, monkeypatch):
         # a solver that skips the second root of every lane it is asked for
@@ -568,7 +591,7 @@ class TestBoundary:
         assert_allclose(boundary_residual(bad, n_dirs=50), want, rtol=1e-12)
 
     def test_no_directions_rejected(self):
-        with pytest.raises(ValueError, match="n_dirs must be >= 1"):
+        with pytest.raises(ValueError, match=r"n_dirs must be in \[1, inf\] and an integer"):
             boundary_residual(mode_spec("E", 1, 0, 1), n_dirs=0)
 
     def test_batch_equals_single_bitwise(self):
@@ -701,9 +724,9 @@ class TestHamiltonian:
             hamiltonian_energy({("E", 1, 2, 1): 1})
         with pytest.raises(ValueError):
             hamiltonian_energy({("E", 1, 0, 1): -1})
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"occupation must be in \[0, inf\] and an integer"):
             hamiltonian_energy({("E", 1, 0, 1): 1.5})
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"occupation must be in \[0, inf\] and an integer"):
             hamiltonian_energy({("E", 1, 0, 1): 1.0})
 
     def test_invalid_j_is_named_before_m(self):
@@ -734,6 +757,13 @@ class TestConfig:
             CavityConfig(radius=-1.0)
         with pytest.raises(ValueError):
             CavityConfig(hbar=0.0)
+
+    @pytest.mark.parametrize("name", ["radius", "wave_speed", "hbar", "epsilon0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_finite_and_positive(self, name, value):
+        # a NaN radius gave NaN frequencies and an infinite one omega = 0
+        with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive"):
+            CavityConfig(**{name: value})
 
     def test_roots_independent_of_config(self):
         # dimensionless roots never depend on the physical constants

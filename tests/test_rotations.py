@@ -413,5 +413,5 @@ class TestPlaneToSpherical:
     @pytest.mark.parametrize("j", [MAX_WIGNER_J + 1, 2.0, 0])
     def test_j_outside_the_wigner_range_is_named(self, func, j):
         # j past the d^j table, or not an integer, fails on j itself
-        with pytest.raises(ValueError, match="j must be an integer in"):
+        with pytest.raises(ValueError, match=r"j must be in \[1, 20\] and an integer"):
             func(j, 0, 1, 0.3, 0.2)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,15 @@ class TestHalfIntegerBessel:
         for bad in (0, 2, 4, -1, -3):
             with pytest.raises(ValueError):
                 bessel_j_halfint(bad, 1.0)
+
+    @pytest.mark.parametrize("x", [-1.0, [2.0, -0.5]])
+    def test_negative_argument_raises_before_any_warning(self, x):
+        # x is validated before sqrt(2x/pi) is taken, so no RuntimeWarning
+        # precedes the ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-negative"):
+                bessel_j_halfint(3, x)
 
 
 class TestLegendre:

@@ -67,6 +67,17 @@ class TestSphereQuadrature:
         r, w = radial_quadrature(64, 2.0)
         assert_allclose(np.sum(w * r * r), 8.0 / 3.0, rtol=1e-13)
 
+    @pytest.mark.parametrize("r_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_radial_rule_needs_a_finite_positive_radius(self, r_max):
+        # r_max = -1 gave negative nodes and weights
+        with pytest.raises(ValueError, match="^r_max must be finite and strictly positive"):
+            radial_quadrature(3, r_max)
+
+    @pytest.mark.parametrize("n", [0, 2.0])
+    def test_radial_rule_node_count(self, n):
+        with pytest.raises(ValueError, match=r"^n must be in \[1, inf\] and an integer"):
+            radial_quadrature(n, 1.0)
+
 
 class TestCheckReport:
     def test_pass_flag(self):
@@ -120,7 +131,7 @@ class TestIndividualChecks:
         with pytest.raises(ValueError):
             check_bessel_integral(1.0, 1, 2)
         # zero #0 does not exist, and must not be read as the last zero found
-        with pytest.raises(ValueError, match="start at 1"):
+        with pytest.raises(ValueError, match=r"alpha_idx must be in \[1, inf\] and an integer"):
             check_bessel_integral(1.5, 0, 2)
 
     @pytest.mark.parametrize("zeros", [(30, 31), (64, 64)])
@@ -155,9 +166,10 @@ class TestIndividualChecks:
                 check(j_max=0)
 
     @pytest.mark.parametrize("call,match", [
-        pytest.param(lambda: check_vsh_fourier(-1, "scalar", 1.0), "range",
+        pytest.param(lambda: check_vsh_fourier(-1, "scalar", 1.0), r"j must be in \[0, 4\]",
                      id="vsh_fourier-scalar"),
-        pytest.param(lambda: check_vsh_fourier(-3, "M", 1.0), "range", id="vsh_fourier-M"),
+        pytest.param(lambda: check_vsh_fourier(-3, "M", 1.0), r"j must be in \[1, 4\]",
+                     id="vsh_fourier-M"),
         pytest.param(lambda: check_dmatrix_unitarity(j_max=-1), "j_max",
                      id="dmatrix_unitarity"),
         pytest.param(lambda: check_mode_boundary(n_dirs=0), "n_dirs", id="mode_boundary-n_dirs"),
@@ -551,6 +563,10 @@ class TestSuite:
     def test_only_filter(self):
         reports = run_suite(only=["bessel"])
         assert {r.name for r in reports} == {"bessel_integral", "bessel_recurrences"}
+
+    def test_one_string_is_one_filter(self):
+        # not one filter per character, which matched every check
+        assert [r.name for r in run_suite(only="parity")] == ["parity"]
 
     def test_unknown_filter(self):
         with pytest.raises(ValueError):
