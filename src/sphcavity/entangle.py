@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import Hashable, NamedTuple, Sequence
 
 from .modes import TAU_ELECTRIC, TAU_MAGNETIC
-from .specfun import _check_int
+from .specfun import _check_int, _check_sign
 
 __all__ = [
     "QUANTUM_FIELDS",
@@ -51,6 +51,7 @@ __all__ = [
     "build_state",
     "build_plane_wave_state",
     "factorization_check",
+    "partition_by_id",
 ]
 
 QUANTUM_FIELDS = ("tau", "omega", "j", "m")
@@ -267,8 +268,8 @@ def build_plane_wave_state(bell: str, momentum_labels: tuple,
     field).  Momentum labels are opaque hashables on a fixed shell.
     """
     lam1, lam2 = helicities
-    if lam1 not in (+1, -1) or lam2 not in (+1, -1):
-        raise ValueError("photon helicity labels must be +1 or -1")
+    for lam in helicities:
+        _check_sign("helicities", lam)
     return _build(bell, tuple(momentum_labels), (lam1, lam2), lambda g, a: (g, a),
                   "helicity", f"momenta={momentum_labels!r}, helicities={helicities!r}")
 

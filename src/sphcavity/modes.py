@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -581,7 +581,8 @@ def mode_field(spec: ModeSpec, r, theta, phi) -> FieldSample:
 
 
 def fibonacci_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n quasi-uniform directions on the sphere (golden-angle spiral)."""
+    """n >= 1 quasi-uniform directions on the sphere (golden-angle spiral)."""
+    _check_int("n", n, 1, math.inf)
     i = np.arange(n)
     z = 1.0 - 2.0 * (i + 0.5) / n
     theta = np.arccos(z)

@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import _U, spherical_to_cartesian_components
-from .specfun import _check_int
+from .specfun import _check_int, _check_sign
 
 __all__ = [
     "MAX_WIGNER_J",
@@ -296,9 +296,7 @@ def helicity_polarization_vector(lam: int, theta, phi) -> np.ndarray:
 
 
 def _check_photon(j: int, m: int, lam: int) -> None:
-    _check_int("lam", lam, -1, 1)
-    if lam == 0:
-        raise ValueError("physical photon helicity must be +1 or -1, got 0")
+    _check_sign("lam", lam)  # a physical photon has no helicity 0
     _check_int("j", j, 1, MAX_WIGNER_J)  # a photon needs j >= |lambda| = 1
     _check_int("m", m, -j, j)
 

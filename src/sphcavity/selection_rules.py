@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from .modes import TAU_ELECTRIC, _validate_tau
-from .specfun import _check_int
+from .specfun import _check_int, _check_sign
 
 __all__ = [
     "TransitionQuery",
@@ -37,8 +37,8 @@ def transition_allowed(parity_initial: int, parity_final: int, tau: str, j: int)
 
     Allowed iff P_initial * P_final equals the photon parity.
     """
-    if parity_initial not in (+1, -1) or parity_final not in (+1, -1):
-        raise ValueError("parities must be +1 or -1")
+    _check_sign("parity_initial", parity_initial)
+    _check_sign("parity_final", parity_final)
     return parity_initial * parity_final == photon_parity(tau, j)
 
 

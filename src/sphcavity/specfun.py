@@ -45,6 +45,13 @@ def _check_int(name: str, value, lo, hi) -> None:
         raise ValueError(f"{name} must be in [{lo}, {hi}] and an integer, got {value!r}")
 
 
+def _check_sign(name: str, value) -> None:
+    """ValueError naming `name` unless value is the integer +1 or -1."""
+    _check_int(name, value, -1, 1)
+    if value == 0:
+        raise ValueError(f"{name} must be +1 or -1, got 0")
+
+
 def _odd_double_factorial(n: int) -> float:
     """(n)!! for odd n >= -1, as a float."""
     out = 1.0
@@ -187,9 +194,10 @@ def bessel_j_halfint(two_nu: int, x):
     """Bessel function of the first kind J_nu(x) for half-integer nu.
 
     The order is passed as ``two_nu`` = 2*nu, which must be an odd
-    positive integer; J_{l+1/2}(x) = sqrt(2x/pi) * j_l(x).
+    integer in [1, 2*MAX_BESSEL_ORDER + 1] (nu = l + 1/2 for l <= 60);
+    J_{l+1/2}(x) = sqrt(2x/pi) * j_l(x).
     """
-    _check_int("two_nu", two_nu, 1, math.inf)
+    _check_int("two_nu", two_nu, 1, 2 * MAX_BESSEL_ORDER + 1)
     if two_nu % 2 == 0:
         raise ValueError(f"two_nu must be an odd positive integer, got {two_nu}")
     arr = np.asarray(x, dtype=float)

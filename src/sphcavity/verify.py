@@ -29,7 +29,6 @@ from .rotations import (
     _phased,
     _small_d_orders,
     _spherical_waves,
-    euler_to_rotation_matrix,
     rotate_cartesian,
     wigner_d_matrix,
 )
@@ -216,6 +215,7 @@ def check_orthonormality(family: str, l_max: int) -> tuple[float, str]:
 def check_parity(l_max: int = 4) -> tuple[float, str]:
     """Parity eigenvalues: scalar (-1)^l; E and L carry (-1)^j, M carries
     (-1)^(j+1) under the vector parity operation (P V)(n) = -V(-n)."""
+    _check_int("l_max", l_max, 0, math.inf)
     th, ph = _directions(20260810, 24, 0.1)
     tha, pha = antipode(th, ph)
     labels, flipped = _family("scalar", l_max, tha, pha)
@@ -238,6 +238,7 @@ def check_parity(l_max: int = 4) -> tuple[float, str]:
 
 def check_helicity_eigen(l_max: int = 4) -> tuple[float, str]:
     """(S.n) Y^(lam) = lam Y^(lam) pointwise, and (S.n)^2 = 1 on transverse."""
+    _check_int("l_max", l_max, 0, math.inf)
     th, ph = _directions(20260811, 16, 0.1)
     labels, ys = _family("helicity", l_max, th, ph)
     y = ys.swapaxes(0, 1)  # component axis first, as helicity_apply takes it
@@ -332,6 +333,7 @@ def check_bessel_integral(nu: float = 1.5, alpha_idx: int = 1,
 
 def check_plane_wave_expansion(k: float, r: float, dir_k, dir_r, l_max: int) -> tuple[float, str]:
     """Partial-wave expansion of exp(i k.r) against the direct exponential."""
+    _check_int("l_max", l_max, 0, md.MAX_BESSEL_ORDER)
     kr = k * r
     ls = range(l_max + 1)
     # 4 pi i^l j_l(kr) conj(Y_lm(k^)) Y_lm(r^), multiplied left to right and

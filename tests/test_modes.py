@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import os
 import subprocess
@@ -377,6 +378,18 @@ def _fresh_python(code: str) -> str:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60).stdout
+
+
+def test_package_reexports_every_module_all():
+    # each module's __all__ is the one list of its public names
+    seen = set()
+    for name in ("angular", "entangle", "modes", "rotations", "selection_rules",
+                 "specfun", "verify"):
+        module = importlib.import_module(f"sphcavity.{name}")
+        assert not seen & set(module.__all__), name
+        seen |= set(module.__all__)
+        for public in module.__all__:
+            assert getattr(sphcavity, public) is getattr(module, public), public
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -7,17 +7,22 @@ import numpy as np
 import pytest
 
 from sphcavity.angular import cg_s1, helicity_vsh, spherical_basis_vector, vsh, vsh_coupled
-from sphcavity.entangle import QuantumLabel
-from sphcavity.modes import boundary_residual, mode_spec
+from sphcavity.entangle import QuantumLabel, build_plane_wave_state
+from sphcavity.modes import boundary_residual, fibonacci_directions, mode_spec
 from sphcavity.rotations import (helicity_polarization_vector, m_index,
                                  plane_to_spherical_coefficient)
-from sphcavity.selection_rules import TransitionQuery, photon_parity
-from sphcavity.specfun import legendre_plm, scalar_harmonic, small_argument_j
-from sphcavity.verify import vsh_project
+from sphcavity.selection_rules import TransitionQuery, photon_parity, transition_allowed
+from sphcavity.specfun import bessel_j_halfint, legendre_plm, scalar_harmonic, small_argument_j
+from sphcavity.verify import (check_helicity_eigen, check_parity, check_plane_wave_expansion,
+                              vsh_project)
 
 
 def _zero_field(t, p):
     return np.zeros((3,) + np.shape(t))
+
+
+def plane_wave_state(lam1, lam2):
+    return build_plane_wave_state("psi-plus", ("k1", "k2"), (lam1, lam2))
 
 
 # (call, the argument it must name); each call returned a value, or raised
@@ -41,6 +46,18 @@ NON_INTEGER_CALLS = [
     (lambda: boundary_residual(mode_spec("E", 1, 0, 1), 2.5), "n_dirs"),
     # l_max past the default rule's reach, not sphere_quadrature's degree
     (lambda: vsh_project(_zero_field, 40), "l_max"),
+    (lambda: fibonacci_directions(2.5), "n"),
+    (lambda: fibonacci_directions(0), "n"),
+    # the +-1 labels: a float one passed the old membership test
+    (lambda: plane_wave_state(1.0, -1), "helicities"),
+    (lambda: transition_allowed(1.0, -1, "E", 1), "parity_initial"),
+    (lambda: transition_allowed(1, -1.0, "E", 1), "parity_final"),
+    (lambda: TransitionQuery(1.0, -1, "E", 1, 1e-3), "parity_initial"),
+    (lambda: check_parity(l_max=2.5), "l_max"),
+    (lambda: check_helicity_eigen(l_max=2.5), "l_max"),
+    # past the Bessel range: the order check named an argument never passed
+    (lambda: check_plane_wave_expansion(2.0, 1.0, (0.7, 1.3), (2.1, 5.0), 61), "l_max"),
+    (lambda: bessel_j_halfint(123, 1.0), "two_nu"),
 ]
 
 
@@ -65,6 +82,9 @@ INTEGER_CALLS = [
     (small_argument_j, (2, 0.1)),
     (vsh_coupled, (2, 3, -1, 0.3, 0.2)),
     (cg_s1, (2, 3, 1, 0)),
+    (plane_wave_state, (1, -1)),
+    (transition_allowed, (-1, -1, "M", 2)),
+    (TransitionQuery, (1, -1, "E", 1, 1e-3)),
 ]
 
 
