@@ -141,6 +141,7 @@ def _small_d_orders(orders, beta, points=None) -> list[np.ndarray]:
     half = 0.5 * np.asarray(beta, dtype=float)
     c, s = np.cos(half), np.sin(half)
     col = (1,) * half.ndim
+    ia, ib = (t[:width].astype(np.intp) for t in (a, b))
     a, b = (t[:width].reshape((width,) + col) for t in (a, b))
     # The recurrence runs in y = s^2 near beta = 0 and in y = c^2 near
     # beta = pi, with x = cos(beta) = sigma (1 - 2y): this keeps 1 -+ x to
@@ -166,15 +167,18 @@ def _small_d_orders(orders, beta, points=None) -> list[np.ndarray]:
                 band = slice((j - n) ** 2, (j - n + 1) ** 2)
                 q[band] = p[band]
     kept[top] = p
-    powers = s ** a * c ** b
+    # a and b are integers in [0, 2 top]: each power s^k and c^k is formed
+    # once per point, and lane (a, b) reads s^a c^b from them
+    k = np.arange(2.0 * top + 1).reshape((-1,) + col)
+    s_k, c_k = s ** k, c ** k
     out = []
     for i, j in enumerate(orders):
         norm, index, sign = norms[j], indices[j], signs[j]
-        pw, q = powers[:norm.size], kept[j]
+        sj, cj, q = s_k, c_k, kept[j]
         if points is not None:
-            pw, q = pw[..., points[i]], q[..., points[i]]
+            sj, cj, q = sj[..., points[i]], cj[..., points[i]], q[..., points[i]]
         tail = (1,) * (q.ndim - 1)
-        terms = norm.reshape(norm.shape + tail) * pw * q
+        terms = norm.reshape(norm.shape + tail) * (sj[ia[:norm.size]] * cj[ib[:norm.size]]) * q
         out.append(sign.reshape(sign.shape + tail) * terms[index])
     return out
 

@@ -208,31 +208,38 @@ class TestRootCache:
         monkeypatch.setattr(md, "_ROOT_CACHE", fresh)
         return fresh
 
-    def test_prefix_served_and_longer_request_replaces(self, cache):
-        long = find_roots("M", 3, 12)
-        assert cache == {("M", 3): tuple(long)}
-        assert find_roots("M", 3, 5) == long[:5]
+    def test_first_request_fills_the_whole_entry(self, cache):
+        # the first request solves all 64 roots; every later one, shorter or
+        # longer, is served as a prefix of that one entry
+        short = find_roots("M", 3, 12)
+        full = cache[("M", 3)]
+        assert cache == {("M", 3): full} and len(full) == md._MAX_COUNT
+        assert tuple(short) == full[:12]
+        assert find_roots("M", 3, 5) == short[:5]
         longer = find_roots("M", 3, 20)
-        assert len(cache[("M", 3)]) == 20
-        assert longer[:12] == long
+        assert cache == {("M", 3): full}
+        assert tuple(longer) == full[:20] and longer[:12] == short
 
     @pytest.mark.parametrize("tau", ["M", "E"])
     def test_fresh_solve_equals_cached_prefix_bitwise(self, cache, tau):
         # every point of the root functions is evaluated independently of
-        # its batch, so a short solve reproduces the long one's prefix exactly
+        # its batch, so a short solve reproduces the long one's prefix
+        # exactly: the cached entry holds the roots a solve of n alone finds
         for j in (1, 2, 7, 20, 33, 46, 59):
             cache.clear()
             full = find_roots(tau, j, 64)
             for n in (1, 2, 5, 13, 34, 63):
                 cache.clear()
                 assert find_roots(tau, j, n) == full[:n], (j, n)
+                assert md._newton_roots([(tau, j)], n)[0][0].tolist() == full[:n], (j, n)
 
     def test_electric_guard_reads_cached_magnetic_roots(self, cache):
         find_roots("E", 4, 6)
         assert set(cache) == {("E", 4), ("M", 4)}
+        assert all(len(roots) == md._MAX_COUNT for roots in cache.values())
         # a corrupted magnetic entry must trip the electric interlacing guard
         cache.clear()
-        cache[("M", 2)] = tuple(x - 2.0 for x in find_roots("M", 2, 3))
+        cache[("M", 2)] = tuple(x - 2.0 for x in find_roots("M", 2, 64))
         with pytest.raises(RootFindingError, match="interlacing"):
             find_roots("E", 2, 3)
 
@@ -245,7 +252,8 @@ class TestRootCache:
             for j in range(1, 21):
                 cache.clear()
                 roots = find_roots(tau, j, 32)
-                assert batched[(tau, j)] == tuple(roots), (tau, j)
+                assert batched[(tau, j)] == cache[(tau, j)], (tau, j)
+                assert batched[(tau, j)][:32] == tuple(roots), (tau, j)
                 for n, x in enumerate(roots, start=1):
                     spec = specs[(tau, j, n)]
                     assert spec.x_root == x
@@ -253,36 +261,37 @@ class TestRootCache:
                     assert spec == mode_spec(tau, j, 0, n)
 
     def test_partly_filled_cache(self, cache):
-        # entries longer than n_max serve prefixes, shorter ones are replaced
-        # by the n_max solve, exactly as one find_roots call per (tau, j)
-        def fill():
+        # cached entries serve prefixes and the (tau, j) not cached are
+        # solved, exactly as one find_roots call per (tau, j): every entry
+        # holds all 64 roots, whichever call of whatever length made it
+        keys = [(tau, j) for tau in ("M", "E") for j in range(1, 8)]
+        expected = {}
+        for key in keys:
             cache.clear()
-            find_roots("M", 3, 40)
-            find_roots("E", 3, 2)
-            find_roots("E", 5, 30)
-            find_roots("M", 6, 1)
-            cache[("M", 5)] = cache[("M", 5)][:4]
-        fill()
-        expected = dict(cache)
-        for key in [(tau, j) for tau in ("M", "E") for j in range(1, 8)]:
-            if len(expected.get(key, ())) < 12:
-                expected[key] = tuple(find_roots(*key, 12))
+            expected[key] = tuple(find_roots(*key, 64))
         cache.clear()
         fresh = spectrum(7, 12)
-        fill()
+        assert cache == expected
+        cache.clear()
+        find_roots("M", 3, 40)
+        find_roots("E", 3, 2)
+        find_roots("E", 5, 30)
+        find_roots("M", 6, 1)
+        assert cache == {key: expected[key] for key in [("M", 3), ("E", 3), ("M", 5),
+                                                         ("E", 5), ("M", 6)]}
         assert spectrum(7, 12) == fresh
         assert cache == expected
-        assert len(cache[("M", 3)]) == 40 and len(cache[("E", 5)]) == 30
 
     def test_spectrum_electric_guard_reads_cached_magnetic_roots(self, cache):
-        cache[("M", 2)] = tuple(x - 2.0 for x in find_roots("M", 2, 3))
+        cache[("M", 2)] = tuple(x - 2.0 for x in find_roots("M", 2, 64))
         with pytest.raises(RootFindingError, match="interlacing violated for E j=2"):
             spectrum(3, 3)
 
     def test_bessel_zeros_are_the_cached_guarded_magnetic_roots(self, cache, monkeypatch):
         # served from and kept in find_roots' cache, and checked by its guard
         zeros = spherical_bessel_zeros(4, 6)
-        assert cache == {("M", 4): tuple(zeros)}
+        assert set(cache) == {("M", 4)} and len(cache[("M", 4)]) == md._MAX_COUNT
+        assert cache[("M", 4)][:6] == tuple(zeros)
         assert find_roots("M", 4, 3) == zeros[:3]
         assert spherical_bessel_zeros(4, 2) == zeros[:2]
         solve = md._newton_roots
@@ -360,8 +369,28 @@ class TestRootCache:
         spectrum(20, 32)
         assert len(passes) == 1
         assert sorted(passes[0][0]) == sorted((tau, j) for tau in "EM" for j in range(1, 21))
+        assert passes[0][1] == md._MAX_COUNT
         spectrum(20, 32)
         assert len(passes) == 1
+
+    def test_each_multipole_is_solved_once(self, cache, monkeypatch):
+        # the first request for a (tau, j) solves all 64 roots, so no later
+        # request of any length, through any entry point, solves it again
+        solve, passes = md._newton_roots, []
+
+        def counted(lanes, count):
+            passes.append((sorted(lanes), count))
+            return solve(lanes, count)
+        monkeypatch.setattr(md, "_newton_roots", counted)
+        find_roots("M", 3, 2)
+        find_roots("M", 3, 40)
+        mode_spec("M", 3, 0, 64)
+        spherical_bessel_zeros(3, 10)
+        assert passes == [([("M", 3)], md._MAX_COUNT)]
+        find_roots("E", 3, 1)
+        spectrum(3, 10)
+        assert passes == [([("M", 3)], md._MAX_COUNT), ([("E", 3)], md._MAX_COUNT),
+                          ([("E", 1), ("E", 2), ("M", 1), ("M", 2)], md._MAX_COUNT)]
 
     def test_magnetic_condition_planted_as_electric_trips_the_guard(self, cache, monkeypatch):
         # electric lanes solving the magnetic condition land on the fences
