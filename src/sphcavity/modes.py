@@ -39,6 +39,15 @@ advertised range, and every request is served as a prefix of the entry,
 so each (tau, j) is solved once per process.  A cold solve costs about
 the same for 3 roots as for 64 (1.1-1.2 times, single CPU core, j = 5 to
 59), since per-call overhead dominates, not per-root work.
+
+An entry also holds, for each root, the denominator of its normalization
+constant, which depends on the root alone and on no cavity: the solver pass
+takes it from one more upward pair at the final roots of all its lanes.
+spectrum and mode_spec scale it by the prefactor of the cavity asked for,
+so a request served from the cache evaluates no Bessel function.  Warm, on
+one CPU core (Python 3.11, median of 2000 calls), mode_spec takes about
+8 us, spectrum(2, 4) 50 us, spectrum(2, 32) 185 us and spectrum(20, 32)
+1.7 ms; spectrum spends most of it building the ModeSpec objects.
 """
 
 from __future__ import annotations
@@ -220,6 +229,23 @@ def _conditions(mag, l, runs, x):
     return np.where(mag, fm, fe), np.where(mag, dfm, dfe), jl1
 
 
+def _denominators(mag, l, x, jl, jl1):
+    """The cavity-free denominator of normalization_constant at roots x of
+    the lanes (tau, l), from the upward pair (j_l, j_{l+1}) at x:
+
+        magnetic:  |sqrt(2x/pi) j_{l+1}(x)|
+        electric:  sqrt((2l+1)(x^2 - l(l+1))) |sqrt(2x/pi) j_l(x)|
+
+    mag is as in _conditions.  A pass holding both types also takes the
+    electric factor on its magnetic lanes, where it is real: their roots lie
+    above l + 1/2.
+    """
+    den = np.abs(np.sqrt(2.0 * x / np.pi) * np.where(mag, jl1, jl))
+    if isinstance(mag, np.ndarray) or not mag:
+        den = np.where(mag, den, np.sqrt((2 * l + 1) * (x * x - l * (l + 1))) * den)
+    return den
+
+
 def _scan_grid(start: float, count: int) -> np.ndarray:
     """Points _SCAN_STEP apart from start to past start + (count + start/2 + 2) pi,
     which holds count zeros of each root function here (orders <= 59, count <= 64)."""
@@ -233,21 +259,25 @@ def _sign_changes(f: np.ndarray) -> np.ndarray:
     return sign[:-1] != sign[1:]
 
 
-def _newton_roots(lanes: list[tuple[str, int]], count: int) -> tuple[np.ndarray, np.ndarray]:
+def _newton_roots(lanes: list[tuple[str, int]],
+                  count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First `count` roots above max(l, _SCAN_STEP) of each lane (tau, l): the
     zeros of j_l (tau "M", _bessel_zero) or of (x j_l)' (tau "E", _electric).
 
-    Returns the roots, shape (len(lanes), count), and for each lane the
-    number of sign changes of j_{l+1} below its last root, which the
-    magnetic guard compares with count - 1.  Each order gets one scan on
-    its own grid (_scan_grid); the grids, one run per order, share one
-    upward pair, which serves both conditions.  A lane with fewer than
+    Returns the roots and their normalization denominators (_denominators),
+    each shape (len(lanes), count), and for each lane the number of sign
+    changes of j_{l+1} below its last root, which the magnetic guard
+    compares with count - 1.  Each order gets one scan on its own grid
+    (_scan_grid); the grids, one run per order, share one upward pair,
+    which serves both conditions.  A lane with fewer than
     count sign changes raises RootFindingError.  One safeguarded Newton
     loop then refines the brackets of every lane at once, the lanes in
     order of l, one run per order: a lane whose step leaves its bracket
     bisects instead; a lane stops once its step is <= _NEWTON_RTOL * x and
-    keeps its x, a and b from then on; one polishing step follows.  Every
-    lane's arithmetic is that of a pass holding its lane alone.
+    keeps its x, a and b from then on; one polishing step follows, and one
+    more upward pair at the final roots of every lane, of both types, gives
+    the denominators.  Every lane's arithmetic is that of a pass holding its
+    lane alone.
     """
     # the lanes of each order
     by_order: dict[int, list[int]] = {}
@@ -310,12 +340,14 @@ def _newton_roots(lanes: list[tuple[str, int]], count: int) -> tuple[np.ndarray,
                                    f"{_NEWTON_MAX_ITER} steps")
         f, df, companion = _conditions(mag, lane_l, runs, x)
         polished = x - f / df
-    roots = np.where((polished >= a) & (polished <= b), polished, x).reshape(len(lanes), count)
+    roots = np.where((polished >= a) & (polished <= b), polished, x)
+    dens = _denominators(mag, lane_l, roots, *_upward_pair(runs, roots))
     # and from the last bracket to the root
     last = idx[count - 1::count]
     below = np.array(below) + (np.signbit(jl1[last]) != np.signbit(companion[count - 1::count]))
     back = sorted(range(len(lanes)), key=rows.__getitem__)
-    return roots[back], below[back]
+    shape = (len(lanes), count)
+    return roots.reshape(shape)[back], dens.reshape(shape)[back], below[back]
 
 
 def spherical_bessel_zeros(l: int, count: int) -> list[float]:
@@ -328,25 +360,33 @@ def spherical_bessel_zeros(l: int, count: int) -> list[float]:
     """
     _check_int("l", l, 0, MAX_BESSEL_ORDER - 1)
     _check_int("count", count, 1, _MAX_COUNT)
-    return list(_roots((TAU_MAGNETIC,), [l], count)[TAU_MAGNETIC][0])
+    return list(_roots((TAU_MAGNETIC,), [l])[TAU_MAGNETIC][0].roots[:count])
 
 
-_ROOT_CACHE: dict[tuple[str, int], tuple[float, ...]] = {}
+class _Entry(NamedTuple):
+    """A root-cache entry: all _MAX_COUNT roots of one (tau, j) and, for each,
+    its normalization denominator (_denominators), which no cavity enters."""
+
+    roots: tuple[float, ...]
+    dens: tuple[float, ...]
 
 
-def _roots(taus, js: list[int], count: int) -> dict[str, list[tuple[float, ...]]]:
-    """Cached, guarded roots of (tau, j) for each tau in taus and j in js,
-    the first `count` of each.
+_ROOT_CACHE: dict[tuple[str, int], _Entry] = {}
+
+
+def _roots(taus, js: list[int]) -> dict[str, list[_Entry]]:
+    """Cached, guarded entries of (tau, j) for each tau in taus and j in js.
 
     Every cache entry is complete: it holds all _MAX_COUNT roots of its
-    (tau, j), and every request is served as a prefix of it.  Each (tau, j)
-    not in the cache, and the magnetic (M, j) of every electric j so
-    solved, since the electric guard reads them from the cache, is solved
-    to _MAX_COUNT roots in one _newton_roots pass.  A cold pass costs about
-    the same for 3 roots as for 64 (per-call overhead dominates, not
-    per-root work), so a (tau, j) is solved once per process, whatever
-    lengths are asked for later.  The magnetic roots are checked and cached
-    first, then the electric ones, each guard over all _MAX_COUNT columns.
+    (tau, j) and their denominators, and every request is served as a
+    prefix of it.  Each (tau, j) not in the cache, and the magnetic (M, j)
+    of every electric j so solved, since the electric guard reads them from
+    the cache, is solved to _MAX_COUNT roots in one _newton_roots pass,
+    which also gives each root's denominator.  A cold pass costs about the
+    same for 3 roots as for 64 (per-call overhead dominates, not per-root
+    work), so a (tau, j) is solved once per process, whatever lengths are
+    asked for later.  The magnetic roots are checked and cached first, then
+    the electric ones, each guard over all _MAX_COUNT columns.
     """
     ele = ([j for j in js if (TAU_ELECTRIC, j) not in _ROOT_CACHE]
            if TAU_ELECTRIC in taus else [])
@@ -355,10 +395,10 @@ def _roots(taus, js: list[int], count: int) -> dict[str, list[tuple[float, ...]]
     if mag or ele:
         # the first zero of J_{j+1/2} lies above j + 1/2, and every electric
         # root has x^2 > j(j+1): both scans start at x = j
-        roots, zeros_below = _newton_roots(
+        roots, dens, zeros_below = _newton_roots(
             [(TAU_MAGNETIC, j) for j in mag] + [(TAU_ELECTRIC, j) for j in ele], _MAX_COUNT)
-        for tau, todo, r in ((TAU_MAGNETIC, mag, roots[:len(mag)]),
-                             (TAU_ELECTRIC, ele, roots[len(mag):])):
+        for tau, todo, r, d in ((TAU_MAGNETIC, mag, roots[:len(mag)], dens[:len(mag)]),
+                                (TAU_ELECTRIC, ele, roots[len(mag):], dens[len(mag):])):
             if not todo:
                 continue
             if tau == TAU_MAGNETIC:
@@ -374,7 +414,7 @@ def _roots(taus, js: list[int], count: int) -> dict[str, list[tuple[float, ...]]
                 # electric roots are the extrema of x j_j(x): exactly one between
                 # consecutive magnetic roots (and one below the first)
                 fences = np.zeros((len(todo), _MAX_COUNT + 1))
-                fences[:, 1:] = [_ROOT_CACHE[(TAU_MAGNETIC, j)] for j in todo]
+                fences[:, 1:] = [_ROOT_CACHE[(TAU_MAGNETIC, j)].roots for j in todo]
                 bad = ((r <= fences[:, :-1]) | (r >= fences[:, 1:])).nonzero()
                 if len(bad[0]):
                     i, n = bad[0][0], bad[1][0]
@@ -387,9 +427,9 @@ def _roots(taus, js: list[int], count: int) -> dict[str, list[tuple[float, ...]]
                 i = bad[0]
                 raise RootFindingError(
                     f"implausible root spacing for {tau} j={todo[i]}: {gaps[i]}")
-            for j, rj in zip(todo, r.tolist()):
-                _ROOT_CACHE[(tau, j)] = tuple(rj)
-    return {tau: [_ROOT_CACHE[(tau, j)][:count] for j in js] for tau in taus}
+            for j, rj, dj in zip(todo, r.tolist(), d.tolist()):
+                _ROOT_CACHE[(tau, j)] = _Entry(tuple(rj), tuple(dj))
+    return {tau: [_ROOT_CACHE[(tau, j)] for j in js] for tau in taus}
 
 
 def find_roots(tau: str, j: int, count: int) -> list[float]:
@@ -411,12 +451,14 @@ def find_roots(tau: str, j: int, count: int) -> list[float]:
     bit.  Results are cached per (tau, j), whichever call solved them.  The
     first request for a (tau, j) solves all 64 roots, at 1.1-1.2 times the
     cost of a cold solve of 3, and the guards check all 64; every request
-    of any count is then served as a prefix of that entry.
+    of any count is then served as a prefix of that entry, in about 2 us.
+    The entry also holds each root's normalization denominator (see
+    normalization_constant), which the same pass computes.
     """
     tau = _validate_tau(tau)
     _check_int("j", j, 1, MAX_BESSEL_ORDER - 1)
     _check_int("count", count, 1, _MAX_COUNT)
-    return list(_roots((tau,), [j], count)[tau][0])
+    return list(_roots((tau,), [j])[tau][0].roots[:count])
 
 
 def normalization_constant(tau: str, j: int, x_root: float,
@@ -435,6 +477,13 @@ def normalization_constant(tau: str, j: int, x_root: float,
     Raises ValueError unless j is an integer in find_roots' range [1, 59]
     and x_root lies above j (magnetic) or sqrt(j(j+1)) (electric), where
     every root lies, and meets its condition to 1e-4.
+
+    The denominator, |J_{j+3/2}(x)| or sqrt((2j+1) (x^2 - j(j+1)))
+    |J_{j+1/2}(x)| with J_{nu}(x) = sqrt(2x/pi) j_{nu-1/2}(x), depends on x
+    alone (_denominators).  Here it comes from an upward Bessel pair at
+    x_root; the root cache holds it for every cached root, from which
+    spectrum and mode_spec give this function's value bit for bit with no
+    Bessel evaluation.
     """
     tau = _validate_tau(tau)
     _check_int("j", j, 1, MAX_BESSEL_ORDER - 1)
@@ -445,44 +494,39 @@ def normalization_constant(tau: str, j: int, x_root: float,
     eq = magnetic_root_equation(j, x) if tau == TAU_MAGNETIC else electric_root_equation(j, x)
     if abs(eq) > 1e-4:
         raise ValueError(f"x_root={x} does not satisfy the {tau} condition for j={j}")
-    return float(_norm_consts(tau, [(j, 1)], np.array([x]), config)[0])
+    xs = np.array([x])
+    den = _denominators(tau == TAU_MAGNETIC, j, xs, *_upward_pair([(j, 1)], xs))
+    return float(_norm_consts(tau, xs, den, config)[0])
 
 
-def _norm_consts(tau: str, runs, x: np.ndarray, config: CavityConfig) -> np.ndarray:
-    """normalization_constant at roots x > j of (tau, j), unvalidated.
-
-    The roots are laid out by j along the first axis of x, runs giving each
-    j and its row count as specfun._upward_pair takes them: j ascending,
-    counts summing to len(x).  The Bessel value in the denominator,
-    j_{j+1}(x) (magnetic) or j_j(x) (electric), comes from the upward pair
-    at x, so a root's constant does not depend on the batch it is in.
+def _norm_consts(tau: str, x, den, config: CavityConfig):
+    """normalization_constant at roots x of type tau from their denominators
+    den (_denominators): the cavity's prefactor sqrt(8 hbar / (pi eps0 c)) / R,
+    times x for electric modes, over den.  x and den are floats or arrays of
+    one shape.
     """
-    jb = _upward_pair(runs, x)[tau == TAU_MAGNETIC]
-    num = math.sqrt(8.0 * config.hbar / (math.pi * config.epsilon0 * config.wave_speed)) / config.radius
-    den = np.abs(np.sqrt(2.0 * x / np.pi) * jb)
-    if tau == TAU_ELECTRIC:
-        j = np.array([o for o, c in runs for _ in range(c)]).reshape((-1,) + (1,) * (x.ndim - 1))
-        num = num * x
-        den = np.sqrt((2 * j + 1) * (x * x - j * (j + 1))) * den
     if np.any(den < 1e-14):
         raise ValueError("degenerate normalization denominator")
-    return num / den
+    num = math.sqrt(8.0 * config.hbar / (math.pi * config.epsilon0 * config.wave_speed)) / config.radius
+    return (num * x if tau == TAU_ELECTRIC else num) / den
 
 
 def mode_spec(tau: str, j: int, m: int, n: int,
               config: CavityConfig = CavityConfig()) -> ModeSpec:
-    """Resolve a mode label to its root and its normalization in config."""
+    """Resolve a mode label to its root and its normalization in config.
+
+    The root is find_roots', and the constant is the denominator cached
+    with it, which no cavity enters, scaled by config's prefactor
+    (_norm_consts): bit for bit normalization_constant(tau, j, x_root,
+    config).  A call whose (tau, j) is cached evaluates no Bessel function.
+    """
     tau = _validate_tau(tau)
     _check_int("n", n, 1, _MAX_COUNT)
     # find_roots checks the range of j before |m| is compared with it
     x = find_roots(tau, j, n)[n - 1]
     _check_int("m", m, -j, j)
-    return ModeSpec(
-        index=ModeIndex(tau, j, m, n),
-        x_root=x,
-        norm_const=float(_norm_consts(tau, [(j, 1)], np.array([x]), config)[0]),
-        config=config,
-    )
+    den = _ROOT_CACHE[(tau, j)].dens[n - 1]
+    return ModeSpec(ModeIndex(tau, j, m, n), x, _norm_consts(tau, x, den, config), config)
 
 
 def spectrum(j_max: int, n_max: int,
@@ -494,7 +538,11 @@ def spectrum(j_max: int, n_max: int,
     (tau, j) of both types not yet in the root cache are solved in one
     batched pass, each to all 64 roots as find_roots does, whatever n_max;
     later calls of any n_max are served from the cache.  The normalization
-    constants of each tau come from one upward Bessel pair.
+    constants are the cached cavity-free denominators scaled by config's
+    prefactor, bit for bit normalization_constant at each root, so a warm
+    call evaluates no Bessel function; it then costs about 50 us for
+    (2, 4) and 1.7 ms for (20, 32) on one CPU core, mostly in building the
+    ModeSpec objects.
     """
     return _spectrum(j_max, n_max, config, (TAU_ELECTRIC, TAU_MAGNETIC))
 
@@ -507,18 +555,21 @@ def _spectrum(j_max: int, n_max: int, config: CavityConfig, taus) -> list[ModeSp
     """
     _check_int("j_max", j_max, 1, 20)
     _check_int("n_max", n_max, 1, 32)
-    js = list(range(1, j_max + 1))
-    # one row of roots per j
-    roots = {tau: np.array(r) for tau, r in _roots(taus, js, n_max).items()}
-    x = np.concatenate([roots[tau].ravel() for tau in taus])
-    norms = np.concatenate([_norm_consts(tau, [(j, 1) for j in js], roots[tau], config).ravel()
-                            for tau in taus])
+    entries = _roots(taus, list(range(1, j_max + 1)))
+    # one row per (tau, j), the types in the order of taus
+    x, norms = [], []
+    for tau in taus:
+        xt = np.array([e.roots[:n_max] for e in entries[tau]])
+        x.append(xt.ravel())
+        norms.append(_norm_consts(tau, xt, np.array([e.dens[:n_max] for e in entries[tau]]),
+                                  config).ravel())
+    x, norms = np.concatenate(x), np.concatenate(norms)
     omega = config.wave_speed * x / config.radius
     # position in taus, j - 1 and n - 1 of each entry
     rank, j0, n0 = (t.ravel() for t in np.indices((len(taus), j_max, n_max)))
     order = np.lexsort((n0, j0, rank, omega))
-    return [ModeSpec(index=ModeIndex(taus[t], j + 1, 0, n + 1), x_root=xr, norm_const=c,
-                     config=config)
+    # positional: a frozen dataclass's __init__ costs less so than by keyword
+    return [ModeSpec(ModeIndex(taus[t], j + 1, 0, n + 1), xr, c, config)
             for t, j, n, xr, c in zip(*(a[order].tolist() for a in (rank, j0, n0, x, norms)))]
 
 

@@ -475,8 +475,9 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8) -> tuple[float, str]:
     _check_int("n_each", n_each, 1, md._MAX_COUNT)
     min_dist = np.inf
     ok = True
-    roots = md._roots((md.TAU_ELECTRIC, md.TAU_MAGNETIC), list(range(1, j_max + 1)), n_each)
-    for re, rm in zip(roots[md.TAU_ELECTRIC], roots[md.TAU_MAGNETIC]):
+    entries = md._roots((md.TAU_ELECTRIC, md.TAU_MAGNETIC), list(range(1, j_max + 1)))
+    for ee, em in zip(entries[md.TAU_ELECTRIC], entries[md.TAU_MAGNETIC]):
+        re, rm = ee.roots[:n_each], em.roots[:n_each]
         min_dist = min(min_dist, min(abs(a - b) for a in re for b in rm))
         ok = ok and (re[0] < rm[0])
     resid = 0.0 if (ok and min_dist > 1e-6) else 1.0

@@ -213,12 +213,13 @@ class TestRootCache:
         # longer, is served as a prefix of that one entry
         short = find_roots("M", 3, 12)
         full = cache[("M", 3)]
-        assert cache == {("M", 3): full} and len(full) == md._MAX_COUNT
-        assert tuple(short) == full[:12]
+        assert cache == {("M", 3): full}
+        assert len(full.roots) == len(full.dens) == md._MAX_COUNT
+        assert tuple(short) == full.roots[:12]
         assert find_roots("M", 3, 5) == short[:5]
         longer = find_roots("M", 3, 20)
         assert cache == {("M", 3): full}
-        assert tuple(longer) == full[:20] and longer[:12] == short
+        assert tuple(longer) == full.roots[:20] and longer[:12] == short
 
     @pytest.mark.parametrize("tau", ["M", "E"])
     def test_fresh_solve_equals_cached_prefix_bitwise(self, cache, tau):
@@ -228,18 +229,23 @@ class TestRootCache:
         for j in (1, 2, 7, 20, 33, 46, 59):
             cache.clear()
             full = find_roots(tau, j, 64)
+            dens = cache[(tau, j)].dens
             for n in (1, 2, 5, 13, 34, 63):
                 cache.clear()
                 assert find_roots(tau, j, n) == full[:n], (j, n)
-                assert md._newton_roots([(tau, j)], n)[0][0].tolist() == full[:n], (j, n)
+                roots, alone_dens, _ = md._newton_roots([(tau, j)], n)
+                assert roots[0].tolist() == full[:n], (j, n)
+                assert alone_dens[0].tolist() == list(dens[:n]), (j, n)
 
     def test_electric_guard_reads_cached_magnetic_roots(self, cache):
         find_roots("E", 4, 6)
         assert set(cache) == {("E", 4), ("M", 4)}
-        assert all(len(roots) == md._MAX_COUNT for roots in cache.values())
+        assert all(len(e.roots) == len(e.dens) == md._MAX_COUNT for e in cache.values())
         # a corrupted magnetic entry must trip the electric interlacing guard
         cache.clear()
-        cache[("M", 2)] = tuple(x - 2.0 for x in find_roots("M", 2, 64))
+        find_roots("M", 2, 1)
+        cache[("M", 2)] = cache[("M", 2)]._replace(
+            roots=tuple(x - 2.0 for x in cache[("M", 2)].roots))
         with pytest.raises(RootFindingError, match="interlacing"):
             find_roots("E", 2, 3)
 
@@ -253,12 +259,83 @@ class TestRootCache:
                 cache.clear()
                 roots = find_roots(tau, j, 32)
                 assert batched[(tau, j)] == cache[(tau, j)], (tau, j)
-                assert batched[(tau, j)][:32] == tuple(roots), (tau, j)
+                assert batched[(tau, j)].roots[:32] == tuple(roots), (tau, j)
                 for n, x in enumerate(roots, start=1):
                     spec = specs[(tau, j, n)]
                     assert spec.x_root == x
                     assert spec.norm_const == normalization_constant(tau, j, x), (tau, j, n)
                     assert spec == mode_spec(tau, j, 0, n)
+
+    def test_cached_norms_equal_the_closed_form_bitwise(self, cache):
+        # an entry's denominators hold no cavity: filled under one cavity,
+        # they give every cavity's constants bit for bit as
+        # normalization_constant does at the root, over the whole range
+        si = CavityConfig.si(0.01)
+        for tau in ("M", "E"):
+            for j in range(1, 60):
+                mode_spec(tau, j, 0, 1, si)
+        assert len(cache) == 2 * 59
+        for config in (CavityConfig(), si, CavityConfig(radius=2.0)):
+            for tau in ("M", "E"):
+                for j in range(1, 60):
+                    for n in range(1, md._MAX_COUNT + 1):
+                        spec = mode_spec(tau, j, -j, n, config)
+                        expected = normalization_constant(tau, j, spec.x_root, config)
+                        assert spec.norm_const == expected, (config, tau, j, n)
+            for spec in spectrum(20, 32, config):
+                tau, j, _, n = spec.index
+                assert spec.x_root == cache[(tau, j)].roots[n - 1]
+                assert spec.norm_const == normalization_constant(tau, j, spec.x_root, config), (
+                    config, spec.index)
+        assert len(cache) == 2 * 59
+
+    def test_warm_requests_evaluate_no_bessel_function(self, cache, monkeypatch):
+        # a cold request makes one solver pass, whose last upward pair is at
+        # its final roots, for their denominators; a warm spectrum, mode_spec
+        # or hamiltonian_energy evaluates no Bessel function, in any cavity
+        pair, solve = md._upward_pair, md._newton_roots
+        # the points of each pair call outside a pass, and of each pass
+        # its pair calls' points and its result
+        outside, inside, passes = [], [], []
+
+        def counted_pair(runs, x):
+            (inside[-1] if inside else outside).append(x.copy())
+            return pair(runs, x)
+
+        def counted_solve(lanes, count):
+            inside.append([])
+            try:
+                out = solve(lanes, count)
+            finally:
+                points = inside.pop()
+            passes.append((points, out))
+            return out
+
+        def bessel(*args):
+            outside.append(args)
+            raise AssertionError("a Bessel function outside the solver pass")
+        monkeypatch.setattr(md, "_upward_pair", counted_pair)
+        monkeypatch.setattr(md, "_newton_roots", counted_solve)
+        monkeypatch.setattr(md, "bessel_j_halfint", bessel)
+        monkeypatch.setattr(md, "_bessel_orders", bessel)
+
+        def work(request):
+            outside.clear()
+            passes.clear()
+            request()
+            for pairs, (roots, _, _) in passes:
+                assert np.array_equal(np.sort(pairs[-1]), np.sort(roots.ravel()))
+            return len(passes), len(outside)
+
+        assert work(lambda: spectrum(20, 32)) == (1, 0)
+        assert work(lambda: mode_spec("E", 21, 2, 5)) == (1, 0)
+        assert work(lambda: find_roots("M", 30, 3)) == (1, 0)
+        assert work(lambda: spectrum(20, 32)) == (0, 0)
+        assert work(lambda: spectrum(20, 32, CavityConfig.si(0.01))) == (0, 0)
+        assert work(lambda: mode_spec("E", 20, -3, 64)) == (0, 0)
+        assert work(lambda: mode_spec("M", 30, 1, 64, CavityConfig(radius=2.0))) == (0, 0)
+        assert work(lambda: hamiltonian_energy({("E", 3, 1, 2): 2, ("M", 20, 0, 32): 1,
+                                                ModeIndex("E", 21, -1, 64): 1})) == (0, 0)
 
     def test_partly_filled_cache(self, cache):
         # cached entries serve prefixes and the (tau, j) not cached are
@@ -268,7 +345,8 @@ class TestRootCache:
         expected = {}
         for key in keys:
             cache.clear()
-            expected[key] = tuple(find_roots(*key, 64))
+            find_roots(*key, 64)
+            expected[key] = cache[key]
         cache.clear()
         fresh = spectrum(7, 12)
         assert cache == expected
@@ -283,22 +361,24 @@ class TestRootCache:
         assert cache == expected
 
     def test_spectrum_electric_guard_reads_cached_magnetic_roots(self, cache):
-        cache[("M", 2)] = tuple(x - 2.0 for x in find_roots("M", 2, 64))
+        find_roots("M", 2, 1)
+        cache[("M", 2)] = cache[("M", 2)]._replace(
+            roots=tuple(x - 2.0 for x in cache[("M", 2)].roots))
         with pytest.raises(RootFindingError, match="interlacing violated for E j=2"):
             spectrum(3, 3)
 
     def test_bessel_zeros_are_the_cached_guarded_magnetic_roots(self, cache, monkeypatch):
         # served from and kept in find_roots' cache, and checked by its guard
         zeros = spherical_bessel_zeros(4, 6)
-        assert set(cache) == {("M", 4)} and len(cache[("M", 4)]) == md._MAX_COUNT
-        assert cache[("M", 4)][:6] == tuple(zeros)
+        assert set(cache) == {("M", 4)} and len(cache[("M", 4)].roots) == md._MAX_COUNT
+        assert cache[("M", 4)].roots[:6] == tuple(zeros)
         assert find_roots("M", 4, 3) == zeros[:3]
         assert spherical_bessel_zeros(4, 2) == zeros[:2]
         solve = md._newton_roots
 
         def skip_second(lanes, count):
-            roots, zeros_below = solve(lanes, count + 1)
-            return np.delete(roots, 1, axis=1), zeros_below
+            roots, dens, zeros_below = solve(lanes, count + 1)
+            return np.delete(roots, 1, axis=1), np.delete(dens, 1, axis=1), zeros_below
         monkeypatch.setattr(md, "_newton_roots", skip_second)
         with pytest.raises(RootFindingError, match="interlacing violated for M j=5"):
             spherical_bessel_zeros(5, 4)
@@ -309,8 +389,8 @@ class TestRootCache:
         solve = md._newton_roots
 
         def skip_second(lanes, count):
-            roots, zeros_below = solve(lanes, count + 1)
-            return np.delete(roots, 1, axis=1), zeros_below
+            roots, dens, zeros_below = solve(lanes, count + 1)
+            return np.delete(roots, 1, axis=1), np.delete(dens, 1, axis=1), zeros_below
         monkeypatch.setattr(md, "_newton_roots", skip_second)
         with pytest.raises(RootFindingError, match="interlacing violated for M j=3"):
             find_roots("M", 3, 5)
@@ -346,14 +426,16 @@ class TestRootCache:
     @pytest.mark.parametrize("count", [1, 2, 7, 32])
     def test_lanes_in_any_order_equal_their_solves_alone(self, count):
         # the pass refines its lanes in order of l, some orders shared by
-        # both taus; each lane's roots and companion count come back in the
-        # order asked, bit for bit those of the lane alone
+        # both taus; each lane's roots, denominators and companion count come
+        # back in the order asked, bit for bit those of the lane alone
         lanes = [("E", 7), ("M", 59), ("M", 3), ("E", 3), ("M", 7)]
-        roots, zeros_below = md._newton_roots(lanes, count)
-        assert roots.shape == (len(lanes), count) and zeros_below.shape == (len(lanes),)
-        for lane, r, z in zip(lanes, roots, zeros_below):
-            alone, alone_below = md._newton_roots([lane], count)
+        roots, dens, zeros_below = md._newton_roots(lanes, count)
+        assert roots.shape == dens.shape == (len(lanes), count)
+        assert zeros_below.shape == (len(lanes),)
+        for lane, r, d, z in zip(lanes, roots, dens, zeros_below):
+            alone, alone_dens, alone_below = md._newton_roots([lane], count)
             assert r.tobytes() == alone[0].tobytes(), lane
+            assert d.tobytes() == alone_dens[0].tobytes(), lane
             assert z == alone_below[0], lane
             if lane[0] == "M":  # interlacing: j_{l+1} changes sign count - 1 times
                 assert z == count - 1, lane
