@@ -94,7 +94,7 @@ def _listed(parse):
 
 
 def cmd_modes(args) -> int:
-    # one tau solves only its own roots (and, for E, the M roots of its guard)
+    # one tau solves and guards only its own roots
     taus = (args.tau.upper(),) if args.tau else (md.TAU_ELECTRIC, md.TAU_MAGNETIC)
     specs = md._spectrum(args.jmax, args.nmax, _config_from(args), taus)
     rows = [{

@@ -29,9 +29,10 @@ same pair values; one safeguarded Newton loop with closed-form
 derivatives then refines every bracket of every (tau, j) at once.  A
 root is bit-identical whatever other (tau, j) share its pass.  spectrum
 solves the (tau, j) not yet cached in one pass, and find_roots and
-mode_spec the one (tau, j) asked for, each with the magnetic roots of the
-same j when the electric guard needs them; the magnetic roots are
-checked and cached before the electric guard reads them.
+mode_spec the one (tau, j) asked for, which no other type's roots enter.
+One interlacing guard, read from the same scan, checks every (tau, j):
+its companion, j_{j+1} for M and j_j for E, has exactly one zero between
+consecutive roots and none below the first.
 
 Results are cached per (tau, j), and the cache holds complete entries:
 the first request for a (tau, j) solves all 64 roots, the whole
@@ -213,7 +214,7 @@ def _electric(j, x, jj, jj1):
 
 def _conditions(mag, l, runs, x):
     """Value and slope of the magnetic condition where mag is true and of the
-    electric one elsewhere, and j_{l+1}(x), all from one upward pair at x.
+    electric one elsewhere, both from one upward pair at x.
 
     mag is a bool per point, or one bool when every lane shares one tau: the
     solver's one selection on its lanes.  Both conditions and np.where on
@@ -223,10 +224,10 @@ def _conditions(mag, l, runs, x):
     """
     jl, jl1 = _upward_pair(runs, x)
     if not isinstance(mag, np.ndarray):
-        return (*(_bessel_zero if mag else _electric)(l, x, jl, jl1), jl1)
+        return (_bessel_zero if mag else _electric)(l, x, jl, jl1)
     fm, dfm = _bessel_zero(l, x, jl, jl1)
     fe, dfe = _electric(l, x, jl, jl1)
-    return np.where(mag, fm, fe), np.where(mag, dfm, dfe), jl1
+    return np.where(mag, fm, fe), np.where(mag, dfm, dfe)
 
 
 def _denominators(mag, l, x, jl, jl1):
@@ -266,18 +267,18 @@ def _newton_roots(lanes: list[tuple[str, int]],
 
     Returns the roots and their normalization denominators (_denominators),
     each shape (len(lanes), count), and for each lane the number of sign
-    changes of j_{l+1} below its last root, which the magnetic guard
-    compares with count - 1.  Each order gets one scan on its own grid
-    (_scan_grid); the grids, one run per order, share one upward pair,
-    which serves both conditions.  A lane with fewer than
-    count sign changes raises RootFindingError.  One safeguarded Newton
-    loop then refines the brackets of every lane at once, the lanes in
-    order of l, one run per order: a lane whose step leaves its bracket
-    bisects instead; a lane stops once its step is <= _NEWTON_RTOL * x and
-    keeps its x, a and b from then on; one polishing step follows, and one
-    more upward pair at the final roots of every lane, of both types, gives
-    the denominators.  Every lane's arithmetic is that of a pass holding its
-    lane alone.
+    changes of its companion, j_{l+1} (M) or j_l (E), from the scan start
+    through its last bracket, which the interlacing guard of _roots compares
+    with count - 1.  Each order gets one scan on its own grid (_scan_grid);
+    the grids, one run per order, share one upward pair, which serves both
+    conditions and both companions.  A lane with fewer than count sign
+    changes raises RootFindingError.  One safeguarded Newton loop then
+    refines the brackets of every lane at once, the lanes in order of l, one
+    run per order: a lane whose step leaves its bracket bisects instead; a
+    lane stops once its step is <= _NEWTON_RTOL * x and keeps its x, a and b
+    from then on; one polishing step follows, and one more upward pair at
+    the final roots of every lane, of both types, gives the denominators.
+    Every lane's arithmetic is that of a pass holding its lane alone.
     """
     # the lanes of each order
     by_order: dict[int, list[int]] = {}
@@ -294,7 +295,12 @@ def _newton_roots(lanes: list[tuple[str, int]],
     fs = {tau: (_bessel_zero if tau == TAU_MAGNETIC else _electric)(ls, xs, jl, jl1)[0]
           for tau in taus}
     changes = {tau: _sign_changes(f) for tau, f in fs.items()}
-    companion_changes = _sign_changes(jl1)
+    # Each companion has one zero between consecutive roots and none below the
+    # first.  Over the advertised range every companion zero lies at least
+    # 1.04 from every root (M, l = 59; 1.57 for E, at j = 1), farther than
+    # the width _SCAN_STEP of a bracket, so no bracket holds one and the count
+    # through the last bracket is the count below the last root.
+    companions = {tau: _sign_changes(jl1 if tau == TAU_MAGNETIC else jl) for tau in taus}
     rows, brackets, fa, fb, below = [], [], [], [], []
     end = 0
     for l, size in zip(orders, sizes):
@@ -310,8 +316,7 @@ def _newton_roots(lanes: list[tuple[str, int]],
             brackets.append(idx)
             fa.append(fs[tau][idx])
             fb.append(fs[tau][idx + 1])
-            # sign changes of j_{l+1} over the scan of l up to the last bracket
-            below.append(np.count_nonzero(companion_changes[start:idx[-1]]))
+            below.append(np.count_nonzero(companions[tau][start:idx[-1] + 1]))
     idx, fa, fb = np.concatenate(brackets), np.concatenate(fa), np.concatenate(fb)
     a, b, lane_l = xs[idx], xs[idx + 1], ls[idx]
     runs = [(l, count * len(by_order[l])) for l in orders]
@@ -323,7 +328,7 @@ def _newton_roots(lanes: list[tuple[str, int]],
     running = True
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
-            f, df, _ = _conditions(mag, lane_l, runs, x)
+            f, df = _conditions(mag, lane_l, runs, x)
             step = np.where(running, f / df, 0.0)
             left = running & (np.signbit(f) == neg_a)
             a = np.where(left, x, a)
@@ -338,24 +343,22 @@ def _newton_roots(lanes: list[tuple[str, int]],
         else:
             raise RootFindingError(f"Newton refinement did not converge in "
                                    f"{_NEWTON_MAX_ITER} steps")
-        f, df, companion = _conditions(mag, lane_l, runs, x)
+        f, df = _conditions(mag, lane_l, runs, x)
         polished = x - f / df
     roots = np.where((polished >= a) & (polished <= b), polished, x)
     dens = _denominators(mag, lane_l, roots, *_upward_pair(runs, roots))
-    # and from the last bracket to the root
-    last = idx[count - 1::count]
-    below = np.array(below) + (np.signbit(jl1[last]) != np.signbit(companion[count - 1::count]))
     back = sorted(range(len(lanes)), key=rows.__getitem__)
     shape = (len(lanes), count)
-    return roots.reshape(shape)[back], dens.reshape(shape)[back], below[back]
+    return roots.reshape(shape)[back], dens.reshape(shape)[back], np.array(below)[back]
 
 
 def spherical_bessel_zeros(l: int, count: int) -> list[float]:
     """First `count` positive zeros of j_l (equivalently of J_{l+1/2}).
 
     0 <= l <= MAX_BESSEL_ORDER - 1 and 1 <= count <= 64; for l = 0 the
-    zeros are k pi.  They are find_roots' cached, guarded magnetic roots of
-    j = l: the first call for an l solves all 64 and caches them, and every
+    zeros are k pi.  They are find_roots' cached magnetic roots of j = l,
+    under the same interlacing guard (the zeros of j_{l+1} alternate with
+    them): the first call for an l solves all 64 and caches them, and every
     call is served as a prefix of that entry.
     """
     _check_int("l", l, 0, MAX_BESSEL_ORDER - 1)
@@ -379,56 +382,34 @@ def _roots(taus, js: list[int]) -> dict[str, list[_Entry]]:
 
     Every cache entry is complete: it holds all _MAX_COUNT roots of its
     (tau, j) and their denominators, and every request is served as a
-    prefix of it.  Each (tau, j) not in the cache, and the magnetic (M, j)
-    of every electric j so solved, since the electric guard reads them from
-    the cache, is solved to _MAX_COUNT roots in one _newton_roots pass,
-    which also gives each root's denominator.  A cold pass costs about the
-    same for 3 roots as for 64 (per-call overhead dominates, not per-root
-    work), so a (tau, j) is solved once per process, whatever lengths are
-    asked for later.  The magnetic roots are checked and cached first, then
-    the electric ones, each guard over all _MAX_COUNT columns.
+    prefix of it.  The (tau, j) not in the cache, and only those, are solved
+    to _MAX_COUNT roots in one _newton_roots pass, which also gives each
+    root's denominator.  A cold pass costs about the same for 3 roots as
+    for 64 (per-call overhead dominates, not per-root work), so a (tau, j)
+    is solved once per process, whatever lengths are asked for later.  The
+    guards run over every lane of the pass and all _MAX_COUNT columns,
+    before any lane is cached: interlacing, where the companion of each
+    lane (_newton_roots) must change sign _MAX_COUNT - 1 times below its
+    last root, magnetic lanes reported first, and then root spacing.
     """
-    ele = ([j for j in js if (TAU_ELECTRIC, j) not in _ROOT_CACHE]
-           if TAU_ELECTRIC in taus else [])
-    mag = [j for j in (js if TAU_MAGNETIC in taus else ele)
-           if (TAU_MAGNETIC, j) not in _ROOT_CACHE]
-    if mag or ele:
+    lanes = [(tau, j) for tau in (TAU_MAGNETIC, TAU_ELECTRIC) if tau in taus
+             for j in js if (tau, j) not in _ROOT_CACHE]
+    if lanes:
         # the first zero of J_{j+1/2} lies above j + 1/2, and every electric
         # root has x^2 > j(j+1): both scans start at x = j
-        roots, dens, zeros_below = _newton_roots(
-            [(TAU_MAGNETIC, j) for j in mag] + [(TAU_ELECTRIC, j) for j in ele], _MAX_COUNT)
-        for tau, todo, r, d in ((TAU_MAGNETIC, mag, roots[:len(mag)], dens[:len(mag)]),
-                                (TAU_ELECTRIC, ele, roots[len(mag):], dens[len(mag):])):
-            if not todo:
-                continue
-            if tau == TAU_MAGNETIC:
-                # interlacing: J_{nu} and J_{nu+1} zeros alternate, so j_{j+1} must
-                # change sign exactly _MAX_COUNT - 1 times below the last root
-                bad = (zeros_below[:len(mag)] != _MAX_COUNT - 1).nonzero()[0]
-                if len(bad):
-                    i = bad[0]
-                    raise RootFindingError(
-                        f"interlacing violated for M j={todo[i]}: {zeros_below[i]} "
-                        f"companion zeros below root {_MAX_COUNT}")
-            else:
-                # electric roots are the extrema of x j_j(x): exactly one between
-                # consecutive magnetic roots (and one below the first)
-                fences = np.zeros((len(todo), _MAX_COUNT + 1))
-                fences[:, 1:] = [_ROOT_CACHE[(TAU_MAGNETIC, j)].roots for j in todo]
-                bad = ((r <= fences[:, :-1]) | (r >= fences[:, 1:])).nonzero()
-                if len(bad[0]):
-                    i, n = bad[0][0], bad[1][0]
-                    raise RootFindingError(
-                        f"interlacing violated for E j={todo[i]}: root {n + 1} = "
-                        f"{r[i, n]} not in ({fences[i, n]}, {fences[i, n + 1]})")
-            gaps = r[:, 1:] - r[:, :-1]
-            bad = ((gaps <= 0) | (gaps > 2.5 * math.pi)).nonzero()[0]
-            if len(bad):
-                i = bad[0]
-                raise RootFindingError(
-                    f"implausible root spacing for {tau} j={todo[i]}: {gaps[i]}")
-            for j, rj, dj in zip(todo, r.tolist(), d.tolist()):
-                _ROOT_CACHE[(tau, j)] = _Entry(tuple(rj), tuple(dj))
+        roots, dens, zeros_below = _newton_roots(lanes, _MAX_COUNT)
+        bad = (zeros_below != _MAX_COUNT - 1).nonzero()[0]
+        if len(bad):
+            (tau, j), zeros = lanes[bad[0]], zeros_below[bad[0]]
+            raise RootFindingError(f"interlacing violated for {tau} j={j}: {zeros} "
+                                   f"companion zeros below root {_MAX_COUNT}")
+        gaps = roots[:, 1:] - roots[:, :-1]
+        bad = ((gaps <= 0) | (gaps > 2.5 * math.pi)).nonzero()[0]
+        if len(bad):
+            (tau, j), gap = lanes[bad[0]], gaps[bad[0]]
+            raise RootFindingError(f"implausible root spacing for {tau} j={j}: {gap}")
+        for key, r, d in zip(lanes, roots.tolist(), dens.tolist()):
+            _ROOT_CACHE[key] = _Entry(tuple(r), tuple(d))
     return {tau: [_ROOT_CACHE[(tau, j)] for j in js] for tau in taus}
 
 
@@ -439,19 +420,19 @@ def find_roots(tau: str, j: int, count: int) -> list[float]:
     else raises ValueError.  The roots are strictly increasing; each is
     refined until its Newton step is below 1e-13 x and then polished by
     one more step, which leaves a relative error |f / (x f')| of a few
-    1e-16 (below 1e-12 over the whole range).  Electric and magnetic
-    sequences are cross-validated: the n-th electric root must lie
-    strictly between consecutive zeros of x j_j(x), and j_{j+1} must
-    change sign exactly count - 1 times below the last magnetic root
-    (interlacing), which guards against any skipped root.
+    1e-16 (below 1e-12 over the whole range).  One interlacing guard
+    checks both types against any skipped root: the companion, j_{j+1} for
+    M and j_j for E (whose zeros are the magnetic roots; the electric roots
+    are the extrema of x j_j), must change sign exactly count - 1 times
+    below the last root, counted on the solver's own scan.
 
     The solve is the pass that spectrum runs on every (tau, j) at once,
-    holding this (tau, j) and, for an electric j, the magnetic roots its
-    guard needs when they are not cached; it gives the same roots bit for
-    bit.  Results are cached per (tau, j), whichever call solved them.  The
-    first request for a (tau, j) solves all 64 roots, at 1.1-1.2 times the
-    cost of a cold solve of 3, and the guards check all 64; every request
-    of any count is then served as a prefix of that entry, in about 2 us.
+    holding this (tau, j) alone when it is not cached; it gives the same
+    roots bit for bit.  Results are cached per (tau, j), whichever call
+    solved them.  The first request for a (tau, j) solves all 64 roots, at
+    1.1-1.2 times the cost of a cold solve of 3, and the guards check all
+    64; every request of any count is then served as a prefix of that
+    entry, in about 2 us.
     The entry also holds each root's normalization denominator (see
     normalization_constant), which the same pass computes.
     """
@@ -480,23 +461,28 @@ def normalization_constant(tau: str, j: int, x_root: float,
 
     The denominator, |J_{j+3/2}(x)| or sqrt((2j+1) (x^2 - j(j+1)))
     |J_{j+1/2}(x)| with J_{nu}(x) = sqrt(2x/pi) j_{nu-1/2}(x), depends on x
-    alone (_denominators).  Here it comes from an upward Bessel pair at
-    x_root; the root cache holds it for every cached root, from which
-    spectrum and mode_spec give this function's value bit for bit with no
-    Bessel evaluation.
+    alone (_denominators).  Here it and the condition both come from one
+    upward Bessel pair (j_j, j_{j+1}) at x_root; the root cache holds the
+    denominator for every cached root, from which spectrum and mode_spec
+    give this function's value bit for bit with no Bessel evaluation.
     """
     tau = _validate_tau(tau)
     _check_int("j", j, 1, MAX_BESSEL_ORDER - 1)
     x = float(x_root)
+    mag = tau == TAU_MAGNETIC
     # the residual test alone passes every small x: J_{j+1/2}(x) ~ x^{j+1/2}
-    if (x <= j) if tau == TAU_MAGNETIC else (x * x <= j * (j + 1)):
+    if (x <= j) if mag else (x * x <= j * (j + 1)):
         raise ValueError(f"x_root={x} lies below every {tau} root for j={j}")
-    eq = magnetic_root_equation(j, x) if tau == TAU_MAGNETIC else electric_root_equation(j, x)
-    if abs(eq) > 1e-4:
-        raise ValueError(f"x_root={x} does not satisfy the {tau} condition for j={j}")
     xs = np.array([x])
-    den = _denominators(tau == TAU_MAGNETIC, j, xs, *_upward_pair([(j, 1)], xs))
-    return float(_norm_consts(tau, xs, den, config)[0])
+    pair = _upward_pair([(j, 1)], xs)
+    # the public equations from the pair: J_{j+1/2} = sqrt(2x/pi) j_j, and
+    # with j_{j-1} = ((2j+1)/x) j_j - j_{j+1} the electric one is
+    # -(2j+1)/x sqrt(2x/pi) (x j_j)'
+    cond = (_bessel_zero if mag else _electric)(j, xs, *pair)[0]
+    eq = np.sqrt(2.0 * xs / np.pi) * (cond if mag else -(2 * j + 1) / xs * cond)
+    if abs(eq[0]) > 1e-4:
+        raise ValueError(f"x_root={x} does not satisfy the {tau} condition for j={j}")
+    return float(_norm_consts(tau, xs, _denominators(mag, j, xs, *pair), config)[0])
 
 
 def _norm_consts(tau: str, x, den, config: CavityConfig):
@@ -550,8 +536,8 @@ def spectrum(j_max: int, n_max: int,
 def _spectrum(j_max: int, n_max: int, config: CavityConfig, taus) -> list[ModeSpec]:
     """spectrum restricted to the types in taus, given in tie-break order.
 
-    Only their roots are solved, with the magnetic roots that the electric
-    guard reads; the entries keep the relative order they have in spectrum.
+    Only their roots are solved, each type's guard reading its own lanes;
+    the entries keep the relative order they have in spectrum.
     """
     _check_int("j_max", j_max, 1, 20)
     _check_int("n_max", n_max, 1, 32)

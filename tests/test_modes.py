@@ -237,17 +237,27 @@ class TestRootCache:
                 assert roots[0].tolist() == full[:n], (j, n)
                 assert alone_dens[0].tolist() == list(dens[:n]), (j, n)
 
-    def test_electric_guard_reads_cached_magnetic_roots(self, cache):
+    def test_electric_request_solves_only_its_own_lane(self, cache, monkeypatch):
+        # an electric guard reads its own scan, so an E request makes a
+        # one-lane pass and caches its entry alone; a corrupted magnetic
+        # entry of the same j leaves its roots and denominators unchanged
+        solve, passes = md._newton_roots, []
+
+        def counted(lanes, count):
+            passes.append(list(lanes))
+            return solve(lanes, count)
+        monkeypatch.setattr(md, "_newton_roots", counted)
         find_roots("E", 4, 6)
-        assert set(cache) == {("E", 4), ("M", 4)}
-        assert all(len(e.roots) == len(e.dens) == md._MAX_COUNT for e in cache.values())
-        # a corrupted magnetic entry must trip the electric interlacing guard
+        assert passes == [[("E", 4)]]
+        assert set(cache) == {("E", 4)}
+        assert len(cache[("E", 4)].roots) == len(cache[("E", 4)].dens) == md._MAX_COUNT
+        clean = find_roots("E", 2, 3), cache[("E", 2)]
         cache.clear()
         find_roots("M", 2, 1)
-        cache[("M", 2)] = cache[("M", 2)]._replace(
+        corrupted = cache[("M", 2)] = cache[("M", 2)]._replace(
             roots=tuple(x - 2.0 for x in cache[("M", 2)].roots))
-        with pytest.raises(RootFindingError, match="interlacing"):
-            find_roots("E", 2, 3)
+        assert (find_roots("E", 2, 3), cache[("E", 2)]) == clean
+        assert cache[("M", 2)] is corrupted
 
     def test_batched_spectrum_equals_single_solves_bitwise(self, cache):
         # spectrum solves every j of one tau in one batch; each lane must
@@ -355,17 +365,22 @@ class TestRootCache:
         find_roots("E", 3, 2)
         find_roots("E", 5, 30)
         find_roots("M", 6, 1)
-        assert cache == {key: expected[key] for key in [("M", 3), ("E", 3), ("M", 5),
-                                                         ("E", 5), ("M", 6)]}
+        assert cache == {key: expected[key] for key in [("M", 3), ("E", 3), ("E", 5), ("M", 6)]}
         assert spectrum(7, 12) == fresh
         assert cache == expected
 
-    def test_spectrum_electric_guard_reads_cached_magnetic_roots(self, cache):
+    def test_electric_table_ignores_cached_magnetic_entries(self, cache):
+        # an electric-only table solves and caches only electric lanes, and
+        # gives the same modes whatever the cached magnetic entries hold
+        config = CavityConfig()
+        clean = md._spectrum(3, 3, config, ("E",))
+        assert set(cache) == {("E", j) for j in (1, 2, 3)}
+        cache.clear()
         find_roots("M", 2, 1)
         cache[("M", 2)] = cache[("M", 2)]._replace(
             roots=tuple(x - 2.0 for x in cache[("M", 2)].roots))
-        with pytest.raises(RootFindingError, match="interlacing violated for E j=2"):
-            spectrum(3, 3)
+        assert md._spectrum(3, 3, config, ("E",)) == clean
+        assert [s for s in spectrum(3, 3) if s.index.tau == "E"] == clean
 
     def test_bessel_zeros_are_the_cached_guarded_magnetic_roots(self, cache, monkeypatch):
         # served from and kept in find_roots' cache, and checked by its guard
@@ -394,6 +409,10 @@ class TestRootCache:
         monkeypatch.setattr(md, "_newton_roots", skip_second)
         with pytest.raises(RootFindingError, match="interlacing violated for M j=3"):
             find_roots("M", 3, 5)
+        with pytest.raises(RootFindingError, match="interlacing violated for E j=3"):
+            find_roots("E", 3, 5)
+        with pytest.raises(RootFindingError, match="interlacing violated for E j=7"):
+            mode_spec("E", 7, 0, 1)
         with pytest.raises(RootFindingError, match="interlacing violated for M j=1"):
             spectrum(4, 6)
         assert cache == {}
@@ -408,6 +427,19 @@ class TestRootCache:
         for l in range(60):
             end = md._scan_grid(max(l, md._SCAN_STEP), 64)[-1]
             assert spherical_bessel_zeros(l, 64)[-1] <= end - md._SCAN_STEP, l
+
+    def test_no_bracket_holds_a_companion_zero(self, cache):
+        # the interlacing guard counts its companion's sign changes through
+        # the last bracket, which is the count below the last root only if no
+        # bracket holds a companion zero: within 2 _SCAN_STEP of every root
+        # over the advertised range, j_{l+1} (M) or j_l (E) keeps one sign
+        offsets = np.linspace(-2.0, 2.0, 9) * md._SCAN_STEP
+        lanes = [("M", l) for l in range(60)] + [("E", j) for j in range(1, 60)]
+        for tau, l in lanes:
+            roots = np.array(md._roots((tau,), [l])[tau][0].roots)
+            companion = special.spherical_jn(l + 1 if tau == "M" else l, roots[:, None] + offsets)
+            signs = np.signbit(companion)
+            assert (signs == signs[:, :1]).all() and np.all(companion != 0), (tau, l)
 
     def test_unbracketed_order_raises_naming_it(self, cache, monkeypatch):
         # a root function with no sign change at order 7, alone or in a batch
@@ -427,7 +459,9 @@ class TestRootCache:
     def test_lanes_in_any_order_equal_their_solves_alone(self, count):
         # the pass refines its lanes in order of l, some orders shared by
         # both taus; each lane's roots, denominators and companion count come
-        # back in the order asked, bit for bit those of the lane alone
+        # back in the order asked, bit for bit those of the lane alone, and
+        # every lane's companion changes sign count - 1 times below its last
+        # root: j_{l+1} for M, j_l for E
         lanes = [("E", 7), ("M", 59), ("M", 3), ("E", 3), ("M", 7)]
         roots, dens, zeros_below = md._newton_roots(lanes, count)
         assert roots.shape == dens.shape == (len(lanes), count)
@@ -437,8 +471,7 @@ class TestRootCache:
             assert r.tobytes() == alone[0].tobytes(), lane
             assert d.tobytes() == alone_dens[0].tobytes(), lane
             assert z == alone_below[0], lane
-            if lane[0] == "M":  # interlacing: j_{l+1} changes sign count - 1 times
-                assert z == count - 1, lane
+            assert z == count - 1, lane
 
     def test_spectrum_makes_one_solver_pass(self, cache, monkeypatch):
         # both types of every j share one scan and one Newton batch
@@ -475,7 +508,8 @@ class TestRootCache:
                           ([("E", 1), ("E", 2), ("M", 1), ("M", 2)], md._MAX_COUNT)]
 
     def test_magnetic_condition_planted_as_electric_trips_the_guard(self, cache, monkeypatch):
-        # electric lanes solving the magnetic condition land on the fences
+        # electric lanes solving the magnetic condition bracket the zeros of
+        # j_j, their companion, so every bracket holds one companion zero
         monkeypatch.setattr(md, "_electric", md._bessel_zero)
         with pytest.raises(RootFindingError, match="interlacing violated for E"):
             spectrum(3, 3)
@@ -561,6 +595,30 @@ class TestNormalization:
     def test_rejects_non_root(self):
         with pytest.raises(ValueError):
             normalization_constant("M", 1, 5.0)
+
+    @pytest.mark.parametrize("tau", ["M", "E"])
+    def test_root_test_agrees_with_the_public_equations(self, tau):
+        # normalization_constant tests the condition on its own upward pair:
+        # it accepts x exactly where x lies above every root and the public
+        # equation is within 1e-4 of zero, on a grid up to x = 290 and across
+        # the accepting band around each of the 64 roots
+        equation = magnetic_root_equation if tau == "M" else electric_root_equation
+        for j in (1, 5, 20, 40, 59):
+            roots = np.array(find_roots(tau, j, 64))
+            h = 1e-6
+            width = 2e-4 * h / np.abs(equation(j, roots + h) - equation(j, roots - h))
+            x = np.concatenate([np.arange(j + 0.01, 290.0, 0.25),
+                                (roots[:, None] + np.linspace(-2.9, 2.9, 15) * width[:, None]).ravel()])
+            above = x > j if tau == "M" else x * x > j * (j + 1)
+            accept = above & (np.abs(equation(j, x)) <= 1e-4)
+            assert 0 < np.count_nonzero(accept) < len(x)
+            for xi, ok in zip(x.tolist(), accept.tolist()):
+                try:
+                    normalization_constant(tau, j, xi)
+                except ValueError:
+                    assert not ok, (tau, j, xi)
+                else:
+                    assert ok, (tau, j, xi)
 
     def test_rejects_points_below_every_root(self):
         # J_{j+1/2}(x) ~ x^{j+1/2}: the residual test alone passes a small x
