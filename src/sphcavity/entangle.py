@@ -130,6 +130,15 @@ def _as_tuple(value) -> tuple:
     return (value,)
 
 
+def _pair(name: str, values) -> tuple:
+    """The values of the pair argument ``name`` as a tuple; ValueError naming
+    it unless it holds exactly two."""
+    values = tuple(values)
+    if len(values) != 2:
+        raise ValueError(f"{name} must hold exactly two values, got {values!r}")
+    return values
+
+
 def enumerate_partitions() -> list[Partition]:
     """The 10 partitions: 4 single-field blocks then 6 two-field blocks."""
     parts: list[Partition] = []
@@ -248,14 +257,15 @@ def build_state(partition: Partition | str, bell: str,
 
     ``alpha_values = (a1, a2)`` and ``gamma_values = (g1, g2)`` hold the
     value tuples for the partition's entangling and spectator fields.
-    a1 != a2 is required for psi-minus/psi-plus.  Raises
+    a1 != a2 is required for psi-minus/psi-plus, and each argument must
+    hold exactly two values (ValueError naming it).  Raises
     DegenerateStateError when the symmetrized construction vanishes
     (e.g. psi-minus with g1 = g2).
     """
     if isinstance(partition, str):
         partition = partition_by_id(partition)
-    a1, a2 = (_as_tuple(v) for v in alpha_values)
-    g1, g2 = (_as_tuple(v) for v in gamma_values)
+    a1, a2 = (_as_tuple(v) for v in _pair("alpha_values", alpha_values))
+    g1, g2 = (_as_tuple(v) for v in _pair("gamma_values", gamma_values))
     return _build(bell, (g1, g2), (a1, a2), lambda g, a: partition.combine(a, g),
                   "entangling", f"gamma={gamma_values!r}, alpha={alpha_values!r}")
 
@@ -265,12 +275,13 @@ def build_plane_wave_state(bell: str, momentum_labels: tuple,
     """Two-photon state over discrete (momentum label, helicity) pairs.
 
     Helicities must be +1 or -1 (helicity 0 is excluded for a transverse
-    field).  Momentum labels are opaque hashables on a fixed shell.
+    field).  Momentum labels are opaque hashables on a fixed shell.  Each
+    argument must hold exactly two values (ValueError naming it).
     """
-    lam1, lam2 = helicities
-    for lam in helicities:
+    momenta, lams = _pair("momentum_labels", momentum_labels), _pair("helicities", helicities)
+    for lam in lams:
         _check_sign("helicities", lam)
-    return _build(bell, tuple(momentum_labels), (lam1, lam2), lambda g, a: (g, a),
+    return _build(bell, momenta, lams, lambda g, a: (g, a),
                   "helicity", f"momenta={momentum_labels!r}, helicities={helicities!r}")
 
 
@@ -300,8 +311,8 @@ def factorization_check(state: TwoPhotonState, partition: Partition | str,
     if isinstance(partition, str):
         partition = partition_by_id(partition)
     _check_bell(bell)
-    a1, a2 = (_as_tuple(v) for v in alpha_values)
-    g1, g2 = (_as_tuple(v) for v in gamma_values)
+    a1, a2 = (_as_tuple(v) for v in _pair("alpha_values", alpha_values))
+    g1, g2 = (_as_tuple(v) for v in _pair("gamma_values", gamma_values))
     sign, gamma_bell, alpha_bell = _FACTORED_FORM[bell]
 
     reference = TwoPhotonState()

@@ -453,8 +453,8 @@ def normalization_constant(tau: str, j: int, x_root: float,
     The electric form is the closed result of the radial energy integral
     evaluated at a root of the electric condition (where J_{j-1/2} =
     j J_{j+1/2} / x and J_{j+3/2} = (j+1) J_{j+1/2} / x); it is verified
-    against a product quadrature of the energy integral (the mode_energy
-    check).
+    against a radial quadrature of the energy integral, whose angular part
+    the orthonormality of the Y_{j,l,m} closes (the mode_energy check).
     Raises ValueError unless j is an integer in find_roots' range [1, 59]
     and x_root lies above j (magnetic) or sqrt(j(j+1)) (electric), where
     every root lies, and meets its condition to 1e-4.

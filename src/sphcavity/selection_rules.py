@@ -43,10 +43,11 @@ def transition_allowed(parity_initial: int, parity_final: int, tau: str, j: int)
 
 
 def _check_ka(ka: float, stacklevel: int) -> None:
-    """Reject ka <= 0 and warn above 0.1, where the leading order is
-    unreliable; ``stacklevel`` counts from the caller, as in warnings.warn."""
-    if ka <= 0:
-        raise ValueError("ka must be > 0")
+    """Reject ka unless it is finite and > 0, and warn above 0.1, where the
+    leading order is unreliable; ``stacklevel`` counts from the caller, as
+    in warnings.warn."""
+    if not 0 < ka < math.inf:
+        raise ValueError(f"ka must be a finite number > 0, got {ka!r}")
     if ka > 0.1:
         warnings.warn(f"ka = {ka} is not small; leading-order scalings are "
                       "unreliable", stacklevel=stacklevel + 1)

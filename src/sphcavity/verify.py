@@ -485,60 +485,46 @@ def check_dual_condition(j_max: int = 6, n_each: int = 8) -> tuple[float, str]:
                    f"lowest-root ordering {'holds' if ok else 'fails'}")
 
 
-def _mode_energies(specs: list[md.ModeSpec], radial: tuple[np.ndarray, np.ndarray],
-                   quads: dict[int, SphereQuadrature]) -> np.ndarray:
+def _mode_energies(specs: list[md.ModeSpec]) -> np.ndarray:
     """Electric and magnetic field energies, (1/4) w^2 eps0 int |A|^2 d3r and
     (1/4 mu0) int |B|^2 d3r, of each mode of one cavity: shape (len(specs), 2).
     As B carries k = w/c and 1/mu0 = eps0 c^2, both take the factor w^2 eps0 / 4.
 
-    The 3-d product rule is the radial rule (nodes, weights) over [0, R]
-    times the sphere rule quads[j], of degree at least 2 (j + 2) + 2.  A and
-    B are sums of c_l j_l(kr) Y_{j,l,m} (modes._multipole_terms), so the
-    rule's sum separates exactly: sum_{l,l'} c_l c_l' R_ll' S_ll', with R
-    the Gram matrix of r j_l(kr) on the radial rule and S that of the
-    Y_{j,l,m} on the sphere rule.  The modes are grouped by (j, m); each
-    group takes S from one harmonic table and one matmul, and R for all its
-    modes from one multi-order Bessel call (specfun._bessel_orders).
+    A / N and B / (i k N) are sums of c_l j_l(kr) Y_{j,l,m}, one row each of
+    modes._multipole_terms, and the Y_{j,l,m} are orthonormal on the sphere,
+    so int |A|^2 d3r = N^2 sum_l c_l^2 int_0^R r^2 j_l(kr)^2 dr, and
+    int |B|^2 d3r is k^2 times that sum over B's row; m does not enter.  The
+    radial integrals are summed on ceil(x_max) + 24 Gauss-Legendre nodes over
+    [0, R], x_max the largest root kR of the specs, on which products of the
+    j_l(kr) up to x_max integrate to rounding level.  The modes are grouped
+    by j; each group takes its three orders from one multi-order Bessel call
+    (specfun._bessel_orders).
     """
-    r, wr = radial
     config = specs[0].config
-    groups: dict[tuple[int, int], list[int]] = {}
+    r, wr = radial_quadrature(math.ceil(max(s.x_root for s in specs)) + 24, config.radius)
+    groups: dict[int, list[int]] = {}
     for i, spec in enumerate(specs):
-        groups.setdefault((spec.index.j, spec.index.m), []).append(i)
+        groups.setdefault(spec.index.j, []).append(i)
     out = np.empty((len(specs), 2))
-    for (j, m), idx in groups.items():
-        quad, ls = quads[j], (j - 1, j, j + 1)
-        Y = _Harmonics(j + 1, *quad.grid)
-        t = _coupled_stack(Y, [(j, l, m) for l in ls]).reshape(3, -1)
-        w = np.broadcast_to(quad.weights, (3,) + quad.weights.shape).ravel()
-        S = (t * w) @ t.conj().T
+    for j, idx in groups.items():
         omega = np.array([specs[i].omega for i in idx])
         x = (omega / config.wave_speed)[:, None] * r
-        J = np.stack(list(_bessel_orders(ls, x)), axis=1)
-        R = np.einsum("i,mai,mbi->mab", wr * r * r, J, J)
+        radial = _bessel_orders((j - 1, j, j + 1), x) ** 2 @ (wr * r * r)
         c = np.stack([md._multipole_terms(specs[i].index.tau, j) for i in idx])
-        q = np.einsum("mpa,mab,mpb->mp", c, R * S, c).real
         n2 = np.array([specs[i].norm_const for i in idx]) ** 2
-        out[idx] = (0.25 * omega**2 * config.epsilon0 * n2)[:, None] * q
+        out[idx] = (0.25 * omega**2 * config.epsilon0 * n2)[:, None] * np.einsum(
+            "mpa,am->mp", c * c, radial)
     return out
-
-
-def _radial_rule(specs: list[md.ModeSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [0, R] with ceil(x_max) + 24 nodes, x_max the
-    largest root kR of the frequency-sorted specs of one cavity: products of
-    the j_l(kr) up to x_max integrate to rounding level."""
-    return radial_quadrature(math.ceil(specs[-1].x_root) + 24, specs[-1].config.radius)
 
 
 def check_mode_energy(j_max: int = 3, n_max: int = 3) -> tuple[float, str]:
     """Quadrature energy of each normalized mode of spectrum(j_max, n_max)
     equals hbar omega.  The energy is (1/2) w^2 eps0 int |A|^2 d3r, twice
-    the electric part of _mode_energies, summed in separable form on
-    _radial_rule (38 nodes at the defaults, 155 at (20, 32)) and a sphere
-    rule of degree 2j + 6; the range of j_max and n_max is spectrum's."""
+    the electric part of _mode_energies, whose radial rule has 38 nodes at
+    the defaults and 155 at (20, 32); the range of j_max and n_max is
+    spectrum's."""
     specs = md.spectrum(j_max, n_max)
-    quads = {j: sphere_quadrature(2 * (j + 2) + 2) for j in range(1, j_max + 1)}
-    energy = 2.0 * _mode_energies(specs, _radial_rule(specs), quads)[:, 0]
+    energy = 2.0 * _mode_energies(specs)[:, 0]
     hbar_omega = np.array([spec.config.hbar * spec.omega for spec in specs])
     resid = np.abs(energy / hbar_omega - 1.0).max()
     return resid, f"all modes with j <= {j_max}, n <= {n_max}"
@@ -546,12 +532,10 @@ def check_mode_energy(j_max: int = 3, n_max: int = 3) -> tuple[float, str]:
 
 def check_mode_equipartition(j_max: int = 2, n_max: int = 2) -> tuple[float, str]:
     """Electric-part and magnetic-part field energies of each mode of
-    spectrum(j_max, n_max) agree: _mode_energies on _radial_rule (34 nodes
-    at the defaults, 155 at (20, 32)) and a sphere rule of degree 2j + 8,
-    with B the closed-form curl."""
+    spectrum(j_max, n_max) agree: _mode_energies, whose radial rule has 34
+    nodes at the defaults and 155 at (20, 32), with B the closed-form curl."""
     specs = md.spectrum(j_max, n_max)
-    quads = {j: sphere_quadrature(2 * (j + 2) + 4) for j in range(1, j_max + 1)}
-    e_elec, e_mag = _mode_energies(specs, _radial_rule(specs), quads).T
+    e_elec, e_mag = _mode_energies(specs).T
     resid = np.abs(e_mag / e_elec - 1.0).max()
     return resid, f"modes with j <= {j_max}, n <= {n_max}, closed-form curl"
 

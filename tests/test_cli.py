@@ -328,6 +328,8 @@ EXIT_CODES = [
     (("rotate", "--coeffs", "1,2,3", "--j", "-1", "--euler", "0,0,0"), 2,
      "[0, 20] and an integer, got -1"),
     (("ratios", "--ka", "1e-3", "--jmax", "0"), 2, "jmax"),
+    (("ratios", "--ka", "nan"), 2, "ka must be a finite number > 0, got nan"),
+    (("ratios", "--ka", "inf"), 2, "ka must be a finite number > 0, got inf"),
 ]
 
 

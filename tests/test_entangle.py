@@ -242,6 +242,35 @@ class TestPlaneWaveStates:
             build_plane_wave_state("psi-minus", ("k1", "k1"), (+1, -1))
 
 
+# (call, the pair argument it must name): each held one value or three where
+# two are needed, once dropped the third silently or failed on unpacking
+_OMEGA_GAMMA = (("E", 1, 0), ("M", 2, 1))
+PAIR_LENGTH_CALLS = [
+    (lambda: build_plane_wave_state("psi-plus", ("k1", "k2", "k3"), (1, -1)),
+     "momentum_labels"),
+    (lambda: build_plane_wave_state("psi-plus", ("k1",), (1, -1)), "momentum_labels"),
+    (lambda: build_plane_wave_state("psi-plus", ("k1", "k2"), (1, -1, 1)), "helicities"),
+    (lambda: build_plane_wave_state("psi-plus", ("k1", "k2"), (1,)), "helicities"),
+    (lambda: build_state("omega", "psi-plus", ((1,), (2,), (3,)), _OMEGA_GAMMA),
+     "alpha_values"),
+    (lambda: build_state("omega", "psi-plus", ((1,),), _OMEGA_GAMMA), "alpha_values"),
+    (lambda: build_state("omega", "psi-plus", ((1,), (2,)), _OMEGA_GAMMA + (("E", 1, 1),)),
+     "gamma_values"),
+    (lambda: build_state("omega", "psi-plus", ((1,), (2,)), _OMEGA_GAMMA[:1]), "gamma_values"),
+    (lambda: factorization_check(TwoPhotonState(), "omega", "psi-plus", ((1,), (2,), (3,)),
+                                 _OMEGA_GAMMA), "alpha_values"),
+    (lambda: factorization_check(TwoPhotonState(), "omega", "psi-plus", ((1,), (2,)),
+                                 _OMEGA_GAMMA[:1]), "gamma_values"),
+]
+
+
+@pytest.mark.parametrize("call,name", PAIR_LENGTH_CALLS,
+                         ids=[f"{name}-{i}" for i, (_, name) in enumerate(PAIR_LENGTH_CALLS)])
+def test_pair_arguments_need_exactly_two_values(call, name):
+    with pytest.raises(ValueError, match=f"{name} must hold exactly two values"):
+        call()
+
+
 class TestTwoPhotonState:
     def test_norm_counts_ordered_pairs(self):
         state = TwoPhotonState()

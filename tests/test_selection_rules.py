@@ -65,6 +65,9 @@ class TestTransitionQuery:
     def test_validation(self):
         with pytest.raises(ValueError):
             TransitionQuery(+1, -1, "E", 1, ka=-1.0)
+        for ka in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="ka must be a finite number > 0"):
+                TransitionQuery(+1, -1, "E", 1, ka)
         with pytest.raises(ValueError):
             TransitionQuery(+2, -1, "E", 1, ka=1e-3)
 
@@ -118,3 +121,6 @@ class TestScalingRatio:
             scaling_ratio("M_over_E", 0, 1e-3)
         with pytest.raises(ValueError):
             scaling_ratio("M_over_E", 1, 0.0)
+        for ka in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="ka must be a finite number > 0"):
+                scaling_ratio("M_over_E", 1, ka)

@@ -7,12 +7,12 @@ from numpy.testing import assert_allclose
 
 from sphcavity import CheckReport
 from sphcavity import modes as md
-from sphcavity.angular import (antipode, helicity_apply, helicity_vsh, unit_radial, vsh,
-                               vsh_coupled)
+from sphcavity.angular import (_coupled_stack, antipode, helicity_apply, helicity_vsh,
+                               unit_radial, vsh, vsh_coupled)
 from sphcavity.modes import CavityConfig, mode_spec, spherical_bessel_zeros
 from sphcavity.rotations import (_spherical_waves, helicity_polarization_vector, m_index,
                                  spherical_wave_helicity, wigner_d_matrix, wigner_entry)
-from sphcavity.specfun import HarmonicConvention, scalar_harmonic, spherical_bessel_j
+from sphcavity.specfun import HarmonicConvention, _Harmonics, scalar_harmonic, spherical_bessel_j
 from sphcavity.verify import (
     DEFAULT_TOLERANCES,
     _family,
@@ -208,22 +208,39 @@ def _full_field_energies(spec, radial, quad):
 
 
 class TestModeEnergies:
-    # the sphere rules of check_mode_energy and check_mode_equipartition,
-    # degree 2j + pad, each on a radial rule finer than the checks' own
-    # ceil(x_max) + 24 nodes (45 here): the separable sum is exact on any rule
-    @pytest.mark.parametrize("n_radial,pad", [(200, 6), (80, 8)])
-    def test_separable_sum_equals_full_field_integral(self, n_radial, pad):
+    # the full fields on sphere rules of degree 2j + pad, both exact since
+    # |A|^2 and |B|^2 have degree <= 2j + 2, times the radial rule of
+    # _mode_energies, ceil(x_max) + 24 nodes (45 here): the closed angular
+    # sum must agree with the full 3-d product rule, for every m alike
+    @pytest.mark.parametrize("pad", [6, 8])
+    def test_separable_sum_equals_full_field_integral(self, pad):
         config = CavityConfig()
-        radial = radial_quadrature(n_radial, config.radius)
         js = (1, 2, 5, 8)
-        quads = {j: sphere_quadrature(2 * j + pad) for j in js}
         specs = [mode_spec(tau, j, m, n) for tau in ("E", "M") for j in js
-                 for m in (-j, 0, j) for n in (1, 3)]
-        # one call over every (j, m) group; the members of a group are not adjacent
-        got = _mode_energies(specs, radial, quads)
+                 for m in (-j, 0, j) for n in (3, 1)]
+        radial = radial_quadrature(math.ceil(max(s.x_root for s in specs)) + 24, config.radius)
+        # one call over every j group; the members of a group are not adjacent
+        got = _mode_energies(specs)
         for spec, energies in zip(specs, got):
-            want = _full_field_energies(spec, radial, quads[spec.index.j])
+            quad = sphere_quadrature(2 * spec.index.j + pad)
+            want = _full_field_energies(spec, radial, quad)
             assert_allclose(energies, want, rtol=1e-13, atol=0, err_msg=str(spec.index))
+        # the radial rule follows from the largest root, not from the last
+        # spec: the reversed list takes the same rule
+        assert_allclose(_mode_energies(specs[::-1])[::-1], got, rtol=1e-15, atol=0)
+
+    def test_coupled_rows_are_orthonormal_to_the_spectrum_edge(self):
+        # _mode_energies closes the angular integral by the orthonormality of
+        # the Y_{j,l,m}, l = j-1, j, j+1: held here on an exact sphere rule for
+        # every j of spectrum's range, not only orthonormality_coupled's j <= 8
+        for j in range(1, 21):
+            quad = sphere_quadrature(2 * (j + 2) + 2)
+            Y = _Harmonics(j + 1, *quad.grid)
+            labels = [(j, l, m) for m in sorted({0, 1, j}) for l in (j - 1, j, j + 1)]
+            t = _coupled_stack(Y, labels).reshape(len(labels), -1)
+            w = np.broadcast_to(quad.weights, (3,) + quad.weights.shape).ravel()
+            gram = t.conj() @ (t * w).T
+            assert np.abs(gram - np.eye(len(labels))).max() <= 1e-13, j
 
     def test_spectrum_edge(self):
         # the advertised spectrum corner (20, 32), where the largest root is
